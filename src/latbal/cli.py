@@ -171,10 +171,14 @@ def _cmd_synth(args) -> int:
         dim = args.dim if args.dim is not None else 64
         gram = np.eye(m)
         for spec in args.corr or []:
-            parts = spec.split(",")
-            if len(parts) != 3:
-                raise _UsageError(f"--corr expects I,J,RHO, got {spec!r}")
-            i, j, rho = int(parts[0]), int(parts[1]), float(parts[2])
+            try:
+                i_text, j_text, rho_text = spec.split(",")
+                i, j, rho = int(i_text), int(j_text), float(rho_text)
+            except ValueError:
+                raise _UsageError(f"--corr expects I,J,RHO, got {spec!r}") from None
+            if not (0 <= i < m and 0 <= j < m and i != j):
+                raise _UsageError(f"--corr needs two distinct indices in 0..{m - 1}, "
+                                  f"got {spec!r}")
             gram[i, j] = gram[j, i] = rho
         world = make_world(dim=dim, m=m, gram=gram, positive_rates=rates,
                            sharpness=args.sharpness if args.sharpness is not None else 1.0,
@@ -232,6 +236,11 @@ def _cmd_fit(args) -> int:
         path = os.path.join(args.out_dir, f"{name}.json")
         save_direction(direction, path)
         print(f"wrote {path}")
+        meta = direction.meta
+        if direction.method == "svm" and not meta["converged"]:
+            print(f"latbal fit: warning: {name}: SVM stopped at --max-iter after "
+                  f"{meta['iterations']} epochs, duality gap {meta['duality_gap']:.3g} "
+                  f"> tol {args.tol:g}; not converged", file=sys.stderr)
     return 0
 
 

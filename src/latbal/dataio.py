@@ -42,11 +42,21 @@ class LatdFormatError(ValueError):
     """Malformed or unsupported dataset file."""
 
 
+def _umask() -> int:
+    # os.umask can only be read by setting it; the CLI is single-threaded
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_bytes(path: str, payload: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as f:
+            # mkstemp creates the file 0600 and os.replace keeps that mode;
+            # give it the mode open() would have: 0666 less the umask
+            os.fchmod(f.fileno(), 0o666 & ~_umask())
             f.write(payload)
         os.replace(tmp, path)
     except BaseException:

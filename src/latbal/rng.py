@@ -18,9 +18,10 @@ scalar generator and the vectorized numpy block generator produce identical
 streams (tested).
 
 Substreams are derived with :func:`derive_seed`, which folds integer path
-components into the seed through the same finalizer.  Uniform doubles map the
-top 53 bits to (0, 1) via (k + 0.5) * 2^-53, and normal variates apply an
-inverse normal CDF (Acklam's rational approximation) to those uniforms.
+components into the seed through the same finalizer.  Uniform doubles, drawn
+in vectorized blocks, map the top 53 bits to (0, 1) via (k + 0.5) * 2^-53, and
+normal variates apply an inverse normal CDF (Acklam's rational approximation)
+to those uniforms.
 """
 
 from __future__ import annotations
@@ -68,10 +69,6 @@ class SplitMix64:
         self.counter += 1
         return out
 
-    def uniform(self) -> float:
-        # (k + 0.5) * 2^-53 over the top 53 bits: open interval (0, 1)
-        return ((self.next_u64() >> 11) + 0.5) * 2.0**-53
-
     def below(self, n: int) -> int:
         """Unbiased integer in [0, n) by rejection sampling."""
         if n <= 0:
@@ -81,17 +78,6 @@ class SplitMix64:
             x = self.next_u64()
             if x < limit:
                 return x % n
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
-
-    def permutation(self, n: int) -> list[int]:
-        perm = list(range(n))
-        self.shuffle(perm)
-        return perm
 
 
 def u64_block(seed: int, n: int, start: int = 0) -> np.ndarray:
@@ -106,7 +92,7 @@ def u64_block(seed: int, n: int, start: int = 0) -> np.ndarray:
 
 
 def uniforms(seed: int, n: int, start: int = 0) -> np.ndarray:
-    """n doubles in (0, 1), vectorized, matching the scalar uniform() stream."""
+    """n doubles (k + 0.5) * 2^-53 in (0, 1), k the top 53 bits of each output."""
     bits = u64_block(seed, n, start) >> np.uint64(11)
     return (bits.astype(np.float64) + 0.5) * 2.0**-53
 
@@ -173,8 +159,3 @@ def norm_ppf(p: float) -> float:
         u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
         x = x - u / (1.0 + x * u / 2.0)
     return x
-
-
-def norm_cdf(x: float) -> float:
-    """Standard normal CDF via erfc."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))

@@ -4,15 +4,28 @@ Solves the L1-hinge primal
 
     min_w  1/2 ||w||^2 + C * sum_i max(0, 1 - y_i (w . x_i + b))
 
-through its dual, one exact single-variable update per example (Hsieh et
-al., ICML 2008), with a random example permutation each epoch.  The bias is
-folded in as a constant feature of value 1, which perturbs the geometric
-bias slightly at small C; downstream consumers only use the normal
-direction, where the effect is negligible.
+through its dual, one exact single-variable update per visited example
+(Hsieh et al., ICML 2008).  The bias is folded in as a constant feature of
+value 1, which perturbs the geometric bias slightly at small C; downstream
+consumers only use the normal direction, where the effect is negligible.
+Labels are folded into the rows (y_i x_i) once, before the first epoch.
 
-Convergence is declared on the true duality gap: the primal objective above
-minus the dual objective sum(alpha) - 1/2 ||w||^2, evaluated after each
-epoch.
+Each epoch visits the active examples in a random order: the argsort of one
+vectorized block of SplitMix64 outputs from the epoch's own stream.
+
+Shrinking (Hsieh et al. §3.2; Fan et al., "LIBLINEAR", JMLR 9, 2008): after
+each epoch the full gradient G = Q alpha - 1 is evaluated anyway, for the
+duality gap.  The next epoch skips the examples whose coordinate step would
+be a no-op, those with alpha_i = 0 and G_i >= 0 or alpha_i = C and
+G_i <= 0, and visits all examples if none is left.  The set is recomputed
+from the full gradient every epoch, so no example stays out for more than
+one epoch without a recheck, and there is no threshold to tune.  Every step
+is still an exact maximisation, so the dual objective never decreases.
+``iterations`` counts epochs over the active set, not full passes.
+
+Convergence is declared on the true duality gap over all examples: the
+primal objective above minus the dual objective sum(alpha) - 1/2 ||w||^2,
+evaluated after each epoch.
 
 Examples are canonically reordered (sorted by coordinate bytes, then label)
 before training, so the fit depends on the two point sets and not on the
@@ -26,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import SplitMix64, derive_seed
+from .rng import derive_seed, u64_block
 
 _STREAM_EPOCH = 11
 
@@ -37,7 +50,7 @@ class SvmModel:
     bias: float
     c: float
     duality_gap: float
-    iterations: int              # epochs completed
+    iterations: int              # epochs completed, each over the active set
     converged: bool              # duality_gap <= tol before hitting max_iter
     hinge_loss: float            # total hinge at the returned iterate
     alphas: np.ndarray           # dual variables, canonical example order
@@ -73,8 +86,10 @@ def train_svm(pos: np.ndarray, neg: np.ndarray, c: float = 1.0, tol: float = 1e-
     y = y_raw[order]
     n = x.shape[0]
 
-    q_diag = (x * x).sum(axis=1)  # >= 1 thanks to the bias feature
-    alpha = np.zeros(n)
+    yx = y[:, None] * x
+    rows = list(yx)
+    inv_q = (1.0 / (x * x).sum(axis=1)).tolist()  # q_ii >= 1 thanks to the bias feature
+    alpha = [0.0] * n
     w = np.zeros(d + 1)
 
     gap = np.inf
@@ -83,31 +98,37 @@ def train_svm(pos: np.ndarray, neg: np.ndarray, c: float = 1.0, tol: float = 1e-
     dual_history: list[float] = []
     epochs = 0
     converged = False
+    active = np.arange(n)
 
     for epoch in range(max_iter):
-        perm_rng = SplitMix64(derive_seed(seed, _STREAM_EPOCH, epoch))
-        for i in perm_rng.permutation(n):
-            g = y[i] * (x[i] @ w) - 1.0
+        keys = u64_block(derive_seed(seed, _STREAM_EPOCH, epoch), active.size)
+        for i in active[np.argsort(keys, kind="stable")].tolist():
+            r = rows[i]
+            g = float(r @ w) - 1.0
             a = alpha[i]
-            if (a <= 0.0 and g >= 0.0) or (a >= c and g <= 0.0):
-                continue
-            a_new = min(max(a - g / q_diag[i], 0.0), c)
+            a_new = min(max(a - g * inv_q[i], 0.0), c)
             if a_new != a:
-                w += (a_new - a) * y[i] * x[i]
+                w += (a_new - a) * r
                 alpha[i] = a_new
         epochs = epoch + 1
 
-        margins = 1.0 - y * (x @ w)
-        hinge = float(np.clip(margins, 0.0, None).sum())
+        alpha_arr = np.array(alpha)
+        grad = yx @ w - 1.0
+        hinge = float(np.clip(-grad, 0.0, None).sum())
         w_sq = float(w @ w)
         primal = 0.5 * w_sq + c * hinge
-        dual = float(alpha.sum()) - 0.5 * w_sq
+        dual = float(alpha_arr.sum()) - 0.5 * w_sq
         gap = max(primal - dual, 0.0)
         primal_history.append(primal)
         dual_history.append(dual)
         if gap <= tol:
             converged = True
             break
+
+        at_bound = ((alpha_arr <= 0.0) & (grad >= 0.0)) | ((alpha_arr >= c) & (grad <= 0.0))
+        active = np.flatnonzero(~at_bound)
+        if active.size == 0:
+            active = np.arange(n)
 
     return SvmModel(
         weights=w[:d].copy(),
@@ -117,7 +138,7 @@ def train_svm(pos: np.ndarray, neg: np.ndarray, c: float = 1.0, tol: float = 1e-
         iterations=epochs,
         converged=converged,
         hinge_loss=hinge,
-        alphas=alpha,
+        alphas=np.array(alpha),
         objective_history=primal_history,
         dual_history=dual_history,
     )

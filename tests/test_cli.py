@@ -101,6 +101,26 @@ def test_fit_svm_and_project(tmp_path, synth_base):
         assert abs(float(proj.vector @ other.vector)) <= 1e-10
 
 
+def test_unconverged_svm_fit_warns_per_attribute(tmp_path, synth_base, capsys):
+    names = lb.read_dataset(synth_base).schema.names
+    capsys.readouterr()
+    assert run("fit", "--data", synth_base, "--method", "svm", "--max-iter", "5",
+               "--out-dir", str(tmp_path / "svm"), "--seed", "5") == 0
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == len(names)
+    for name, line in zip(names, warnings):
+        gap = lb.load_direction(str(tmp_path / "svm" / f"{name}.json")).meta["duality_gap"]
+        assert f"warning: {name}:" in line
+        assert "5 epochs" in line and f"{gap:.3g}" in line and "tol 1e-06" in line
+
+
+def test_centroid_fit_prints_no_warning(tmp_path, synth_base, capsys):
+    capsys.readouterr()
+    assert run("fit", "--data", synth_base, "--method", "centroid",
+               "--out-dir", str(tmp_path / "c"), "--seed", "5") == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_edit_roundtrip(tmp_path, synth_base):
     fits = str(tmp_path / "dirs")
     assert run("fit", "--data", synth_base, "--method", "centroid",
@@ -186,6 +206,14 @@ class TestExitCodes:
                    "--out", str(tmp_path / "t.csv"))
         assert code == 2
         assert "magic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["-1,0,0.5", "9,0,0.5", "1,1,0.5", "0,x,0.5"])
+    def test_bad_corr_index_is_usage_error(self, tmp_path, capsys, spec):
+        code = run("synth", "--out", str(tmp_path / "w"), "--n", "100",
+                   f"--corr={spec}", "--seed", "1")
+        assert code == 1
+        assert spec in capsys.readouterr().err
+        assert not (tmp_path / "w.latd").exists()
 
     def test_sweep_grid_flags_are_exclusive(self, tmp_path, synth_base, capsys):
         code = run("sweep", "--data", synth_base, "--world", synth_base + ".world.json",

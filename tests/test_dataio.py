@@ -1,3 +1,5 @@
+import os
+import stat
 import struct
 
 import numpy as np
@@ -143,3 +145,15 @@ def test_write_is_atomic_no_temp_left_behind(tmp_path, oracle_dataset):
     lb.write_dataset(oracle_dataset, base)
     leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)],
+                         ids=["umask022", "umask027"])
+def test_written_files_get_umask_mode(tmp_path, oracle_dataset, umask, mode):
+    # like open(): 0666 less the umask, not the 0600 of the temp file
+    old = os.umask(umask)
+    try:
+        paths = lb.write_dataset(oracle_dataset, str(tmp_path / "modes"))
+    finally:
+        os.umask(old)
+    assert [stat.S_IMODE(os.stat(p).st_mode) for p in paths] == [mode, mode]

@@ -54,11 +54,6 @@ def test_derive_seed_is_path_sensitive():
     assert len(seen) == 5
 
 
-def test_permutation_is_a_permutation():
-    perm = rng.SplitMix64(7).permutation(100)
-    assert sorted(perm) == list(range(100))
-
-
 def _cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 

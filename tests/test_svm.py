@@ -92,6 +92,54 @@ def test_dual_objective_is_nondecreasing(blobs_model):
     assert np.all(np.diff(dual) >= -1e-10 * max(1.0, np.abs(dual).max()))
 
 
+def _reference_dual_cd(pos, neg, c, tol, max_iter):
+    """Plain dual coordinate descent: every example, in index order, every epoch."""
+    x = np.hstack([np.vstack([pos, neg]), np.ones((len(pos) + len(neg), 1))])
+    y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
+    q = (x * x).sum(axis=1)
+    alpha = np.zeros(len(y))
+    w = np.zeros(x.shape[1])
+    for _ in range(max_iter):
+        for i in range(len(y)):
+            g = y[i] * (x[i] @ w) - 1.0
+            a_new = min(max(alpha[i] - g / q[i], 0.0), c)
+            w += (a_new - alpha[i]) * y[i] * x[i]
+            alpha[i] = a_new
+        hinge = np.clip(1.0 - y * (x @ w), 0.0, None).sum()
+        gap = max(0.5 * (w @ w) + c * hinge - (alpha.sum() - 0.5 * (w @ w)), 0.0)
+        if gap <= tol:
+            break
+    return w, gap
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-2])
+def test_shrinking_reaches_the_reference_optimum(c):
+    # the primal is 1-strongly convex in [w, b], so any iterate with duality
+    # gap g lies within sqrt(2 g) of the unique optimum
+    pos, neg = _blobs(n_per_side=100)
+    model = train_svm(pos, neg, c=c, tol=1e-9, max_iter=2000, seed=7)
+    w_ref, gap_ref = _reference_dual_cd(pos, neg, c, tol=1e-9, max_iter=2000)
+    dist = np.linalg.norm(np.append(model.weights, model.bias) - w_ref)
+    assert dist <= np.sqrt(2.0 * model.duality_gap) + np.sqrt(2.0 * gap_ref)
+
+
+def test_same_seed_is_bit_identical():
+    pos, neg = _blobs(n_per_side=100)
+    a = train_svm(pos, neg, c=1.0, tol=1e-6, max_iter=200, seed=4)
+    b = train_svm(pos, neg, c=1.0, tol=1e-6, max_iter=200, seed=4)
+    assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+    assert np.array_equal(a.alphas, b.alphas)
+    assert a.iterations == b.iterations
+
+
+def test_stop_at_max_iter_reports_full_set_gap():
+    pos, neg = _blobs(n_per_side=100)
+    model = train_svm(pos, neg, c=1.0, tol=1e-6, max_iter=3, seed=7)
+    assert not model.converged
+    assert model.iterations == 3
+    assert model.duality_gap == pytest.approx(_slackness_residual(pos, neg, model), abs=1e-8)
+
+
 def test_label_swap_negates_exactly():
     pos, neg = _blobs(n_per_side=60)
     a = train_svm(pos, neg, c=0.5, tol=1e-8, max_iter=300, seed=3)
