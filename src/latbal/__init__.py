@@ -28,7 +28,7 @@ from .evaluation import (RescoreMatrix, SweepReport, SweepRow, effect,
                          overall_entanglement, rescore, sweep_regularization,
                          sweep_sample_size)
 from .oracle import (LinearAttributeWorld, default_world, load_world,
-                     make_world, oracle_score, sample_world, save_world)
+                     make_world, sample_world, save_world)
 from .sampler import (SamplePlan, SubsampleResult, balanced_subsample,
                       uniform_subsample)
 from .svm import SvmModel, train_svm
@@ -43,7 +43,7 @@ __all__ = [
     "SvmModel", "train_svm",
     "centroid_direction", "svm_direction", "conditional_project", "edit_latent",
     "cosine_matrix", "save_direction", "load_direction",
-    "LinearAttributeWorld", "make_world", "sample_world", "oracle_score",
+    "LinearAttributeWorld", "make_world", "sample_world",
     "default_world", "save_world", "load_world",
     "RescoreMatrix", "SweepReport", "SweepRow", "rescore", "effect",
     "overall_entanglement", "embedding_similarity", "fit_directions",

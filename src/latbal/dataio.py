@@ -12,12 +12,18 @@ Layout of ``<base>.latd``::
     ...     -     count * m float64 confidences (only if flag bit 0)
 
 All integers and floats are little-endian.  Labels are human-editable and
-live in ``<base>.labels.csv``: a header row of attribute names followed by
-one 0/1 row per code.  The attribute count m comes from that header, which
-is why the reader parses the CSV before slicing the confidence block.
+live in ``<base>.labels.csv``: a header row of attribute names (standard
+CSV, so names with commas or quotes round-trip) followed by one row per
+code.  The attribute count m comes from that header, which is why the
+reader parses the CSV before sizing the confidence block.  Each row is m
+unquoted ``0``/``1`` tokens separated by ``,``; rows end in LF (as written)
+or CRLF, and the final newline is optional.  The file is UTF-8.  Rows are
+written and checked as one fixed-width byte array; a malformed file is
+rejected with the path and line number of its first bad row.
 
-All writes go through a temp file in the target directory followed by an
-atomic rename, so an interrupted run never leaves a half-written file.
+All writes go through a temp file in the target directory, fsynced, then
+atomically renamed over the target, so an interrupted run never leaves a
+half-written file.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIIQI")  # magic, version, dim, count, flags
 FLAG_CONFIDENCES = 1
 
+_ZERO, _COMMA, _LF, _CR = b"0,\n\r"
+
 
 class LatdFormatError(ValueError):
     """Malformed or unsupported dataset file."""
@@ -49,7 +57,8 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write_bytes(path: str, payload: bytes) -> None:
+def atomic_write_bytes(path: str, payload: bytes | np.ndarray) -> None:
+    """Write payload (bytes or a 1-D uint8 array) to path durably and atomically."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
@@ -58,6 +67,9 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
             # give it the mode open() would have: 0666 less the umask
             os.fchmod(f.fileno(), 0o666 & ~_umask())
             f.write(payload)
+            f.flush()
+            # the data must reach the disk before the rename publishes it
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -73,80 +85,128 @@ def dataset_paths(path_base: str) -> tuple[str, str]:
     return path_base + ".latd", path_base + ".labels.csv"
 
 
+def _latd_payload(dataset: LatentDataset) -> np.ndarray:
+    flags = FLAG_CONFIDENCES if dataset.confidences is not None else 0
+    n_codes = dataset.codes.size
+    n_conf = 0 if dataset.confidences is None else dataset.confidences.size
+    payload = np.empty(_HEADER.size + 8 * (n_codes + n_conf), dtype=np.uint8)
+    payload[:_HEADER.size] = np.frombuffer(
+        _HEADER.pack(MAGIC, VERSION, dataset.dim, dataset.n, flags), dtype=np.uint8)
+    values = payload[_HEADER.size:].view("<f8")
+    values[:n_codes] = dataset.codes.ravel()
+    if dataset.confidences is not None:
+        values[n_codes:] = dataset.confidences.ravel()
+    return payload
+
+
+def _labels_payload(schema: AttributeSchema, labels: np.ndarray) -> np.ndarray:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(schema.names)
+    header = np.frombuffer(out.getvalue().encode("utf-8"), dtype=np.uint8)
+    payload = np.empty(header.size + labels.size * 2, dtype=np.uint8)
+    payload[:header.size] = header
+    rows = payload[header.size:].reshape(labels.shape[0], 2 * schema.m)
+    rows[:, 0::2] = labels + _ZERO
+    rows[:, 1::2] = _COMMA
+    rows[:, -1] = _LF
+    return payload
+
+
 def write_dataset(dataset: LatentDataset, path_base: str) -> tuple[str, str]:
     latd_path, labels_path = dataset_paths(path_base)
-    flags = FLAG_CONFIDENCES if dataset.confidences is not None else 0
-
-    blob = io.BytesIO()
-    blob.write(_HEADER.pack(MAGIC, VERSION, dataset.dim, dataset.n, flags))
-    blob.write(np.ascontiguousarray(dataset.codes, dtype="<f8").tobytes())
-    if dataset.confidences is not None:
-        blob.write(np.ascontiguousarray(dataset.confidences, dtype="<f8").tobytes())
-    atomic_write_bytes(latd_path, blob.getvalue())
-
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(dataset.schema.names)
-    for row in dataset.labels:
-        writer.writerow([int(b) for b in row])
-    atomic_write_text(labels_path, out.getvalue())
+    atomic_write_bytes(latd_path, _latd_payload(dataset))
+    atomic_write_bytes(labels_path, _labels_payload(dataset.schema, dataset.labels))
     return latd_path, labels_path
 
 
-def _read_labels_csv(path: str) -> tuple[AttributeSchema, np.ndarray]:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
+def _decoded_lines(lines, path: str):
+    for lineno, line in enumerate(lines, start=1):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise LatdFormatError(f"{path}: missing header row") from None
-        schema = AttributeSchema(tuple(header))
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != schema.m:
-                raise LatdFormatError(
-                    f"{path}:{lineno}: expected {schema.m} columns, got {len(row)}")
-            for token in row:
-                if token not in ("0", "1"):
-                    raise LatdFormatError(
-                        f"{path}:{lineno}: label token {token!r} is not 0 or 1")
-            rows.append([int(t) for t in row])
-    labels = np.array(rows, dtype=np.uint8) if rows else np.empty((0, schema.m), np.uint8)
-    return schema, labels
+            yield line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise LatdFormatError(f"{path}:{lineno}: not UTF-8 text") from None
+
+
+def _bad_row_error(path: str, body: bytes, first_lineno: int, m: int) -> LatdFormatError:
+    """The error naming the first line of body that breaks the row grammar."""
+    for lineno, line in enumerate(body.split(b"\n")[:-1], start=first_lineno):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError:
+            return LatdFormatError(f"{path}:{lineno}: not UTF-8 text")
+        row = text.split(",") if text else []
+        if len(row) != m:
+            return LatdFormatError(f"{path}:{lineno}: expected {m} columns, got {len(row)}")
+        for token in row:
+            if token not in ("0", "1"):
+                return LatdFormatError(f"{path}:{lineno}: label token {token!r} is not 0 or 1")
+    return LatdFormatError(f"{path}: malformed label rows")
+
+
+def _read_labels_csv(path: str) -> tuple[AttributeSchema, np.ndarray]:
+    with open(path, "rb") as f:
+        raw = f.read()
+    lines = io.BytesIO(raw)
+    try:
+        header = next(csv.reader(_decoded_lines(lines, path)))
+    except StopIteration:
+        raise LatdFormatError(f"{path}: missing header row") from None
+    except csv.Error as exc:
+        raise LatdFormatError(f"{path}: header row: {exc}") from None
+    schema = AttributeSchema(tuple(header))
+    body_start = lines.tell()
+    first_lineno = raw.count(b"\n", 0, body_start) + 1
+
+    # Rows are fixed-width: m tokens 0/1 with a comma after each but the
+    # last, then "\n".  Normalise the optional final newline and CRLF ends,
+    # then check every position at once.
+    body = np.frombuffer(raw, dtype=np.uint8, offset=body_start)
+    if body.size and body[-1] != _LF:
+        body = np.append(body, np.uint8(_LF))
+    if np.any(body == _CR):
+        crlf = np.append((body[:-1] == _CR) & (body[1:] == _LF), False)
+        body = body[~crlf]
+    width = 2 * schema.m
+    if body.size % width == 0:
+        rows = body.reshape(-1, width)
+        labels = rows[:, 0::2] - np.uint8(_ZERO)  # 0 and 1 stay, others wrap past 1
+        if (np.all(labels <= 1) and np.all(rows[:, 1:-1:2] == _COMMA)
+                and np.all(rows[:, -1] == _LF)):
+            return schema, labels
+    raise _bad_row_error(path, body.tobytes(), first_lineno, schema.m)
 
 
 def read_dataset(path_base: str) -> LatentDataset:
     latd_path, labels_path = dataset_paths(path_base)
     with open(latd_path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _HEADER.size:
-        raise LatdFormatError(f"{latd_path}: truncated header "
-                              f"(expected {_HEADER.size} bytes, got {len(raw)})")
-    magic, version, dim, count, flags = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise LatdFormatError(f"{latd_path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise LatdFormatError(f"{latd_path}: unsupported version {version}, expected {VERSION}")
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise LatdFormatError(f"{latd_path}: truncated header "
+                                  f"(expected {_HEADER.size} bytes, got {len(head)})")
+        magic, version, dim, count, flags = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise LatdFormatError(f"{latd_path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise LatdFormatError(
+                f"{latd_path}: unsupported version {version}, expected {VERSION}")
 
-    schema, labels = _read_labels_csv(labels_path)
-    if labels.shape[0] != count:
-        raise LatdFormatError(
-            f"{labels_path}: {labels.shape[0]} label rows but binary declares {count} codes")
+        schema, labels = _read_labels_csv(labels_path)
+        if labels.shape[0] != count:
+            raise LatdFormatError(
+                f"{labels_path}: {labels.shape[0]} label rows but binary declares {count} codes")
 
-    has_conf = bool(flags & FLAG_CONFIDENCES)
-    expected = _HEADER.size + count * dim * 8 + (count * schema.m * 8 if has_conf else 0)
-    if len(raw) != expected:
-        raise LatdFormatError(f"{latd_path}: payload length mismatch "
-                              f"(expected {expected} bytes, got {len(raw)})")
+        has_conf = bool(flags & FLAG_CONFIDENCES)
+        expected = _HEADER.size + count * dim * 8 + (count * schema.m * 8 if has_conf else 0)
+        size = os.fstat(f.fileno()).st_size
+        if size != expected:
+            raise LatdFormatError(f"{latd_path}: payload length mismatch "
+                                  f"(expected {expected} bytes, got {size})")
 
-    offset = _HEADER.size
-    codes = np.frombuffer(raw, dtype="<f8", count=count * dim, offset=offset)
-    codes = codes.reshape(count, dim).astype(np.float64)
-    confidences = None
-    if has_conf:
-        offset += count * dim * 8
-        confidences = np.frombuffer(raw, dtype="<f8", count=count * schema.m, offset=offset)
-        confidences = confidences.reshape(count, schema.m).astype(np.float64)
+        codes = np.fromfile(f, dtype="<f8", count=count * dim).reshape(count, dim)
+        confidences = None
+        if has_conf:
+            confidences = np.fromfile(f, dtype="<f8", count=count * schema.m)
+            confidences = confidences.reshape(count, schema.m)
 
     dataset = LatentDataset(dim=dim, codes=codes, labels=labels,
                             schema=schema, confidences=confidences)

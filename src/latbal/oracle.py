@@ -78,10 +78,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def oracle_score(world: LinearAttributeWorld, z: np.ndarray) -> np.ndarray:
-    return world.score(z)
-
-
 def _sym_sqrt(gram: np.ndarray) -> np.ndarray:
     eigvals, eigvecs = np.linalg.eigh(gram)
     if eigvals.min() < -1e-10:

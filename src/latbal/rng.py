@@ -38,6 +38,8 @@ _MIX2 = 0x94D049BB133111EB
 
 ALGORITHM = "splitmix64-counter-v1"
 
+_NORMALS_BLOCK = 1 << 16
+
 
 def _finalize(z: int) -> int:
     z &= MASK64
@@ -99,7 +101,13 @@ def uniforms(seed: int, n: int, start: int = 0) -> np.ndarray:
 
 def normals(seed: int, n: int, start: int = 0) -> np.ndarray:
     """n standard normal variates via inverse-CDF of the uniform stream."""
-    return _acklam_ppf(uniforms(seed, n, start))
+    out = np.empty(n, dtype=np.float64)
+    # every step is elementwise, so blocks give the same bits as one call
+    # while their temporaries stay small
+    for a in range(0, n, _NORMALS_BLOCK):
+        k = min(_NORMALS_BLOCK, n - a)
+        out[a:a + k] = _acklam_ppf(uniforms(seed, k, start + a))
+    return out
 
 
 # Acklam's rational approximation to the inverse standard normal CDF.

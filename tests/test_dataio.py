@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import stat
 import struct
@@ -7,7 +9,7 @@ import pytest
 
 import latbal as lb
 from latbal.dataio import (FLAG_CONFIDENCES, MAGIC, VERSION, LatdFormatError,
-                           dataset_paths)
+                           atomic_write_bytes, dataset_paths)
 
 
 @pytest.fixture()
@@ -157,3 +159,95 @@ def test_written_files_get_umask_mode(tmp_path, oracle_dataset, umask, mode):
     finally:
         os.umask(old)
     assert [stat.S_IMODE(os.stat(p).st_mode) for p in paths] == [mode, mode]
+
+
+def _labels_dataset(labels, names):
+    labels = np.asarray(labels, dtype=np.uint8)
+    return lb.LatentDataset(dim=1, codes=np.zeros((labels.shape[0], 1)), labels=labels,
+                            schema=lb.AttributeSchema(names))
+
+
+def test_labels_csv_bytes_equal_csv_writer_reference(tmp_path):
+    names = ("plain", "has,comma", 'say "hi"', "two\nlines")
+    labels = np.random.default_rng(3).integers(0, 2, size=(50, 4), dtype=np.uint8)
+    _, labels_path = lb.write_dataset(_labels_dataset(labels, names), str(tmp_path / "q"))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(names)
+    for row in labels:
+        writer.writerow([int(b) for b in row])
+    assert open(labels_path, "rb").read() == out.getvalue().encode("utf-8")
+    loaded = lb.read_dataset(str(tmp_path / "q"))
+    assert loaded.schema.names == names
+    assert np.array_equal(loaded.labels, labels)
+
+
+@pytest.mark.parametrize("body", [
+    "0,1\n1,1\n0,0",
+    "0,1\r\n1,1\r\n0,0\r\n",
+    "0,1\r\n1,1\r\n0,0",
+    "0,1\n1,1\r\n0,0\n",
+], ids=["lf-no-final-newline", "crlf", "crlf-no-final-newline", "mixed"])
+def test_label_line_ends_read_back_the_same(tmp_path, body):
+    header = struct.pack("<4sIIQI", MAGIC, VERSION, 1, 3, 0)
+    payload = np.zeros(3, dtype="<f8").tobytes()
+    (tmp_path / "ends.latd").write_bytes(header + payload)
+    (tmp_path / "ends.labels.csv").write_bytes(("a,b\r\n" + body).encode())
+    loaded = lb.read_dataset(str(tmp_path / "ends"))
+    assert loaded.labels.tolist() == [[0, 1], [1, 1], [0, 0]]
+
+
+@pytest.mark.parametrize("body,message", [
+    ("0,1\n1,x\n0,0\n", r"bad\.labels\.csv:3: label token 'x' is not 0 or 1"),
+    ("0,1\n1,1\n0,0,1\n", r"bad\.labels\.csv:4: expected 2 columns, got 3"),
+    ("0,1\n\n1,1\n", r"bad\.labels\.csv:3: expected 2 columns, got 0"),
+    ("0,1\n1\n0,0\n", r"bad\.labels\.csv:3: expected 2 columns, got 1"),
+    ('0,1\n"0",1\n0,0\n', r"bad\.labels\.csv:3: label token '\"0\"' is not 0 or 1"),
+    ("0,1\n1,1\n0,0\r\r\n", r"bad\.labels\.csv:4: label token '0\\r' is not 0 or 1"),
+], ids=["bad-token", "column-count", "blank-line", "short-row", "quoted-token", "stray-cr"])
+def test_bad_label_rows_name_their_line(tmp_path, body, message):
+    header = struct.pack("<4sIIQI", MAGIC, VERSION, 1, 3, 0)
+    base = _write_raw(tmp_path, "bad", header + np.zeros(3, dtype="<f8").tobytes(),
+                      "a,b\n" + body)
+    with pytest.raises(LatdFormatError, match=message):
+        lb.read_dataset(base)
+
+
+def test_bad_row_after_multiline_header_names_its_physical_line(tmp_path):
+    header = struct.pack("<4sIIQI", MAGIC, VERSION, 1, 2, 0)
+    base = _write_raw(tmp_path, "ml", header + np.zeros(2, dtype="<f8").tobytes(),
+                      'a,"b\nc"\n0,1\n2,0\n')
+    with pytest.raises(LatdFormatError, match=r"ml\.labels\.csv:4: label token '2'"):
+        lb.read_dataset(base)
+
+
+@pytest.mark.parametrize("labels_bytes,lineno", [
+    (b"a,b\n0,1\n1,\xff\n", 3),
+    (b"a,\xff\n0,1\n1,1\n", 1),
+], ids=["row", "header"])
+def test_undecodable_labels_file_names_path_and_line(tmp_path, labels_bytes, lineno):
+    header = struct.pack("<4sIIQI", MAGIC, VERSION, 1, 2, 0)
+    (tmp_path / "enc.latd").write_bytes(header + np.zeros(2, dtype="<f8").tobytes())
+    (tmp_path / "enc.labels.csv").write_bytes(labels_bytes)
+    with pytest.raises(LatdFormatError, match=rf"enc\.labels\.csv:{lineno}: not UTF-8"):
+        lb.read_dataset(str(tmp_path / "enc"))
+
+
+def test_atomic_write_fsyncs_before_rename(tmp_path, monkeypatch):
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append("fsync")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append("replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    target = tmp_path / "durable.bin"
+    atomic_write_bytes(str(target), b"payload")
+    assert calls == ["fsync", "replace"]
+    assert target.read_bytes() == b"payload"

@@ -102,20 +102,20 @@ class TestOracleScore:
     def test_midpoint_score(self):
         world = lb.make_world(dim=8, m=1, gram=np.eye(1), positive_rates=(0.3,), seed=5)
         z = world.biases[0] * world.vectors[0]  # margin exactly ~0
-        score = lb.oracle_score(world, z)
+        score = world.score(z)
         assert score[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_saturation_at_high_sharpness(self):
         world = lb.make_world(dim=8, m=1, gram=np.eye(1), positive_rates=(0.5,),
                               sharpness=1000.0, seed=5)
         z = 0.1 * world.vectors[0]
-        assert lb.oracle_score(world, z)[0] > 0.999
+        assert world.score(z)[0] > 0.999
 
     def test_closed_form_logistic_value(self):
         world = lb.make_world(dim=8, m=2, gram=np.eye(2), positive_rates=(0.3, 0.7), seed=6)
         z = (world.biases[0] + 1.0) * world.vectors[0]
         expected = 1.0 / (1.0 + math.exp(-1.0))  # ~0.7311
-        assert lb.oracle_score(world, z)[0] == pytest.approx(expected, abs=1e-10)
+        assert world.score(z)[0] == pytest.approx(expected, abs=1e-10)
 
     def test_scores_match_labels(self, world42):
         ds = lb.sample_world(world42, 10_000, seed=8)

@@ -106,3 +106,10 @@ def test_normal_moments():
 def test_normals_deterministic():
     assert np.array_equal(rng.normals(5, 1000), rng.normals(5, 1000))
     assert not np.array_equal(rng.normals(5, 1000), rng.normals(6, 1000))
+
+
+@pytest.mark.parametrize("n,start", [(3 * 2**16 + 5, 12345), (0, 7), (2**16, 0)],
+                         ids=["three-blocks-and-a-bit", "empty", "one-block"])
+def test_blockwise_normals_equal_one_shot_transform(n, start):
+    reference = rng._acklam_ppf(rng.uniforms(2024, n, start))
+    assert np.array_equal(rng.normals(2024, n, start), reference)
