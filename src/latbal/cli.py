@@ -26,8 +26,11 @@ from .directions import (conditional_project, edit_latent, load_direction,
 from .evaluation import (_eval_latents, fit_directions, rescore, save_rescore,
                          sweep_regularization, sweep_sample_size, sweep_to_csv)
 from .oracle import default_world, load_world, make_world, sample_world, save_world
-from .sampler import (SamplePlan, balanced_subsample, read_subsample_indices,
+from .sampler import (POLICIES, SamplePlan, balanced_subsample, read_subsample_indices,
                       uniform_subsample, write_subsample)
+
+_METHODS = ("centroid", "svm")
+_SWEEP_POLICIES = POLICIES + ("uniform",)
 
 
 class _UsageError(Exception):
@@ -58,8 +61,24 @@ def _parse_floats(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t.strip()]
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+def _parse_grid(flag: str, text: str, parse, valid, expected: str) -> list:
+    """Comma-separated values of one flag; a bad or missing value is a usage error."""
+    try:
+        values = [parse(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise _UsageError(f"{flag} expects {expected}, got {text!r}") from None
+    if not values:
+        raise _UsageError(f"{flag} expects {expected}, got no values")
+    for v in values:
+        if not valid(v):
+            raise _UsageError(f"{flag} expects {expected}, got {v!r}")
+    return values
+
+
+def _check_counts(**counts: int):
+    for name, value in counts.items():
+        if value < 1:
+            raise _UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
 def build_parser() -> _Parser:
@@ -94,14 +113,14 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--mode", choices=("balanced", "uniform"), default="balanced")
     p.add_argument("--n0", type=int, default=1000)
-    p.add_argument("--policy", choices=("skip", "oversample"), default="skip")
+    p.add_argument("--policy", choices=POLICIES, default="skip")
     p.add_argument("--out", required=True, help="output path base (.csv + .json)")
     _add_seed(p)
 
     p = sub.add_parser("fit", help="fit one direction per attribute")
     p.add_argument("--data", required=True)
     p.add_argument("--subsample", default=None, help="subsample CSV restricting the fit rows")
-    p.add_argument("--method", choices=("centroid", "svm"), default="centroid")
+    p.add_argument("--method", choices=_METHODS, default="centroid")
     p.add_argument("--c", type=float, default=1.0, help="SVM regularization")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=1000)
@@ -210,6 +229,7 @@ def _cmd_contingency(args) -> int:
 
 def _cmd_sample(args) -> int:
     seed = _resolve_seed(args)
+    _check_counts(n0=args.n0)
     dataset = read_dataset(args.data)
     if args.mode == "uniform":
         result = uniform_subsample(dataset, args.n0, seed)
@@ -278,18 +298,30 @@ def _cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
     if (args.sizes is None) == (args.c_grid is None):
         raise _UsageError("exactly one of --sizes or --c-grid is required")
+    methods = _parse_grid("--methods", args.methods, str.strip, lambda v: v in _METHODS,
+                          "a comma-separated subset of " + ",".join(_METHODS))
+    policies = _parse_grid("--policies", args.policies, str.strip,
+                           lambda v: v in _SWEEP_POLICIES,
+                           "a comma-separated subset of " + ",".join(_SWEEP_POLICIES))
+    _check_counts(n0=args.n0, runs=args.runs, n_eval=args.n_eval)
+    if not args.c > 0:
+        raise _UsageError(f"--c must be > 0, got {args.c}")
+    if args.sizes is not None:
+        sizes = _parse_grid("--sizes", args.sizes, int, lambda n: n >= 1,
+                            "comma-separated integers >= 1")
+    else:
+        c_values = _parse_grid("--c-grid", args.c_grid, float, lambda c: c > 0,
+                               "comma-separated numbers > 0")
     dataset = read_dataset(args.data)
     world = load_world(args.world)
     if args.sizes is not None:
         report = sweep_sample_size(
-            dataset, world.score, _parse_ints(args.sizes),
-            methods=tuple(args.methods.split(",")),
-            policies=tuple(args.policies.split(",")),
-            runs=args.runs, alpha=args.alpha, n_eval=args.n_eval,
-            c=args.c, seed=seed)
+            dataset, world.score, sizes, methods=tuple(methods),
+            policies=tuple(policies), runs=args.runs, alpha=args.alpha,
+            n_eval=args.n_eval, c=args.c, seed=seed)
     else:
         report = sweep_regularization(
-            dataset, world.score, _parse_floats(args.c_grid), n0=args.n0,
+            dataset, world.score, c_values, n0=args.n0,
             runs=args.runs, alpha=args.alpha, n_eval=args.n_eval, seed=seed)
     atomic_write_text(args.out, sweep_to_csv(report))
     print(f"wrote {args.out} ({len(report.rows)} rows)")

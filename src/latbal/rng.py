@@ -93,6 +93,35 @@ def u64_block(seed: int, n: int, start: int = 0) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def below_block(seed: int, bounds, start: int = 0) -> tuple[np.ndarray, int]:
+    """Successive SplitMix64(seed).below(b) for b in bounds, from counter start.
+
+    Returns the values (uint64) and the counter after the last draw, exactly
+    as the scalar calls would leave them.  Outputs are drawn one block at a
+    time; an output at or above the largest multiple of its bound below 2^64
+    is rejected, and the draw resumes from the next counter with the same
+    bound.  Each rejection redraws the rest of the block; at bounds far below
+    2^64 rejections are vanishingly rare (probability < b / 2^64 per draw).
+    """
+    b = np.asarray(bounds)
+    if b.size and (b.dtype.kind not in "iu" or b.min() < 1):
+        raise ValueError("below_block() needs integer bounds >= 1")
+    b = b.astype(np.uint64)
+    zero = np.uint64(0)
+    out = np.empty(b.size, dtype=np.uint64)
+    pos = 0
+    while pos < b.size:
+        bb = b[pos:]
+        x = u64_block(seed, bb.size, start)
+        r = (zero - bb) % bb                     # 2^64 mod b
+        bad = (r != zero) & (x >= zero - r)      # x >= (2^64 // b) * b
+        k = int(bad.argmax()) if bad.any() else bb.size
+        out[pos:pos + k] = x[:k] % bb[:k]
+        pos += k
+        start += k + (pos < b.size)              # step past the rejected output
+    return out, start
+
+
 def uniforms(seed: int, n: int, start: int = 0) -> np.ndarray:
     """n doubles (k + 0.5) * 2^-53 in (0, 1), k the top 53 bits of each output."""
     bits = u64_block(seed, n, start) >> np.uint64(11)

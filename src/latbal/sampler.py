@@ -1,11 +1,11 @@
 """Multi-attribute balanced subsampling, plus the uniform baseline.
 
-Balanced sampling is stratified cell scheduling.  It iterates exactly n0
-times over a schedule that gives each of the 2^m cells a quota of
-floor(n0/2^m) or ceil(n0/2^m) slots: the n0 mod 2^m cells that get the
-extra slot are a seeded uniform choice of distinct cells, so every cell's
-expected count is n0/2^m.  The slots are then visited in shuffled order,
-so draws stay interleaved across cells.  Each slot draws one member of its
+Balanced sampling is stratified cell scheduling.  A schedule of exactly
+n0 slots gives each of the 2^m cells a quota of floor(n0/2^m) or
+ceil(n0/2^m) slots: the n0 mod 2^m cells that get the extra slot are a
+seeded uniform choice of distinct cells, so every cell's expected count is
+n0/2^m.  The slots are in shuffled order, so draws stay interleaved across
+cells.  Each slot draws one member of its
 cell uniformly without replacement.  When a slot's cell has no members
 left:
 
@@ -21,9 +21,14 @@ left:
 
 Randomness: one SplitMix64 stream (_STREAM_CELLS) drives the schedule: it
 picks the extra-slot cells, then its next n0 outputs are random sort keys
-that shuffle the slots.  One stream per cell drives member draws.  All derive from the plan seed (see
-rng.derive_seed).  Without-replacement draws use an in-place partial
-Fisher-Yates shuffle of a copy of the member list.
+that shuffle the slots.  One stream per cell drives member draws: a cell
+with quota q and s members draws min(q, s) members without replacement (a
+partial Fisher-Yates shuffle over its member list), then, under oversample,
+q - s more with replacement from the shuffled list, filling its slots in
+schedule order.  All derive from the plan seed (see rng.derive_seed).  Each
+stream's draws come from one vectorized block (rng.below_block), with
+rejection sampling handled exactly, so the values equal successive scalar
+SplitMix64.below calls.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 
 from .contingency import ContingencyTable, cell_indices
 from .core import LatentDataset
-from .rng import ALGORITHM, SplitMix64, derive_seed, u64_block
+from .rng import ALGORITHM, below_block, derive_seed, u64_block
 
 POLICIES = ("skip", "oversample")
 
@@ -69,65 +74,60 @@ class SubsampleResult:
         return int(self.indices.shape[0])
 
 
-def _distinct_below(rng: SplitMix64, n: int, k: int) -> list[int]:
-    """k distinct integers in [0, n) by a sparse partial Fisher-Yates shuffle."""
+def _distinct_below(seed: int, n: int, k: int) -> tuple[np.ndarray, int]:
+    """k distinct integers in [0, n) by a sparse partial Fisher-Yates shuffle.
+
+    Also returns the counter of seed's stream after the k draws.
+    """
+    draws, counter = below_block(seed, np.arange(n, n - k, -1))
     swapped: dict[int, int] = {}
     out = []
-    for t in range(k):
-        r = t + rng.below(n - t)
+    for t, d in enumerate(draws.tolist()):
+        r = t + d
         out.append(swapped.get(r, r))
         swapped[r] = swapped.get(t, t)
-    return out
+    return np.asarray(out, dtype=np.int64), counter
 
 
 def balanced_subsample(dataset: LatentDataset, table: ContingencyTable,
                        plan: SamplePlan) -> SubsampleResult:
     n_cells = table.n_cells
-    pools = [cell.tolist() for cell in table.members]
-    used = [0] * n_cells
-
-    cell_rng = SplitMix64(derive_seed(plan.seed, _STREAM_CELLS))
-    member_rngs: dict[int, SplitMix64] = {}
-
-    indices: list[int] = []
-    per_cell = np.zeros(n_cells, dtype=np.int64)
-    skipped = 0
+    cell_seed = derive_seed(plan.seed, _STREAM_CELLS)
 
     # quotas: every cell gets `base` slots and `extra` distinct cells one more
     base, extra = divmod(plan.n0, n_cells)
-    slots = np.concatenate([np.tile(np.arange(n_cells), base),
-                            np.asarray(_distinct_below(cell_rng, n_cells, extra), np.int64)])
+    extra_cells, counter = _distinct_below(cell_seed, n_cells, extra)
+    slots = np.concatenate([np.tile(np.arange(n_cells), base), extra_cells])
     # shuffle the slots by sorting them on the stream's next n0 outputs
-    keys = u64_block(cell_rng.seed, plan.n0, start=cell_rng.counter)
-    schedule = slots[np.argsort(keys, kind="stable")].tolist()
+    keys = u64_block(cell_seed, plan.n0, start=counter)
+    schedule = slots[np.argsort(keys, kind="stable")]
 
-    for c in schedule:
-        pool = pools[c]
-        size = len(pool)
-        if used[c] < size:
-            rng = member_rngs.get(c)
-            if rng is None:
-                rng = member_rngs[c] = SplitMix64(derive_seed(plan.seed, _STREAM_MEMBERS, c))
-            # partial Fisher-Yates: swap a not-yet-used entry into position used[c]
-            r = used[c] + rng.below(size - used[c])
-            pool[r], pool[used[c]] = pool[used[c]], pool[r]
-            pick = pool[used[c]]
-            used[c] += 1
-        elif plan.policy == "oversample" and size > 0:
-            rng = member_rngs.get(c)
-            if rng is None:
-                rng = member_rngs[c] = SplitMix64(derive_seed(plan.seed, _STREAM_MEMBERS, c))
-            pick = pool[rng.below(size)]
-        else:
-            skipped += 1
+    # each cell's slots in schedule order; its k-th draw fills its k-th slot
+    quotas = np.bincount(schedule, minlength=n_cells)
+    by_cell = np.argsort(schedule, kind="stable")
+    first = np.cumsum(quotas) - quotas
+    picks = np.full(plan.n0, -1, dtype=np.int64)
+    per_cell = np.zeros(n_cells, dtype=np.int64)
+    for c in np.flatnonzero(quotas).tolist():
+        members = table.members[c]
+        size, quota = members.size, int(quotas[c])
+        if size == 0:
             continue
-        indices.append(pick)
-        per_cell[c] += 1
+        seed = derive_seed(plan.seed, _STREAM_MEMBERS, c)
+        drawn, counter = _distinct_below(seed, size, min(quota, size))
+        drawn = members[drawn]
+        if plan.policy == "oversample" and quota > size:
+            # the cell ran dry, so `drawn` is its whole shuffled member list
+            again, _ = below_block(seed, np.full(quota - size, size), counter)
+            drawn = np.concatenate([drawn, drawn[again]])
+        picks[by_cell[first[c]:first[c] + drawn.size]] = drawn
+        per_cell[c] = drawn.size
+    indices = picks[picks >= 0]
 
     return SubsampleResult(
-        indices=np.asarray(indices, dtype=np.int64),
+        indices=indices,
         per_cell_counts=per_cell,
-        skipped_iterations=skipped,
+        skipped_iterations=plan.n0 - indices.size,
         meta={"kind": "balanced", "n0": plan.n0, "policy": plan.policy,
               "seed": plan.seed, "rng": ALGORITHM},
     )
@@ -138,8 +138,7 @@ def uniform_subsample(dataset: LatentDataset, n0: int, seed: int) -> SubsampleRe
     n = dataset.n
     if n0 < 0 or n0 > n:
         raise ValueError(f"n0 must be in [0, {n}], got {n0}")
-    rng = SplitMix64(derive_seed(seed, _STREAM_UNIFORM))
-    out = np.asarray(_distinct_below(rng, n, n0), dtype=np.int64)
+    out, _ = _distinct_below(derive_seed(seed, _STREAM_UNIFORM), n, n0)
 
     cells = cell_indices(dataset)[out] if n0 else np.empty(0, dtype=np.int64)
     per_cell = np.bincount(cells, minlength=1 << dataset.m).astype(np.int64)

@@ -220,3 +220,33 @@ class TestExitCodes:
                    "--sizes", "10", "--c-grid", "1.0",
                    "--out", str(tmp_path / "s.csv"), "--seed", "1")
         assert code == 1
+
+    # checked before any data is read: the data path does not even exist
+    @pytest.mark.parametrize("flags,named", [
+        (["--sizes", "100", "--policies", "skip,bogus"], "'bogus'"),
+        (["--sizes", "100", "--methods", "bogus"], "'bogus'"),
+        (["--sizes", "100,0"], "got 0"),
+        (["--sizes", "100,x"], "100,x"),
+        (["--c-grid", "1", "--n0", "0"], "got 0"),
+        (["--c-grid", "1,-1"], "got -1.0"),
+        (["--sizes", "100", "--runs", "0"], "got 0"),
+        (["--sizes", "100", "--n-eval", "0"], "got 0"),
+        (["--sizes", "100", "--methods", "svm", "--c", "0"], "got 0.0"),
+    ], ids=["policy", "method", "size-zero", "size-text", "n0-zero", "c-negative", "runs-zero",
+            "n-eval-zero", "svm-c-zero"])
+    def test_bad_sweep_grid_is_usage_error(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "s.csv"
+        code = run("sweep", "--data", str(tmp_path / "nope"),
+                   "--world", str(tmp_path / "nope.world.json"), *flags,
+                   "--out", str(out), "--seed", "1")
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["balanced", "uniform"])
+    def test_sample_n0_zero_is_usage_error(self, tmp_path, capsys, mode):
+        code = run("sample", "--data", str(tmp_path / "nope"), "--mode", mode,
+                   "--n0", "0", "--out", str(tmp_path / "sub"), "--seed", "1")
+        assert code == 1
+        assert "--n0" in capsys.readouterr().err
+        assert not (tmp_path / "sub.csv").exists()

@@ -113,3 +113,45 @@ def test_normals_deterministic():
 def test_blockwise_normals_equal_one_shot_transform(n, start):
     reference = rng._acklam_ppf(rng.uniforms(2024, n, start))
     assert np.array_equal(rng.normals(2024, n, start), reference)
+
+
+def _scalar_below(seed, bounds, start):
+    g = rng.SplitMix64(seed)
+    g.counter = start
+    return [g.below(int(b)) for b in bounds], g.counter
+
+
+@pytest.mark.parametrize("bounds", [
+    [2**63 + 1] * 300,                     # rejects about half of the outputs
+    [1] * 40,
+    list(range(500, 0, -1)),
+    [],
+    [2**64 - 1, 3, 2**63 + 1, 7] * 30,     # mixed bounds around rejections
+], ids=["reject-half", "bound-one", "decreasing", "empty", "mixed"])
+@pytest.mark.parametrize("seed", [0, 99, 2**64 - 1])
+@pytest.mark.parametrize("start", [0, 17])
+def test_below_block_equals_scalar_below(bounds, seed, start):
+    values, counter = rng.below_block(seed, np.array(bounds, dtype=np.uint64), start)
+    expected, expected_counter = _scalar_below(seed, bounds, start)
+    assert [int(v) for v in values] == expected
+    assert counter == expected_counter
+
+
+def test_below_block_rejection_actually_happens():
+    # with bound 2^63 + 1 the stream must skip outputs, or the test above
+    # would not exercise the resume path
+    _, counter = rng.below_block(5, np.full(300, 2**63 + 1, dtype=np.uint64))
+    assert counter > 300 + 100
+
+
+@given(seed=st.integers(0, 2**64 - 1), start=st.integers(0, 10**6),
+       bounds=st.lists(st.integers(1, 2**64 - 1), max_size=60))
+@settings(max_examples=50, deadline=None)
+def test_below_block_equals_scalar_below_random_bounds(seed, start, bounds):
+    values, counter = rng.below_block(seed, np.array(bounds, dtype=np.uint64), start)
+    assert ([int(v) for v in values], counter) == _scalar_below(seed, bounds, start)
+
+
+def test_below_block_rejects_nonpositive_bounds():
+    with pytest.raises(ValueError):
+        rng.below_block(0, np.array([3, 0, 2]))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 
 import latbal as lb
 from latbal.contingency import cell_indices
-from latbal.sampler import read_subsample_indices, write_subsample
+from latbal.rng import SplitMix64, derive_seed, u64_block
+from latbal.sampler import (_STREAM_CELLS, _STREAM_MEMBERS, _STREAM_UNIFORM,
+                            read_subsample_indices, write_subsample)
 from conftest import tiny_dataset
 
 
@@ -210,3 +214,114 @@ def test_subsample_files_roundtrip(tmp_path, dataset20k):
     assert sidecar["policy"] == "skip"
     assert sidecar["per_cell_counts"] == res.per_cell_counts.tolist()
     assert sidecar["skipped_iterations"] == res.skipped_iterations
+
+
+# Reference: the sampler as a scalar loop, one SplitMix64.below call per
+# draw.  The block-drawn sampler must reproduce it exactly.
+
+def _reference_distinct_below(rng, n, k):
+    swapped = {}
+    out = []
+    for t in range(k):
+        r = t + rng.below(n - t)
+        out.append(swapped.get(r, r))
+        swapped[r] = swapped.get(t, t)
+    return out
+
+
+def _reference_balanced(table, plan):
+    n_cells = table.n_cells
+    pools = [cell.tolist() for cell in table.members]
+    used = [0] * n_cells
+    cell_rng = SplitMix64(derive_seed(plan.seed, _STREAM_CELLS))
+    member_rngs = {}
+    indices = []
+    per_cell = np.zeros(n_cells, dtype=np.int64)
+    skipped = 0
+    base, extra = divmod(plan.n0, n_cells)
+    slots = np.concatenate([np.tile(np.arange(n_cells), base),
+                            np.asarray(_reference_distinct_below(cell_rng, n_cells, extra),
+                                       np.int64)])
+    keys = u64_block(cell_rng.seed, plan.n0, start=cell_rng.counter)
+    for c in slots[np.argsort(keys, kind="stable")].tolist():
+        pool = pools[c]
+        size = len(pool)
+        if size and c not in member_rngs:
+            member_rngs[c] = SplitMix64(derive_seed(plan.seed, _STREAM_MEMBERS, c))
+        if used[c] < size:
+            r = used[c] + member_rngs[c].below(size - used[c])
+            pool[r], pool[used[c]] = pool[used[c]], pool[r]
+            pick = pool[used[c]]
+            used[c] += 1
+        elif plan.policy == "oversample" and size > 0:
+            pick = pool[member_rngs[c].below(size)]
+        else:
+            skipped += 1
+            continue
+        indices.append(pick)
+        per_cell[c] += 1
+    return indices, per_cell.tolist(), skipped
+
+
+def _reference_uniform(n, n0, seed):
+    return _reference_distinct_below(SplitMix64(derive_seed(seed, _STREAM_UNIFORM)), n, n0)
+
+
+class TestMatchesScalarReference:
+    # three rich cells and one of 11 rows, which runs dry once its quota
+    # exceeds 11 (n0 = 1000 and 100000 here)
+    CELLS = {(0, 0): 40_000, (1, 0): 35_000, (0, 1): 25_000, (1, 1): 11}
+
+    @pytest.fixture(scope="class")
+    def prepared(self):
+        return _prepared(self.CELLS)
+
+    @pytest.mark.parametrize("n0", [1, 15, 16, 17, 1000, 100_000])
+    @pytest.mark.parametrize("policy", ["skip", "oversample"])
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_balanced(self, prepared, n0, policy, seed):
+        ds, table = prepared
+        plan = lb.SamplePlan(n0, policy, seed)
+        res = lb.balanced_subsample(ds, table, plan)
+        indices, per_cell, skipped = _reference_balanced(table, plan)
+        assert res.indices.dtype == np.int64
+        assert res.indices.tolist() == indices
+        assert res.per_cell_counts.tolist() == per_cell
+        assert res.skipped_iterations == skipped
+
+    @pytest.mark.parametrize("n0", [1, 15, 16, 17, 1000])
+    @pytest.mark.parametrize("policy", ["skip", "oversample"])
+    def test_balanced_with_empty_cells(self, n0, policy):
+        # m=3: cells 5 and 7 are empty, cell 6 holds 2 rows
+        rows = [[0, 0, 0]] * 900 + [[1, 0, 0]] * 700 + [[0, 1, 0]] * 60 + \
+               [[1, 1, 0]] * 30 + [[0, 0, 1]] * 500 + [[0, 1, 1]] * 2
+        ds = tiny_dataset(rows)
+        table = lb.build_contingency(ds)
+        plan = lb.SamplePlan(n0, policy, 9)
+        res = lb.balanced_subsample(ds, table, plan)
+        indices, per_cell, skipped = _reference_balanced(table, plan)
+        assert res.indices.tolist() == indices
+        assert res.per_cell_counts.tolist() == per_cell
+        assert res.skipped_iterations == skipped
+
+    @pytest.mark.parametrize("n0", [0, 1, 15, 16, 17, 1000, 100_000])
+    def test_uniform(self, dataset100k, n0):
+        for seed in (0, 5):
+            res = lb.uniform_subsample(dataset100k, n0, seed)
+            assert res.indices.tolist() == _reference_uniform(dataset100k.n, n0, seed)
+
+    # digests of the little-endian int64 indices, recorded with the scalar
+    # sampler
+    @pytest.mark.parametrize("seed,n0,policy,size,digest", [
+        (42, 1000, "skip", 1000,
+         "b9cd4301a58f35359799701b9f1be014b34e4fc1fd5df3f16a8097da7f323323"),
+        (7, 100_000, "skip", 61463,
+         "a1cc3b573d102e50a464f29645765a008af42b100849dd7e9d88c3550dcd516d"),
+        (11, 100_000, "oversample", 100_000,
+         "e92d2e678df20ad417aeb272318570a1a0a63e000a578792d14269af4374bc0d"),
+    ])
+    def test_pinned_digests(self, dataset100k, seed, n0, policy, size, digest):
+        table = lb.build_contingency(dataset100k)
+        res = lb.balanced_subsample(dataset100k, table, lb.SamplePlan(n0, policy, seed))
+        assert res.size == size
+        assert hashlib.sha256(res.indices.astype("<i8").tobytes()).hexdigest() == digest
