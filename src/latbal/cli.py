@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from .contingency import build_contingency, imbalance_stats, write_contingency_csv
 from .core import LatentDataset
-from .dataio import LatdFormatError, atomic_write_text, read_dataset, write_dataset
+from .dataio import (LatdFormatError, atomic_write_text, csv_text, read_dataset,
+                     write_dataset)
 from .directions import (conditional_project, edit_latent, load_direction,
                          save_direction)
 from .evaluation import (_eval_latents, fit_directions, rescore, save_rescore,
@@ -75,6 +76,10 @@ def _parse_grid(flag: str, text: str, parse, valid, expected: str) -> list:
     return values
 
 
+def _default(value, default):
+    return default if value is None else value
+
+
 def _check_counts(**counts: int):
     for name, value in counts.items():
         if value < 1:
@@ -122,10 +127,13 @@ def build_parser() -> _Parser:
     p.add_argument("--subsample", default=None, help="subsample CSV restricting the fit rows")
     p.add_argument("--method", choices=_METHODS, default="centroid")
     p.add_argument("--c", type=float, default=1.0, help="SVM regularization")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="SVM duality-gap tolerance that certifies convergence")
+    p.add_argument("--max-iter", type=int, default=1000,
+                   help="cap on SVM Newton steps, summed over all smoothing stages")
     p.add_argument("--out-dir", required=True)
-    _add_seed(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help="accepted and ignored: fitting draws no random numbers")
 
     p = sub.add_parser("project",
                        help="project a direction off the span of others")
@@ -154,11 +162,15 @@ def build_parser() -> _Parser:
     p.add_argument("--world", required=True)
     p.add_argument("--sizes", default=None, help="comma-separated N0 grid")
     p.add_argument("--c-grid", default=None, help="comma-separated C grid")
-    p.add_argument("--methods", default="centroid", help="comma-separated: centroid,svm")
-    p.add_argument("--policies", default="skip",
-                   help="comma-separated: skip,oversample,uniform")
-    p.add_argument("--n0", type=int, default=1000, help="subsample size for --c-grid")
-    p.add_argument("--c", type=float, default=1.0, help="SVM C for --sizes sweeps")
+    p.add_argument("--methods", default=None,
+                   help="--sizes only; comma-separated: centroid,svm (default centroid)")
+    p.add_argument("--policies", default=None,
+                   help="--sizes only; comma-separated: skip,oversample,uniform "
+                        "(default skip)")
+    p.add_argument("--n0", type=int, default=None,
+                   help="--c-grid only; balanced subsample size (default 1000)")
+    p.add_argument("--c", type=float, default=None,
+                   help="--sizes only; SVM C (default 1.0)")
     p.add_argument("--runs", type=int, default=5)
     p.add_argument("--alpha", type=float, default=0.2)
     p.add_argument("--n-eval", type=int, default=2000)
@@ -244,13 +256,11 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    seed = _resolve_seed(args)
     dataset = read_dataset(args.data)
     if args.subsample:
         dataset = dataset.select(read_subsample_indices(args.subsample))
     dirs = fit_directions(dataset, args.method, c=args.c, tol=args.tol,
-                          max_iter=args.max_iter, seed=seed)
-    os.makedirs(args.out_dir, exist_ok=True)
+                          max_iter=args.max_iter)
     for direction in dirs:
         name = dataset.schema.names[direction.attribute]
         path = os.path.join(args.out_dir, f"{name}.json")
@@ -259,7 +269,7 @@ def _cmd_fit(args) -> int:
         meta = direction.meta
         if direction.method == "svm" and not meta["converged"]:
             print(f"latbal fit: warning: {name}: SVM stopped at --max-iter after "
-                  f"{meta['iterations']} epochs, duality gap {meta['duality_gap']:.3g} "
+                  f"{meta['iterations']} iterations, duality gap {meta['duality_gap']:.3g} "
                   f"> tol {args.tol:g}; not converged", file=sys.stderr)
     return 0
 
@@ -298,18 +308,26 @@ def _cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
     if (args.sizes is None) == (args.c_grid is None):
         raise _UsageError("exactly one of --sizes or --c-grid is required")
-    methods = _parse_grid("--methods", args.methods, str.strip, lambda v: v in _METHODS,
-                          "a comma-separated subset of " + ",".join(_METHODS))
-    policies = _parse_grid("--policies", args.policies, str.strip,
-                           lambda v: v in _SWEEP_POLICIES,
-                           "a comma-separated subset of " + ",".join(_SWEEP_POLICIES))
-    _check_counts(n0=args.n0, runs=args.runs, n_eval=args.n_eval)
-    if not args.c > 0:
-        raise _UsageError(f"--c must be > 0, got {args.c}")
+    kind = "--sizes" if args.sizes is not None else "--c-grid"
+    for name in ("methods", "policies", "c") if args.c_grid is not None else ("n0",):
+        if getattr(args, name) is not None:
+            raise _UsageError(f"--{name} does not apply to a {kind} sweep")
+    _check_counts(runs=args.runs, n_eval=args.n_eval)
     if args.sizes is not None:
+        methods = _parse_grid("--methods", _default(args.methods, "centroid"), str.strip,
+                              lambda v: v in _METHODS,
+                              "a comma-separated subset of " + ",".join(_METHODS))
+        policies = _parse_grid("--policies", _default(args.policies, "skip"), str.strip,
+                               lambda v: v in _SWEEP_POLICIES,
+                               "a comma-separated subset of " + ",".join(_SWEEP_POLICIES))
+        c = _default(args.c, 1.0)
+        if not c > 0:
+            raise _UsageError(f"--c must be > 0, got {c}")
         sizes = _parse_grid("--sizes", args.sizes, int, lambda n: n >= 1,
                             "comma-separated integers >= 1")
     else:
+        n0 = _default(args.n0, 1000)
+        _check_counts(n0=n0)
         c_values = _parse_grid("--c-grid", args.c_grid, float, lambda c: c > 0,
                                "comma-separated numbers > 0")
     dataset = read_dataset(args.data)
@@ -318,10 +336,10 @@ def _cmd_sweep(args) -> int:
         report = sweep_sample_size(
             dataset, world.score, sizes, methods=tuple(methods),
             policies=tuple(policies), runs=args.runs, alpha=args.alpha,
-            n_eval=args.n_eval, c=args.c, seed=seed)
+            n_eval=args.n_eval, c=c, seed=seed)
     else:
         report = sweep_regularization(
-            dataset, world.score, c_values, n0=args.n0,
+            dataset, world.score, c_values, n0=n0,
             runs=args.runs, alpha=args.alpha, n_eval=args.n_eval, seed=seed)
     atomic_write_text(args.out, sweep_to_csv(report))
     print(f"wrote {args.out} ({len(report.rows)} rows)")
@@ -344,8 +362,7 @@ def _cmd_report(args) -> int:
                 raise LatdFormatError(f"{path}: header {head} does not match {header}")
             rows.extend(list(reader))
     if args.format == "csv":
-        out = ",".join(header) + "\n" + "\n".join(",".join(r) for r in rows)
-        atomic_write_text(args.out, out + "\n")
+        atomic_write_text(args.out, csv_text([header] + rows))
     else:
         payload = [dict(zip(header, r)) for r in rows]
         atomic_write_text(args.out, json.dumps(payload, indent=2) + "\n")

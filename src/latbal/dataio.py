@@ -58,8 +58,10 @@ def _umask() -> int:
 
 
 def atomic_write_bytes(path: str, payload: bytes | np.ndarray) -> None:
-    """Write payload (bytes or a 1-D uint8 array) to path durably and atomically."""
+    """Write payload (bytes or a 1-D uint8 array) to path durably and atomically,
+    creating a missing parent directory first."""
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as f:
@@ -81,6 +83,13 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def csv_text(rows) -> str:
+    """Rows of string fields as CSV: LF line ends, fields quoted only where needed."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def dataset_paths(path_base: str) -> tuple[str, str]:
     return path_base + ".latd", path_base + ".labels.csv"
 
@@ -100,9 +109,7 @@ def _latd_payload(dataset: LatentDataset) -> np.ndarray:
 
 
 def _labels_payload(schema: AttributeSchema, labels: np.ndarray) -> np.ndarray:
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(schema.names)
-    header = np.frombuffer(out.getvalue().encode("utf-8"), dtype=np.uint8)
+    header = np.frombuffer(csv_text([schema.names]).encode("utf-8"), dtype=np.uint8)
     payload = np.empty(header.size + labels.size * 2, dtype=np.uint8)
     payload[:header.size] = header
     rows = payload[header.size:].reshape(labels.shape[0], 2 * schema.m)

@@ -49,11 +49,11 @@ def centroid_direction(pos, neg, j: int) -> SemanticDirection:
 
 
 def svm_direction(pos, neg, j: int, c: float = 1.0, tol: float = 1e-6,
-                  max_iter: int = 1000, seed: int = 0) -> SemanticDirection:
+                  max_iter: int = 1000) -> SemanticDirection:
     """Unit normal of the SVM decision boundary, positive class on the + side."""
     pos = _as_matrix(pos)
     neg = _as_matrix(neg)
-    model = train_svm(pos, neg, c=c, tol=tol, max_iter=max_iter, seed=seed)
+    model = train_svm(pos, neg, c=c, tol=tol, max_iter=max_iter)
     norm = float(np.linalg.norm(model.weights))
     if norm < 1e-12:
         raise ValueError("SVM weight vector is numerically zero; no direction defined")
@@ -65,7 +65,7 @@ def svm_direction(pos, neg, j: int, c: float = 1.0, tol: float = 1e-6,
         vector=u,
         method="svm",
         meta={"c": c, "duality_gap": model.duality_gap, "iterations": model.iterations,
-              "converged": model.converged, "seed": seed,
+              "converged": model.converged,
               "n_pos": int(pos.shape[0]), "n_neg": int(neg.shape[0])},
     )
 

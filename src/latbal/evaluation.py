@@ -23,6 +23,7 @@ import numpy as np
 
 from .contingency import build_contingency
 from .core import LatentDataset, SemanticDirection, split_by_attribute
+from .dataio import csv_text
 from .directions import centroid_direction, svm_direction
 from .rng import derive_seed, normals
 from .sampler import SamplePlan, balanced_subsample, uniform_subsample
@@ -127,7 +128,10 @@ def embedding_similarity(before, after) -> tuple[float, float]:
 def fit_directions(dataset: LatentDataset, method: str, c: float = 1.0,
                    tol: float = 1e-6, max_iter: int = 1000,
                    seed: int = 0) -> list[SemanticDirection]:
-    """One direction per schema attribute, fit on the given rows."""
+    """One direction per schema attribute, fit on the given rows.
+
+    ``seed`` is accepted and unused: neither fit draws random numbers.
+    """
     dirs = []
     for j in range(dataset.m):
         pos, neg = split_by_attribute(dataset, j)
@@ -135,7 +139,7 @@ def fit_directions(dataset: LatentDataset, method: str, c: float = 1.0,
             dirs.append(centroid_direction(pos.codes, neg.codes, j))
         elif method == "svm":
             dirs.append(svm_direction(pos.codes, neg.codes, j, c=c, tol=tol,
-                                      max_iter=max_iter, seed=derive_seed(seed, j)))
+                                      max_iter=max_iter))
         else:
             raise ValueError(f"unknown fit method {method!r}")
     return dirs
@@ -188,7 +192,7 @@ def sweep_sample_size(dataset: LatentDataset, scorer: Scorer, sizes: Sequence[in
                         sub = _subsample(dataset, table, policy, n0, fit_seed)
                         fit_set = dataset.select(sub.indices)
                         dirs = fit_directions(fit_set, method, c=c, tol=svm_tol,
-                                              max_iter=svm_max_iter, seed=fit_seed)
+                                              max_iter=svm_max_iter)
                         latents = _eval_latents(dataset.dim, n_eval, seed, run)
                         matrix = rescore(scorer, dirs, latents, alpha)
                         per_run.append((
@@ -252,7 +256,7 @@ def sweep_regularization(dataset: LatentDataset, scorer: Scorer,
         for c in c_values:
             try:
                 dirs = fit_directions(fit_set, "svm", c=c, tol=svm_tol,
-                                      max_iter=svm_max_iter, seed=fit_seed)
+                                      max_iter=svm_max_iter)
                 matrix = rescore(scorer, dirs, latents, alpha)
                 per_c[c].append((
                     np.array([effect(matrix, j) for j in range(len(names))]),
@@ -284,12 +288,12 @@ def rescore_to_csv(matrix: RescoreMatrix, names: Sequence[str] | None = None) ->
     """Long format: direction,attribute,value."""
     m = matrix.m
     names = list(names) if names else [f"attr{k}" for k in range(m)]
-    lines = ["direction,attribute,value"]
+    rows = [("direction", "attribute", "value")]
     for row, j in enumerate(matrix.direction_attributes or range(matrix.values.shape[0])):
         dir_name = names[j] if 0 <= j < m else str(j)
         for k in range(m):
-            lines.append(f"{dir_name},{names[k]},{float(matrix.values[row, k])!r}")
-    return "\n".join(lines) + "\n"
+            rows.append((dir_name, names[k], repr(float(matrix.values[row, k]))))
+    return csv_text(rows)
 
 
 def rescore_to_dict(matrix: RescoreMatrix, names: Sequence[str] | None = None) -> dict:
@@ -305,17 +309,17 @@ def rescore_to_dict(matrix: RescoreMatrix, names: Sequence[str] | None = None) -
     }
 
 
-SWEEP_CSV_HEADER = ("parameter,attribute,effect,entanglement,"
-                    "effect_std,entanglement_std,method,policy,runs")
+SWEEP_CSV_HEADER = ("parameter", "attribute", "effect", "entanglement",
+                    "effect_std", "entanglement_std", "method", "policy", "runs")
 
 
 def sweep_to_csv(report: SweepReport) -> str:
-    lines = [SWEEP_CSV_HEADER]
+    rows = [SWEEP_CSV_HEADER]
     for r in report.rows:
-        param = "" if r.parameter is None else repr(r.parameter)
-        lines.append(f"{param},{r.attribute},{r.effect!r},{r.entanglement!r},"
-                     f"{r.effect_std!r},{r.entanglement_std!r},{r.method},{r.policy},{r.runs}")
-    return "\n".join(lines) + "\n"
+        rows.append(["" if r.parameter is None else repr(r.parameter), r.attribute,
+                     repr(r.effect), repr(r.entanglement), repr(r.effect_std),
+                     repr(r.entanglement_std), r.method, r.policy, str(r.runs)])
+    return csv_text(rows)
 
 
 def sweep_to_dict(report: SweepReport) -> dict:

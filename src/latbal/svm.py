@@ -1,36 +1,26 @@
-"""Soft-margin linear SVM trained by dual coordinate descent.
+"""Soft-margin linear SVM: primal finite Newton, certified by a dual point.
 
-Solves the L1-hinge primal
+Solves min_w 1/2 ||w||^2 + C * sum_i max(0, 1 - y_i (w . x_i + b)), the bias
+folded in as a constant feature 1.  With z_i = y_i [x_i, 1], v = [w, b] has
+only d + 1 entries, so the solver stays in the primal (Chapelle, Neural
+Comput. 19, 2007, §4; Keerthi & DeCoste, JMLR 6, 2005).  A stage smooths the
+hinge to the Huber loss L_h (zero above margin 1 + h, linear below 1 - h,
+quadratic between) and takes Newton steps on I + C/(2h) sum_quad z z^T with
+Armijo backtracking.  A full step that keeps every example on its piece lands
+on the exact minimiser; h then drops tenfold, from 0.5 down to _H_MIN.  A
+stage cut at _STAGE_STEPS steps resumes at the same h: a smaller h would
+freeze an iterate that still has many examples in the band.
 
-    min_w  1/2 ||w||^2 + C * sum_i max(0, 1 - y_i (w . x_i + b))
-
-through its dual, one exact single-variable update per visited example
-(Hsieh et al., ICML 2008).  The bias is folded in as a constant feature of
-value 1, which perturbs the geometric bias slightly at small C; downstream
-consumers only use the normal direction, where the effect is negligible.
-Labels are folded into the rows (y_i x_i) once, before the first epoch.
-
-Each epoch visits the active examples in a random order: the argsort of one
-vectorized block of SplitMix64 outputs from the epoch's own stream.
-
-Shrinking (Hsieh et al. §3.2; Fan et al., "LIBLINEAR", JMLR 9, 2008): after
-each epoch the full gradient G = Q alpha - 1 is evaluated anyway, for the
-duality gap.  The next epoch skips the examples whose coordinate step would
-be a no-op, those with alpha_i = 0 and G_i >= 0 or alpha_i = C and
-G_i <= 0, and visits all examples if none is left.  The set is recomputed
-from the full gradient every epoch, so no example stays out for more than
-one epoch without a recheck, and there is no threshold to tune.  Every step
-is still an exact maximisation, so the dual objective never decreases.
-``iterations`` counts epochs over the active set, not full passes.
-
-Convergence is declared on the true duality gap over all examples: the
-primal objective above minus the dual objective sum(alpha) - 1/2 ||w||^2,
-evaluated after each epoch.
-
-Examples are canonically reordered (sorted by coordinate bytes, then label)
-before training, so the fit depends on the two point sets and not on the
-order they were supplied in.  A useful consequence: swapping the positive
-and negative sets negates weights and bias exactly, bit for bit.
+At v = 0 and after every stage the iterate gives dual points in [0, C]^n:
+alpha_i = -C L_h'(z_i . v) and, when the quadratic piece F is small, a
+polished one (OSQP, Stellato et al. 2020): C below the band, 0 above, and on
+F the solution of Z_F Z_F^T a = 1 - Z_F w_B clipped to [0, C].  The gap is
+exact: the primal at w = Z^T alpha minus sum(alpha) - 1/2 ||w||^2.  The model
+is the (w, alpha) of smallest gap seen, converged when that gap is <= tol;
+``iterations`` counts Newton steps, one or more per stage, so an unreachable
+tol stops after exactly max_iter.  Examples are sorted by content and F is
+solved through its Gram matrix, so swapping the two point sets negates weights
+and bias bit for bit.
 """
 
 from __future__ import annotations
@@ -39,9 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import derive_seed, u64_block
-
-_STREAM_EPOCH = 11
+_H_START, _H_MIN, _STAGE_STEPS, _POLISH_ROWS = 0.5, 1e-12, 25, 2  # polish |F| <= 2 (d+1)
 
 
 @dataclass
@@ -50,24 +38,77 @@ class SvmModel:
     bias: float
     c: float
     duality_gap: float
-    iterations: int              # epochs completed, each over the active set
-    converged: bool              # duality_gap <= tol before hitting max_iter
-    hinge_loss: float            # total hinge at the returned iterate
+    iterations: int              # Newton steps over all stages
+    converged: bool              # duality_gap <= tol
+    hinge_loss: float            # total hinge at the returned weights
     alphas: np.ndarray           # dual variables, canonical example order
-    objective_history: list[float] = field(default_factory=list)  # primal per epoch
-    dual_history: list[float] = field(default_factory=list)       # dual per epoch
+    objective_history: list[float] = field(default_factory=list)  # primal per certificate
+    dual_history: list[float] = field(default_factory=list)       # dual per certificate
+    smoothed_history: list[list[float]] = field(default_factory=list)  # per stage and step
 
     def decision(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=np.float64) @ self.weights + self.bias
 
 
-def canonical_order(x: np.ndarray, y: np.ndarray) -> list[int]:
-    """Content-based example order: by coordinate bytes, label as tie-break."""
-    return sorted(range(x.shape[0]), key=lambda i: (x[i].tobytes(), y[i]))
+def canonical_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Content-based example order: by coordinates, label as tie-break."""
+    return np.lexsort(np.vstack([y, x.T[::-1]]))
+
+
+def _smoothed(margin, vv, c, h):
+    """The h-smoothed primal from margins z_i . v and ||v||^2, and -L_h' in [0, 1]."""
+    a = np.minimum(np.maximum((1.0 + h - margin) * (0.5 / h), 0.0), 1.0)
+    return 0.5 * vv + c * float(np.where(a < 1.0, h * a * a, 1.0 - margin).sum()), a
+
+
+def _newton_stage(z, v, c, h, steps):
+    """Up to ``steps`` steps: (v, smoothed primal per step, minimiser reached)."""
+    margin = z @ v
+    f, a = _smoothed(margin, float(v @ v), c, h)
+    history = [f]
+    for _ in range(steps):
+        zq = z[(a > 0.0) & (a < 1.0)]
+        grad = v - c * (z.T @ a)
+        delta = np.linalg.solve(np.eye(v.size) + (c / (2.0 * h)) * (zq.T @ zq), -grad)
+        q, vd, dd = z @ delta, float(v @ delta), float(delta @ delta)
+        vv, slope = float(v @ v), float(grad @ delta)
+        t, (f_new, a_new) = 1.0, _smoothed(margin + q, vv + 2.0 * vd + dd, c, h)
+        # piece per example: 0 above the band, 1 in it, 2 below
+        done = np.array_equal(np.ceil(a) + (a == 1.0), np.ceil(a_new) + (a_new == 1.0))
+        while not done and f_new > f + 1e-4 * t * slope and t > 1e-10:
+            t *= 0.5
+            f_new, a_new = _smoothed(margin + t * q, vv + t * (2.0 * vd + t * dd), c, h)
+        v = v + t * delta
+        margin, f, a = z @ v, f_new, a_new
+        history.append(f)
+        if done:
+            return v, history, True
+    return v, history, False
+
+
+def _dual_gap(z, alpha, c):
+    """(gap, primal, dual, hinge, w, alpha) for the dual point alpha."""
+    w = z.T @ alpha
+    w_sq = float(w @ w)
+    hinge = float(np.clip(1.0 - z @ w, 0.0, None).sum())
+    primal, dual = 0.5 * w_sq + c * hinge, float(alpha.sum()) - 0.5 * w_sq
+    return max(primal - dual, 0.0), primal, dual, hinge, w, alpha
+
+
+def _certificate(z, v, c, h):
+    _, a = _smoothed(z @ v, 0.0, c, h)
+    points = [c * a]
+    near = (a > 0.0) & (a < 1.0)
+    if 0 < np.count_nonzero(near) <= _POLISH_ROWS * v.size:
+        alpha, zf = c * (a == 1.0), z[near]
+        sol = np.linalg.lstsq(zf @ zf.T, 1.0 - zf @ (z.T @ alpha), rcond=None)[0]
+        alpha[near] = np.clip(sol, 0.0, c)
+        points.append(alpha)
+    return min((_dual_gap(z, alpha, c) for alpha in points), key=lambda g: g[0])
 
 
 def train_svm(pos: np.ndarray, neg: np.ndarray, c: float = 1.0, tol: float = 1e-6,
-              max_iter: int = 1000, seed: int = 0) -> SvmModel:
+              max_iter: int = 1000) -> SvmModel:
     pos = np.atleast_2d(np.asarray(pos, dtype=np.float64))
     neg = np.atleast_2d(np.asarray(neg, dtype=np.float64))
     if pos.shape[0] == 0 or neg.shape[0] == 0:
@@ -77,68 +118,26 @@ def train_svm(pos: np.ndarray, neg: np.ndarray, c: float = 1.0, tol: float = 1e-
     if c <= 0:
         raise ValueError(f"C must be positive, got {c}")
 
-    d = pos.shape[1]
-    x_raw = np.vstack([pos, neg])
-    y_raw = np.concatenate([np.ones(pos.shape[0]), -np.ones(neg.shape[0])])
+    x = np.vstack([pos, neg])
+    y = np.concatenate([np.ones(pos.shape[0]), -np.ones(neg.shape[0])])
+    order = canonical_order(x, y)
+    z = y[order, None] * np.hstack([x[order], np.ones((x.shape[0], 1))])
 
-    order = canonical_order(x_raw, y_raw)
-    x = np.ascontiguousarray(np.hstack([x_raw[order], np.ones((x_raw.shape[0], 1))]))
-    y = y_raw[order]
-    n = x.shape[0]
+    v, h, steps = np.zeros(z.shape[1]), _H_START, 0
+    best = _certificate(z, v, c, h)
+    certs, smoothed = [best[1:3]], []
+    while best[0] > tol and steps < max_iter:
+        v, history, done = _newton_stage(z, v, c, h, min(_STAGE_STEPS, max_iter - steps))
+        smoothed.append(history)
+        steps += len(history) - 1
+        cert = _certificate(z, v, c, h)
+        certs.append(cert[1:3])
+        best = min(best, cert, key=lambda g: g[0])
+        if done:
+            h = max(h / 10.0, _H_MIN)
 
-    yx = y[:, None] * x
-    rows = list(yx)
-    inv_q = (1.0 / (x * x).sum(axis=1)).tolist()  # q_ii >= 1 thanks to the bias feature
-    alpha = [0.0] * n
-    w = np.zeros(d + 1)
-
-    gap = np.inf
-    hinge = np.inf
-    primal_history: list[float] = []
-    dual_history: list[float] = []
-    epochs = 0
-    converged = False
-    active = np.arange(n)
-
-    for epoch in range(max_iter):
-        keys = u64_block(derive_seed(seed, _STREAM_EPOCH, epoch), active.size)
-        for i in active[np.argsort(keys, kind="stable")].tolist():
-            r = rows[i]
-            g = float(r @ w) - 1.0
-            a = alpha[i]
-            a_new = min(max(a - g * inv_q[i], 0.0), c)
-            if a_new != a:
-                w += (a_new - a) * r
-                alpha[i] = a_new
-        epochs = epoch + 1
-
-        alpha_arr = np.array(alpha)
-        grad = yx @ w - 1.0
-        hinge = float(np.clip(-grad, 0.0, None).sum())
-        w_sq = float(w @ w)
-        primal = 0.5 * w_sq + c * hinge
-        dual = float(alpha_arr.sum()) - 0.5 * w_sq
-        gap = max(primal - dual, 0.0)
-        primal_history.append(primal)
-        dual_history.append(dual)
-        if gap <= tol:
-            converged = True
-            break
-
-        at_bound = ((alpha_arr <= 0.0) & (grad >= 0.0)) | ((alpha_arr >= c) & (grad <= 0.0))
-        active = np.flatnonzero(~at_bound)
-        if active.size == 0:
-            active = np.arange(n)
-
-    return SvmModel(
-        weights=w[:d].copy(),
-        bias=float(w[d]),
-        c=c,
-        duality_gap=float(gap),
-        iterations=epochs,
-        converged=converged,
-        hinge_loss=hinge,
-        alphas=np.array(alpha),
-        objective_history=primal_history,
-        dual_history=dual_history,
-    )
+    gap, _, _, hinge, w, alpha = best
+    return SvmModel(weights=w[:-1].copy(), bias=float(w[-1]), c=c, duality_gap=gap,
+                    iterations=steps, converged=gap <= tol, hinge_loss=hinge, alphas=alpha,
+                    objective_history=[p for p, _ in certs],
+                    dual_history=[q for _, q in certs], smoothed_history=smoothed)

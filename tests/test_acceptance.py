@@ -116,7 +116,7 @@ def test_criterion_04_small_c_svm_matches_centroid(dataset100k, table100k):
         k = min(pos.n, neg.n)  # balanced classes
         centroid = lb.centroid_direction(pos.codes[:k], neg.codes[:k], j)
         svm_u = lb.svm_direction(pos.codes[:k], neg.codes[:k], j,
-                                 c=1e-6, tol=1e-9, max_iter=50, seed=42)
+                                 c=1e-6, tol=1e-9, max_iter=50)
         worst = min(worst, float(centroid.vector @ svm_u.vector))
     elapsed = time.time() - t0
     ok = worst >= 0.999 and elapsed < 30.0
@@ -241,9 +241,9 @@ def test_criterion_10_svm_solver_correctness():
     mu = np.full(64, 2.0 / 8.0)
     z = normals(derive_seed(7, 103), 300 * 64).reshape(300, 64)
     blob_pos, blob_neg = z[:150] + mu, z[150:] - mu
-    model = train_svm(blob_pos, blob_neg, c=1.0, tol=1e-6, max_iter=4000, seed=7)
+    model = train_svm(blob_pos, blob_neg, c=1.0, tol=1e-6, max_iter=4000)
 
-    swapped = train_svm(blob_neg, blob_pos, c=1.0, tol=1e-6, max_iter=4000, seed=7)
+    swapped = train_svm(blob_neg, blob_pos, c=1.0, tol=1e-6, max_iter=4000)
     antisym = bool(np.array_equal(model.weights, -swapped.weights)
                    and model.bias == -swapped.bias)
 

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 
 import numpy as np
@@ -111,7 +113,21 @@ def test_unconverged_svm_fit_warns_per_attribute(tmp_path, synth_base, capsys):
     for name, line in zip(names, warnings):
         gap = lb.load_direction(str(tmp_path / "svm" / f"{name}.json")).meta["duality_gap"]
         assert f"warning: {name}:" in line
-        assert "5 epochs" in line and f"{gap:.3g}" in line and "tol 1e-06" in line
+        assert "5 iterations" in line and f"{gap:.3g}" in line and "tol 1e-06" in line
+
+
+def test_default_svm_fit_on_balanced_subsample_converges(tmp_path, synth_base, capsys):
+    sub = str(tmp_path / "bal")
+    assert run("sample", "--data", synth_base, "--n0", "1000", "--seed", "42",
+               "--out", sub) == 0
+    capsys.readouterr()
+    assert run("fit", "--data", synth_base, "--subsample", sub + ".csv", "--method", "svm",
+               "--out-dir", str(tmp_path / "svm")) == 0
+    assert capsys.readouterr().err == ""
+    for name in lb.read_dataset(synth_base).schema.names:
+        meta = lb.load_direction(str(tmp_path / "svm" / f"{name}.json")).meta
+        assert meta["converged"] is True and meta["duality_gap"] <= 1e-6
+        assert 0 < meta["iterations"] < 1000
 
 
 def test_centroid_fit_prints_no_warning(tmp_path, synth_base, capsys):
@@ -161,6 +177,79 @@ def test_c_grid_sweep(tmp_path, synth_base):
                "--seed", "3", "--out", out) == 0
     lines = open(out).read().splitlines()
     assert len(lines) == 1 + 4 + 4  # svm rows + centroid reference rows
+
+
+def test_readme_first_step_creates_the_data_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("synth", "--out", "data/demo", "--n", "100000", "--seed", "42") == 0
+    assert lb.read_dataset("data/demo").n == 100_000
+    assert sorted(p.name for p in (tmp_path / "data").iterdir()) == [
+        "demo.labels.csv", "demo.latd", "demo.world.json"]
+
+
+# sha256 of the README walkthrough's CSVs (at 20k codes and a shorter sweep),
+# recorded before the CSV writers moved to csv.writer: plain names must keep
+# every byte
+WALKTHROUGH_CSV_SHA256 = {
+    "table.csv": "c43e34e56f742005463e5523fbad91892e9edf54bc18874e5d16d18897826b41",
+    "bal.csv": "4c0be95a3e9c7fd9a65500f8e3cad8c1666623a78d72e61fb86f62f27c09f445",
+    "uni.csv": "95e38fd77e345a8f434d201f2fe76586da57fdf0934446292970f5f4c0594ace",
+    "rescore.csv": "77487fb573aa922e6be4e854fb9afc453e4fcf555ba1e0f0923e2f5eaae7c9a3",
+    "sizes.csv": "b771470d270da24a84f6b4da15b6c8dee55c852074fdaf26e127a5fc1b93984e",
+    "all.csv": "085fc8b9697b4e008b74241bbe73dbbacd472cf3479bcbafd5a61a9facf7aa00",
+}
+
+
+def test_walkthrough_csvs_keep_their_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data").mkdir()
+    dirs = [f"data/dirs/attr{k}.json" for k in range(4)]
+    for line in [
+        "synth --out data/demo --n 20000 --seed 42",
+        "contingency --data data/demo --out data/table.csv",
+        "sample --data data/demo --mode balanced --n0 1000 --policy skip --seed 42 "
+        "--out data/bal",
+        "sample --data data/demo --mode uniform --n0 1000 --seed 42 --out data/uni",
+        "fit --data data/demo --subsample data/bal.csv --method centroid "
+        "--out-dir data/dirs --seed 42",
+        "eval --world data/demo.world.json --directions " + " ".join(dirs)
+        + " --alpha 0.2 --n 2000 --seed 7 --out data/rescore",
+        "sweep --data data/demo --world data/demo.world.json --sizes 100,300,1000 "
+        "--runs 2 --n-eval 500 --seed 42 --out data/sizes.csv",
+        "report --inputs data/sizes.csv data/sizes.csv --out data/all.csv",
+    ]:
+        assert run(*line.split()) == 0, line
+    for name, digest in WALKTHROUGH_CSV_SHA256.items():
+        assert hashlib.sha256((tmp_path / "data" / name).read_bytes()).hexdigest() == digest
+
+
+def test_csv_outputs_quote_names_that_need_it(tmp_path):
+    names = ("eye,glasses", 'smile "wide"')
+    world = lb.make_world(dim=8, m=2, gram=np.eye(2), positive_rates=[0.5, 0.4],
+                          seed=3, names=names)
+    base = str(tmp_path / "q")
+    lb.write_dataset(lb.sample_world(world, 3000, seed=3), base)
+    lb.save_world(world, base + ".world.json")
+    sweep, rescore, merged = (str(tmp_path / f) for f in ("s.csv", "r", "m.csv"))
+    assert run("sweep", "--data", base, "--world", base + ".world.json", "--sizes", "100",
+               "--runs", "1", "--n-eval", "50", "--seed", "1", "--out", sweep) == 0
+    assert run("fit", "--data", base, "--out-dir", str(tmp_path / "d")) == 0
+    assert run("eval", "--world", base + ".world.json", "--directions",
+               *(str(tmp_path / "d" / f"{n}.json") for n in names),
+               "--n", "50", "--seed", "1", "--out", rescore) == 0
+    assert run("report", "--inputs", sweep, sweep, "--out", merged) == 0
+
+    def rows(path):
+        with open(path, newline="") as f:
+            return list(csv.reader(f))
+
+    sweep_rows = rows(sweep)
+    assert all(len(r) == 9 for r in sweep_rows)
+    assert [r[1] for r in sweep_rows[1:]] == list(names)
+    assert rows(merged) == sweep_rows + sweep_rows[1:]
+    rescore_rows = rows(rescore + ".csv")
+    assert all(len(r) == 3 for r in rescore_rows)
+    assert [tuple(r[:2]) for r in rescore_rows[1:]] == [(a, b) for a in names for b in names]
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -241,6 +330,23 @@ class TestExitCodes:
                    "--out", str(out), "--seed", "1")
         assert code == 1
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    # each sweep kind rejects the other kind's flags instead of ignoring them
+    @pytest.mark.parametrize("flags,named", [
+        (["--c-grid", "1", "--policies", "uniform"], "--policies"),
+        (["--c-grid", "1", "--methods", "centroid"], "--methods"),
+        (["--c-grid", "1", "--c", "0.5"], "--c "),
+        (["--sizes", "100", "--n0", "50"], "--n0"),
+    ], ids=["c-grid-policies", "c-grid-methods", "c-grid-c", "sizes-n0"])
+    def test_sweep_flag_of_the_other_kind_is_usage_error(self, tmp_path, capsys, flags,
+                                                         named):
+        out = tmp_path / "s.csv"
+        code = run("sweep", "--data", str(tmp_path / "nope"),
+                   "--world", str(tmp_path / "nope.world.json"), *flags,
+                   "--out", str(out), "--seed", "1")
+        assert code == 1
+        assert f"{named}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["balanced", "uniform"])

@@ -93,8 +93,8 @@ class TestSvmDirection:
         # class centroid restores the identical direction
         pos = normals(8, 120).reshape(30, 4) + np.array([1.0, 0, 0, 0])
         neg = normals(9, 120).reshape(30, 4) - np.array([1.0, 0, 0, 0])
-        w_fwd = train_svm(pos, neg, c=1.0, tol=1e-8, max_iter=500, seed=0).weights
-        w_rev = train_svm(neg, pos, c=1.0, tol=1e-8, max_iter=500, seed=0).weights
+        w_fwd = train_svm(pos, neg, c=1.0, tol=1e-8, max_iter=500).weights
+        w_rev = train_svm(neg, pos, c=1.0, tol=1e-8, max_iter=500).weights
         assert np.array_equal(w_rev, -w_fwd)
         diff = pos.mean(axis=0) - neg.mean(axis=0)
 
