@@ -15,18 +15,16 @@ __version__ = "0.1.0"
 from . import rng
 from .contingency import (ContingencyTable, ImbalanceStats, build_contingency,
                           imbalance_stats)
-from .core import (AttributeSchema, LabelCombination, LatentDataset,
-                   SemanticDirection, ValidationReport, decode_index,
-                   encode_bits, filter_by_confidence, split_by_attribute,
+from .core import (AttributeSchema, LatentDataset, SemanticDirection,
+                   ValidationReport, decode_index, split_by_attribute,
                    validate_dataset)
 from .dataio import LatdFormatError, read_dataset, write_dataset
 from .directions import (centroid_direction, conditional_project, cosine_matrix,
                          edit_latent, load_direction, save_direction,
                          svm_direction)
 from .evaluation import (RescoreMatrix, SweepReport, SweepRow, effect,
-                         embedding_similarity, fit_directions,
-                         overall_entanglement, rescore, sweep_regularization,
-                         sweep_sample_size)
+                         fit_directions, overall_entanglement, rescore,
+                         sweep_regularization, sweep_sample_size)
 from .oracle import (LinearAttributeWorld, default_world, load_world,
                      make_world, sample_world, save_world)
 from .sampler import (SamplePlan, SubsampleResult, balanced_subsample,
@@ -35,9 +33,8 @@ from .svm import SvmModel, train_svm
 
 __all__ = [
     "__version__",
-    "AttributeSchema", "LatentDataset", "LabelCombination", "SemanticDirection",
-    "ValidationReport", "validate_dataset", "filter_by_confidence",
-    "split_by_attribute", "encode_bits", "decode_index",
+    "AttributeSchema", "LatentDataset", "SemanticDirection",
+    "ValidationReport", "validate_dataset", "split_by_attribute", "decode_index",
     "ContingencyTable", "ImbalanceStats", "build_contingency", "imbalance_stats",
     "SamplePlan", "SubsampleResult", "balanced_subsample", "uniform_subsample",
     "SvmModel", "train_svm",
@@ -46,7 +43,7 @@ __all__ = [
     "LinearAttributeWorld", "make_world", "sample_world",
     "default_world", "save_world", "load_world",
     "RescoreMatrix", "SweepReport", "SweepRow", "rescore", "effect",
-    "overall_entanglement", "embedding_similarity", "fit_directions",
-    "sweep_sample_size", "sweep_regularization",
+    "overall_entanglement", "fit_directions", "sweep_sample_size",
+    "sweep_regularization",
     "read_dataset", "write_dataset", "LatdFormatError",
 ]

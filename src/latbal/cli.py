@@ -58,10 +58,6 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
-
-
 def _parse_grid(flag: str, text: str, parse, valid, expected: str) -> list:
     """Comma-separated values of one flag; a bad or missing value is a usage error."""
     try:
@@ -193,7 +189,10 @@ def _cmd_synth(args) -> int:
         world = default_world(seed=seed)
     else:
         names = tuple(args.names.split(",")) if args.names else None
-        rates = _parse_floats(args.rates) if args.rates else None
+        rates = _parse_grid("--rates", args.rates, float, lambda r: 0 < r < 1,
+                            "comma-separated numbers in (0, 1)") if args.rates else None
+        if names and rates and len(rates) != len(names):
+            raise _UsageError(f"--rates has {len(rates)} values for {len(names)} --names")
         m = len(names) if names else (len(rates) if rates else 4)
         if names is None:
             names = tuple(f"attr{k}" for k in range(m))

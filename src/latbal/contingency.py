@@ -1,7 +1,7 @@
 """Contingency tables over label combinations.
 
 The table is dense over all 2^m cells, indexed with attribute 0 as the
-least significant bit (see core.encode_bits).  Cell membership keeps the
+least significant bit (see core.decode_index).  Cell membership keeps the
 dataset row order, so table construction is deterministic.
 """
 

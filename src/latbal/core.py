@@ -9,7 +9,7 @@ and every operation returns a new dataset, so concurrent readers are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -43,38 +43,11 @@ class AttributeSchema:
         return self.names.index(name)
 
 
-def encode_bits(bits: Sequence[int]) -> int:
-    """Cell index for a bit-vector; attribute 0 is the least significant bit."""
-    index = 0
-    for j, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError(f"bit {j} is {b}, expected 0 or 1")
-        index |= int(b) << j
-    return index
-
-
 def decode_index(index: int, m: int) -> tuple[int, ...]:
-    """Inverse of encode_bits for m attributes."""
+    """Bits of cell index for m attributes; attribute 0 is the least significant bit."""
     if not 0 <= index < (1 << m):
         raise ValueError(f"index {index} out of range for m={m}")
     return tuple((index >> j) & 1 for j in range(m))
-
-
-@dataclass(frozen=True)
-class LabelCombination:
-    """One cell of the label contingency table."""
-
-    bits: tuple[int, ...]
-    index: int
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "LabelCombination":
-        bits = tuple(int(b) for b in bits)
-        return cls(bits=bits, index=encode_bits(bits))
-
-    @classmethod
-    def from_index(cls, index: int, m: int) -> "LabelCombination":
-        return cls(bits=decode_index(index, m), index=index)
 
 
 @dataclass
@@ -186,16 +159,6 @@ def validate_dataset(dataset: LatentDataset) -> ValidationReport:
                 v.append(f"confidences row {row}: value outside [0, 1]")
 
     return ValidationReport(v)
-
-
-def filter_by_confidence(dataset: LatentDataset, threshold: float) -> LatentDataset:
-    """Keep rows whose confidences meet the threshold for every attribute."""
-    if dataset.confidences is None:
-        raise ValueError("dataset has no confidences to filter on")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    keep = np.flatnonzero((dataset.confidences >= threshold).all(axis=1))
-    return dataset.select(keep)
 
 
 def split_by_attribute(dataset: LatentDataset, j: int) -> tuple[LatentDataset, LatentDataset]:

@@ -6,11 +6,16 @@ convention is edited-minus-original (recorded on the matrix), so a direction
 that works shows a positive diagonal.  effect is the diagonal entry;
 overall_entanglement averages |delta| over the non-target attributes.
 
-Sweeps refit directions on fresh subsamples per run and aggregate
-effect/entanglement means and standard deviations across runs.  Evaluation
-codes are drawn fresh from the standard Gaussian prior (never reused from
-fitting data) and shared across grid points within a run so comparisons
-between methods are paired.
+Both sweeps run on one engine, _sweep, over grid points (parameter,
+method, policy, n0, C, seed key).  Each run draws its evaluation codes once
+from the standard Gaussian prior (never reused from fitting data) and shares
+them across grid points, so comparisons between methods are paired.  A point
+fits on the subsample seeded derive_seed(seed, _STREAM_FIT, *key, run);
+consecutive points with the same policy, n0 and fit seed share one draw.
+The size sweep keys each point by its grid position (si, mi, pi); the C
+sweep keys every point, centroid reference included, by (), so within a run
+all of them fit on one subsample.  Rows hold effect/entanglement means and
+standard deviations across runs, or NaN and the point's first error.
 """
 
 from __future__ import annotations
@@ -109,22 +114,6 @@ def overall_entanglement(matrix: RescoreMatrix, j: int) -> float:
     return float(np.abs(off).mean())
 
 
-def embedding_similarity(before, after) -> tuple[float, float]:
-    """Mean and std of per-pair cosine similarity between two embedding lists."""
-    before = np.atleast_2d(np.asarray(before, dtype=np.float64))
-    after = np.atleast_2d(np.asarray(after, dtype=np.float64))
-    if before.shape != after.shape:
-        raise ValueError(f"shape mismatch: {before.shape} vs {after.shape}")
-    if before.shape[0] == 0:
-        raise ValueError("need at least one embedding pair")
-    nb = np.linalg.norm(before, axis=1)
-    na = np.linalg.norm(after, axis=1)
-    if np.any(nb < 1e-300) or np.any(na < 1e-300):
-        raise ValueError("zero-norm embedding vector")
-    cos = (before * after).sum(axis=1) / (nb * na)
-    return float(cos.mean()), float(cos.std())
-
-
 def fit_directions(dataset: LatentDataset, method: str, c: float = 1.0,
                    tol: float = 1e-6, max_iter: int = 1000,
                    seed: int = 0) -> list[SemanticDirection]:
@@ -155,16 +144,52 @@ def _subsample(dataset, table, policy: str, n0: int, seed: int):
     return balanced_subsample(dataset, table, SamplePlan(n0=n0, policy=policy, seed=seed))
 
 
-def _aggregate(rows_per_run: list[tuple[np.ndarray, np.ndarray]],
-               names: Sequence[str]) -> list[tuple[str, float, float, float, float]]:
-    effects = np.array([e for e, _ in rows_per_run])
-    entangles = np.array([t for _, t in rows_per_run])
-    out = []
-    for k, name in enumerate(names):
-        out.append((name,
-                    float(effects[:, k].mean()), float(effects[:, k].std()),
-                    float(entangles[:, k].mean()), float(entangles[:, k].std())))
-    return out
+def _sweep(kind: str, dataset: LatentDataset, scorer: Scorer, points: list[tuple],
+           runs: int, alpha: float, n_eval: int, svm_tol: float, svm_max_iter: int,
+           seed: int) -> SweepReport:
+    """Refit and re-score every grid point in every run (see the module docstring).
+
+    A point's first ValueError or IndexError ends it and becomes its NaN rows.
+    """
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    table = build_contingency(dataset)
+    names = dataset.schema.names
+    js = range(len(names))
+    results: list[list] = [[] for _ in points]
+    errors: list[Optional[str]] = [None] * len(points)
+    for run in range(runs):
+        latents = _eval_latents(dataset.dim, n_eval, seed, run)
+        fit_key = fit_set = None  # hold one fit set at a time, not one per key
+        for p, (_, method, policy, n0, c, key) in enumerate(points):
+            if errors[p] is not None:
+                continue
+            try:
+                sub_key = (policy, n0, derive_seed(seed, _STREAM_FIT, *key, run))
+                if sub_key != fit_key:
+                    sub = _subsample(dataset, table, *sub_key)
+                    fit_key, fit_set = sub_key, dataset.select(sub.indices)
+                dirs = fit_directions(fit_set, method, c=c, tol=svm_tol,
+                                      max_iter=svm_max_iter)
+                matrix = rescore(scorer, dirs, latents, alpha)
+                results[p].append([[effect(matrix, j) for j in js],
+                                   [overall_entanglement(matrix, j) for j in js]])
+            except (ValueError, IndexError) as exc:
+                errors[p] = f"run {run}: {exc}"
+
+    report = SweepReport(kind=kind)
+    nan = float("nan")
+    for (parameter, method, policy, *_), err, per_run in zip(points, errors, results):
+        if err is not None:
+            report.rows += [SweepRow(parameter, method, policy, name, nan, nan, nan, nan,
+                                     runs, error=err) for name in names]
+            continue
+        eff, ent = np.array(per_run).transpose(1, 2, 0)  # (attribute, run) each
+        report.rows += [SweepRow(parameter, method, policy, name,
+                                 float(eff[k].mean()), float(eff[k].std()),
+                                 float(ent[k].mean()), float(ent[k].std()), runs)
+                        for k, name in enumerate(names)]
+    return report
 
 
 def sweep_sample_size(dataset: LatentDataset, scorer: Scorer, sizes: Sequence[int],
@@ -176,43 +201,12 @@ def sweep_sample_size(dataset: LatentDataset, scorer: Scorer, sizes: Sequence[in
     """Refit and re-score across subsample sizes, methods, and sampling policies."""
     if not sizes:
         raise ValueError("sizes must be non-empty")
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    table = build_contingency(dataset)
-    names = dataset.schema.names
-    report = SweepReport(kind="sample_size")
-
-    for si, n0 in enumerate(sizes):
-        for mi, method in enumerate(methods):
-            for pi, policy in enumerate(policies):
-                per_run, err = [], None
-                for run in range(runs):
-                    try:
-                        fit_seed = derive_seed(seed, _STREAM_FIT, si, mi, pi, run)
-                        sub = _subsample(dataset, table, policy, n0, fit_seed)
-                        fit_set = dataset.select(sub.indices)
-                        dirs = fit_directions(fit_set, method, c=c, tol=svm_tol,
-                                              max_iter=svm_max_iter)
-                        latents = _eval_latents(dataset.dim, n_eval, seed, run)
-                        matrix = rescore(scorer, dirs, latents, alpha)
-                        per_run.append((
-                            np.array([effect(matrix, j) for j in range(len(names))]),
-                            np.array([overall_entanglement(matrix, j) for j in range(len(names))]),
-                        ))
-                    except (ValueError, IndexError) as exc:
-                        err = f"run {run}: {exc}"
-                        break
-                if err is not None:
-                    for name in names:
-                        report.rows.append(SweepRow(float(n0), method, policy, name,
-                                                    float("nan"), float("nan"),
-                                                    float("nan"), float("nan"),
-                                                    runs, error=err))
-                    continue
-                for name, eff, eff_sd, ent, ent_sd in _aggregate(per_run, names):
-                    report.rows.append(SweepRow(float(n0), method, policy, name,
-                                                eff, eff_sd, ent, ent_sd, runs))
-    return report
+    points = [(float(n0), method, policy, n0, c, (si, mi, pi))
+              for si, n0 in enumerate(sizes)
+              for mi, method in enumerate(methods)
+              for pi, policy in enumerate(policies)]
+    return _sweep("sample_size", dataset, scorer, points, runs, alpha, n_eval,
+                  svm_tol, svm_max_iter, seed)
 
 
 def sweep_regularization(dataset: LatentDataset, scorer: Scorer,
@@ -229,59 +223,10 @@ def sweep_regularization(dataset: LatentDataset, scorer: Scorer,
         raise ValueError("c_values must be non-empty")
     if any(c <= 0 for c in c_values):
         raise ValueError("c_values must be positive")
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    table = build_contingency(dataset)
-    names = dataset.schema.names
-    report = SweepReport(kind="regularization")
-
-    per_c: dict[float, list] = {c: [] for c in c_values}
-    errors: dict[float | None, str] = {}
-    centroid_runs = []
-    for run in range(runs):
-        fit_seed = derive_seed(seed, _STREAM_FIT, run)
-        sub = _subsample(dataset, table, policy, n0, fit_seed)
-        fit_set = dataset.select(sub.indices)
-        latents = _eval_latents(dataset.dim, n_eval, seed, run)
-
-        try:
-            dirs = fit_directions(fit_set, "centroid")
-            matrix = rescore(scorer, dirs, latents, alpha)
-            centroid_runs.append((
-                np.array([effect(matrix, j) for j in range(len(names))]),
-                np.array([overall_entanglement(matrix, j) for j in range(len(names))]),
-            ))
-        except (ValueError, IndexError) as exc:
-            errors.setdefault(None, f"run {run}: {exc}")
-        for c in c_values:
-            try:
-                dirs = fit_directions(fit_set, "svm", c=c, tol=svm_tol,
-                                      max_iter=svm_max_iter)
-                matrix = rescore(scorer, dirs, latents, alpha)
-                per_c[c].append((
-                    np.array([effect(matrix, j) for j in range(len(names))]),
-                    np.array([overall_entanglement(matrix, j) for j in range(len(names))]),
-                ))
-            except (ValueError, IndexError) as exc:
-                errors.setdefault(c, f"run {run}: {exc}")
-
-    def _emit(parameter, method, results):
-        err = errors.get(parameter)
-        if err is not None or not results:
-            for name in names:
-                report.rows.append(SweepRow(parameter, method, policy, name,
-                                            float("nan"), float("nan"),
-                                            float("nan"), float("nan"), runs,
-                                            error=err or "no successful runs"))
-            return
-        for name, eff, eff_sd, ent, ent_sd in _aggregate(results, names):
-            report.rows.append(SweepRow(parameter, method, policy, name,
-                                        eff, eff_sd, ent, ent_sd, runs))
-
-    for c in c_values:
-        _emit(float(c), "svm", per_c[c])
-    _emit(None, "centroid", centroid_runs)
-    return report
+    points = [(float(c), "svm", policy, n0, c, ()) for c in c_values]
+    points.append((None, "centroid", policy, n0, 1.0, ()))
+    return _sweep("regularization", dataset, scorer, points, runs, alpha, n_eval,
+                  svm_tol, svm_max_iter, seed)
 
 
 def rescore_to_csv(matrix: RescoreMatrix, names: Sequence[str] | None = None) -> str:
@@ -320,19 +265,6 @@ def sweep_to_csv(report: SweepReport) -> str:
                      repr(r.effect), repr(r.entanglement), repr(r.effect_std),
                      repr(r.entanglement_std), r.method, r.policy, str(r.runs)])
     return csv_text(rows)
-
-
-def sweep_to_dict(report: SweepReport) -> dict:
-    return {
-        "kind": report.kind,
-        "rows": [
-            {"parameter": r.parameter, "method": r.method, "policy": r.policy,
-             "attribute": r.attribute, "effect": r.effect, "effect_std": r.effect_std,
-             "entanglement": r.entanglement, "entanglement_std": r.entanglement_std,
-             "runs": r.runs, "error": r.error}
-            for r in report.rows
-        ],
-    }
 
 
 def save_rescore(matrix: RescoreMatrix, path_base: str,

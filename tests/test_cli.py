@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +226,34 @@ def test_walkthrough_csvs_keep_their_bytes(tmp_path, monkeypatch):
         assert hashlib.sha256((tmp_path / "data" / name).read_bytes()).hexdigest() == digest
 
 
+# sha256 of an SVM-bearing size sweep over every policy and of a C sweep on the
+# 20k-code walkthrough dataset, recorded before the two sweeps shared one engine
+SWEEP_CSV_SHA256 = {
+    "--c-grid 1e-4,1 --n0 500":
+        "e0754ff1891b71cc8e33622ffe0a7357b224f4f5145d1378c7987f22303f70ce",
+    "--sizes 100,1000 --methods centroid,svm --policies skip,oversample,uniform":
+        "45ddc5332d9d24ec62dacaeb64608b0561bcd7b6db249715ef705332d5426e06",
+}
+
+
+def test_sweep_csvs_keep_their_bytes(tmp_path):
+    base = str(tmp_path / "demo")
+    assert run("synth", "--out", base, "--n", "20000", "--seed", "42") == 0
+    for k, (grid, digest) in enumerate(SWEEP_CSV_SHA256.items()):
+        out = tmp_path / f"sweep{k}.csv"
+        assert run("sweep", "--data", base, "--world", base + ".world.json", *grid.split(),
+                   "--runs", "2", "--n-eval", "500", "--seed", "42", "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, grid
+
+
+def test_demo_balance_script_runs():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "demo_balance.py"
+    proc = subprocess.run([sys.executable, str(script), "--n", "20000", "--n0", "200"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("max/min ratio") == 3
+
+
 def test_csv_outputs_quote_names_that_need_it(tmp_path):
     names = ("eye,glasses", 'smile "wide"')
     world = lb.make_world(dim=8, m=2, gram=np.eye(2), positive_rates=[0.5, 0.4],
@@ -302,6 +333,17 @@ class TestExitCodes:
                    f"--corr={spec}", "--seed", "1")
         assert code == 1
         assert spec in capsys.readouterr().err
+        assert not (tmp_path / "w.latd").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--rates", "0.5,abc"],
+        ["--rates", "0.5,1.5"],
+        ["--names", "a,b,c", "--rates", "0.5,0.5"],
+    ], ids=["text", "out-of-range", "count"])
+    def test_bad_rates_are_usage_error(self, tmp_path, capsys, flags):
+        code = run("synth", "--out", str(tmp_path / "w"), "--n", "100", *flags, "--seed", "1")
+        assert code == 1
+        assert "--rates" in capsys.readouterr().err
         assert not (tmp_path / "w.latd").exists()
 
     def test_sweep_grid_flags_are_exclusive(self, tmp_path, synth_base, capsys):

@@ -27,11 +27,11 @@ class TestAttributeSchema:
 
 class TestLabelCombination:
     def test_lsb_first_indexing(self):
-        # attribute 0 is the least significant bit: "10" -> 1, "01" -> 2
-        assert lb.encode_bits((0, 0)) == 0
-        assert lb.encode_bits((1, 0)) == 1
-        assert lb.encode_bits((0, 1)) == 2
-        assert lb.encode_bits((1, 1)) == 3
+        # attribute 0 is the least significant bit: 1 -> "10", 2 -> "01"
+        assert lb.decode_index(0, 2) == (0, 0)
+        assert lb.decode_index(1, 2) == (1, 0)
+        assert lb.decode_index(2, 2) == (0, 1)
+        assert lb.decode_index(3, 2) == (1, 1)
 
     def test_decode(self):
         assert lb.decode_index(2, 2) == (0, 1)
@@ -42,16 +42,7 @@ class TestLabelCombination:
     @settings(max_examples=200, deadline=None)
     def test_encode_decode_bijection(self, bits):
         bits = tuple(bits)
-        assert lb.decode_index(lb.encode_bits(bits), len(bits)) == bits
-
-    def test_from_bits_from_index_roundtrip(self):
-        combo = lb.LabelCombination.from_bits((1, 0, 1))
-        assert combo.index == 5
-        assert lb.LabelCombination.from_index(5, 3) == combo
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            lb.encode_bits((0, 2))
+        assert lb.decode_index(sum(b << j for j, b in enumerate(bits)), len(bits)) == bits
 
 
 class TestValidateDataset:
@@ -91,47 +82,6 @@ class TestValidateDataset:
 
     def test_valid_oracle_sample(self, dataset20k):
         assert lb.validate_dataset(dataset20k).ok
-
-
-class TestFilterByConfidence:
-    def test_row_at_threshold_survives(self):
-        conf = np.array([[0.95, 0.91, 0.99, 0.92]])
-        ds = tiny_dataset([[1, 0, 1, 0]], confidences=conf)
-        assert lb.filter_by_confidence(ds, 0.9).n == 1
-
-    def test_row_just_below_is_dropped(self):
-        conf = np.array([[0.95, 0.89, 0.99, 0.92]])
-        ds = tiny_dataset([[1, 0, 1, 0]], confidences=conf)
-        assert lb.filter_by_confidence(ds, 0.9).n == 0
-
-    def test_zero_threshold_is_identity(self, world42):
-        ds = lb.sample_world(world42, 500, seed=3)
-        out = lb.filter_by_confidence(ds, 0.0)
-        assert np.array_equal(out.codes, ds.codes)
-        assert np.array_equal(out.labels, ds.labels)
-
-    def test_missing_confidences_error(self):
-        ds = tiny_dataset([[0, 1]])
-        with pytest.raises(ValueError, match="confidence"):
-            lb.filter_by_confidence(ds, 0.9)
-
-    @given(threshold=st.floats(0.0, 1.0))
-    @settings(max_examples=25, deadline=None)
-    def test_idempotent(self, threshold):
-        conf = uniforms(11, 40).reshape(20, 2)
-        ds = tiny_dataset(np.zeros((20, 2), np.uint8), confidences=conf)
-        once = lb.filter_by_confidence(ds, threshold)
-        twice = lb.filter_by_confidence(once, threshold)
-        assert np.array_equal(once.codes, twice.codes)
-        assert once.n == twice.n
-
-    def test_order_preserved(self):
-        conf = np.array([[0.99], [0.1], [0.95], [0.97]])
-        codes = np.arange(4.0).reshape(4, 1)
-        ds = lb.LatentDataset(dim=1, codes=codes, labels=np.zeros((4, 1), np.uint8),
-                              schema=lb.AttributeSchema(("a",)), confidences=conf)
-        kept = lb.filter_by_confidence(ds, 0.9)
-        assert kept.codes.ravel().tolist() == [0.0, 2.0, 3.0]
 
 
 class TestSplitByAttribute:

@@ -3,7 +3,7 @@ import pytest
 
 import latbal as lb
 from latbal.evaluation import (RescoreMatrix, rescore_to_csv, rescore_to_dict,
-                               sweep_to_csv, sweep_to_dict)
+                               sweep_to_csv)
 from latbal.rng import derive_seed, normals
 
 
@@ -117,28 +117,6 @@ class TestEffectAndEntanglement:
             lb.overall_entanglement(matrix, -1)
 
 
-class TestEmbeddingSimilarity:
-    def test_identical_lists(self):
-        emb = normals(80, 60).reshape(10, 6)
-        mean, std = lb.embedding_similarity(emb, emb)
-        assert mean == pytest.approx(1.0, abs=1e-12)
-        assert std == pytest.approx(0.0, abs=1e-12)
-
-    def test_orthogonal_pairs(self):
-        before = np.array([[1.0, 0.0], [0.0, 1.0]])
-        after = np.array([[0.0, 1.0], [1.0, 0.0]])
-        mean, std = lb.embedding_similarity(before, after)
-        assert mean == pytest.approx(0.0, abs=1e-15)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError, match="zero-norm"):
-            lb.embedding_similarity([[0.0, 0.0]], [[1.0, 0.0]])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            lb.embedding_similarity(np.ones((2, 3)), np.ones((3, 3)))
-
-
 class TestSweeps:
     def test_single_run_has_zero_std(self, world42, dataset20k):
         report = lb.sweep_sample_size(dataset20k, world42.score, sizes=[100],
@@ -200,6 +178,22 @@ class TestSweeps:
         assert all(r.error is not None for r in report.rows)
         assert all(np.isnan(r.effect) for r in report.rows)
 
+    def test_failing_grid_points_leave_the_others_alone(self, world42, dataset20k):
+        # one row cannot hold both classes of any attribute, so every n0=1 point fails
+        kwargs = dict(policies=("skip", "uniform"), runs=2, n_eval=200, seed=5)
+        report = lb.sweep_sample_size(dataset20k, world42.score, sizes=[1, 1000], **kwargs)
+        assert len(report.rows) == 16
+        for row in report.rows[:8]:
+            assert row.parameter == 1.0 and np.isnan(row.effect)
+            assert row.error == "run 0: both classes must be non-empty"
+        ok = report.rows[8:]
+        assert all(r.parameter == 1000.0 and r.error is None for r in ok)
+        assert all(np.isfinite([r.effect, r.effect_std, r.entanglement,
+                                r.entanglement_std]).all() for r in ok)
+        # a point's fit seed keys on its grid position, not on its neighbours' fate
+        other = lb.sweep_sample_size(dataset20k, world42.score, sizes=[3000, 1000], **kwargs)
+        assert other.rows[8:] == ok
+
 
 class TestExports:
     def test_rescore_csv_layout(self):
@@ -223,4 +217,4 @@ class TestExports:
         text = sweep_to_csv(report)
         assert text.splitlines()[0] == ("parameter,attribute,effect,entanglement,"
                                         "effect_std,entanglement_std,method,policy,runs")
-        assert sweep_to_dict(report)["kind"] == "sample_size"
+        assert report.kind == "sample_size"
