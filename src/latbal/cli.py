@@ -59,13 +59,11 @@ def _resolve_seed(args) -> int:
 
 
 def _parse_grid(flag: str, text: str, parse, valid, expected: str) -> list:
-    """Comma-separated values of one flag; a bad or missing value is a usage error."""
+    """Comma-separated values of one flag; a bad or blank value is a usage error."""
     try:
-        values = [parse(t) for t in text.split(",") if t.strip()]
+        values = [parse(t) for t in text.split(",")]
     except ValueError:
         raise _UsageError(f"{flag} expects {expected}, got {text!r}") from None
-    if not values:
-        raise _UsageError(f"{flag} expects {expected}, got no values")
     for v in values:
         if not valid(v):
             raise _UsageError(f"{flag} expects {expected}, got {v!r}")
@@ -188,9 +186,12 @@ def _cmd_synth(args) -> int:
     if not custom:
         world = default_world(seed=seed)
     else:
-        names = tuple(args.names.split(",")) if args.names else None
-        rates = _parse_grid("--rates", args.rates, float, lambda r: 0 < r < 1,
-                            "comma-separated numbers in (0, 1)") if args.rates else None
+        names = None if args.names is None else tuple(_parse_grid(
+            "--names", args.names, str, lambda v: v.strip() != "",
+            "comma-separated non-blank names"))
+        rates = None if args.rates is None else _parse_grid(
+            "--rates", args.rates, float, lambda r: 0 < r < 1,
+            "comma-separated numbers in (0, 1)")
         if names and rates and len(rates) != len(names):
             raise _UsageError(f"--rates has {len(rates)} values for {len(names)} --names")
         m = len(names) if names else (len(rates) if rates else 4)
@@ -198,7 +199,12 @@ def _cmd_synth(args) -> int:
             names = tuple(f"attr{k}" for k in range(m))
         if rates is None:
             rates = [0.5] * m
-        dim = args.dim if args.dim is not None else 64
+        dim = _default(args.dim, 64)
+        if dim < m:
+            raise _UsageError(f"--dim must be >= the number of attributes ({m}), got {dim}")
+        sharpness = _default(args.sharpness, 1.0)
+        if not (np.isfinite(sharpness) and sharpness > 0):
+            raise _UsageError(f"--sharpness must be a finite number > 0, got {sharpness}")
         gram = np.eye(m)
         for spec in args.corr or []:
             try:
@@ -211,8 +217,7 @@ def _cmd_synth(args) -> int:
                                   f"got {spec!r}")
             gram[i, j] = gram[j, i] = rho
         world = make_world(dim=dim, m=m, gram=gram, positive_rates=rates,
-                           sharpness=args.sharpness if args.sharpness is not None else 1.0,
-                           seed=seed, names=names)
+                           sharpness=sharpness, seed=seed, names=names)
     dataset = sample_world(world, args.n, seed=seed)
     write_dataset(dataset, args.out)
     save_world(world, args.world_out or args.out + ".world.json")

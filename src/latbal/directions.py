@@ -32,11 +32,21 @@ def centroid_direction(pos, neg, j: int) -> SemanticDirection:
     """Unit vector from the negative-class centroid toward the positive one."""
     pos = _as_matrix(pos)
     neg = _as_matrix(neg)
-    if pos.shape[0] == 0 or neg.shape[0] == 0:
+    return _centroid_from_sums(pos.sum(axis=0), pos.shape[0], neg.sum(axis=0), neg.shape[0], j)
+
+
+def _centroid_from_sums(pos_sum: np.ndarray, n_pos, neg_sum: np.ndarray, n_neg,
+                        j: int) -> SemanticDirection:
+    """Centroid direction from each class's row sum and row count.
+
+    sum / count is bit for bit what mean(axis=0) returns on the class rows.
+    """
+    if n_pos == 0 or n_neg == 0:
         raise ValueError("both classes must be non-empty")
-    if pos.shape[1] != neg.shape[1]:
-        raise ValueError(f"dimension mismatch: pos d={pos.shape[1]}, neg d={neg.shape[1]}")
-    diff = pos.mean(axis=0) - neg.mean(axis=0)
+    if pos_sum.shape != neg_sum.shape:
+        raise ValueError(f"dimension mismatch: pos d={pos_sum.shape[0]}, "
+                         f"neg d={neg_sum.shape[0]}")
+    diff = pos_sum / n_pos - neg_sum / n_neg
     norm = float(np.linalg.norm(diff))
     if norm < 1e-12:
         raise ValueError("class centroids coincide; no direction defined")
@@ -44,7 +54,7 @@ def centroid_direction(pos, neg, j: int) -> SemanticDirection:
         attribute=j,
         vector=diff / norm,
         method="centroid",
-        meta={"n_pos": int(pos.shape[0]), "n_neg": int(neg.shape[0]), "raw_norm": norm},
+        meta={"n_pos": int(n_pos), "n_neg": int(n_neg), "raw_norm": norm},
     )
 
 

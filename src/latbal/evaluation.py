@@ -6,6 +6,11 @@ convention is edited-minus-original (recorded on the matrix), so a direction
 that works shows a positive diagonal.  effect is the diagonal entry;
 overall_entanglement averages |delta| over the non-target attributes.
 
+fit_directions fits one direction per attribute on a fit set.  A centroid
+fit reads the fit set's codes once, summing every attribute's two classes
+in one pass, and copies no class rows; an SVM fit hands each attribute's
+two classes to svm_direction as plain arrays.
+
 Both sweeps run on one engine, _sweep, over grid points (parameter,
 method, policy, n0, C, seed key).  Each run draws its evaluation codes once
 from the standard Gaussian prior (never reused from fitting data) and shares
@@ -27,9 +32,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .contingency import build_contingency
-from .core import LatentDataset, SemanticDirection, split_by_attribute
+from .core import LatentDataset, SemanticDirection
 from .dataio import csv_text
-from .directions import centroid_direction, svm_direction
+from .directions import _centroid_from_sums, svm_direction
+# Nothing here calls these two; they stay bound in this module because
+# perfbench/tracing.py wraps them here by name.
+from .core import split_by_attribute  # noqa: F401
+from .directions import centroid_direction  # noqa: F401
 from .rng import derive_seed, normals
 from .sampler import SamplePlan, balanced_subsample, uniform_subsample
 
@@ -119,19 +128,32 @@ def fit_directions(dataset: LatentDataset, method: str, c: float = 1.0,
                    seed: int = 0) -> list[SemanticDirection]:
     """One direction per schema attribute, fit on the given rows.
 
+    Both methods split attribute j's rows as split_by_attribute does
+    (label 1 against the rest) but build no dataset per class.  The centroid
+    fit reads the codes once, taking all 2m class sums as one einsum over
+    the 0/1 class masks [pos, ~pos]: every product is exact and each class's
+    rows are added in row order, the order mean(axis=0) adds a gathered
+    class in when dim >= 2, so the directions are bit-identical to
+    centroid_direction on the split classes.  (At dim 1 mean sums pairwise
+    and raw_norm may differ in the last bits; a BLAS product, masks.T @
+    codes, sums in another order at every dim.)
+
     ``seed`` is accepted and unused: neither fit draws random numbers.
     """
-    dirs = []
-    for j in range(dataset.m):
-        pos, neg = split_by_attribute(dataset, j)
-        if method == "centroid":
-            dirs.append(centroid_direction(pos.codes, neg.codes, j))
-        elif method == "svm":
-            dirs.append(svm_direction(pos.codes, neg.codes, j, c=c, tol=tol,
-                                      max_iter=max_iter))
-        else:
-            raise ValueError(f"unknown fit method {method!r}")
-    return dirs
+    codes = dataset.codes
+    pos = dataset.labels == 1
+    if method == "centroid":
+        masks = np.hstack([pos, ~pos])
+        sums = np.einsum("ik,ij->kj", masks.astype(np.float64), codes)
+        counts = masks.sum(axis=0)
+        m = dataset.m
+        return [_centroid_from_sums(sums[j], counts[j], sums[m + j], counts[m + j], j)
+                for j in range(m)]
+    if method == "svm":
+        return [svm_direction(codes[pos[:, j]], codes[~pos[:, j]], j, c=c, tol=tol,
+                              max_iter=max_iter)
+                for j in range(dataset.m)]
+    raise ValueError(f"unknown fit method {method!r}")
 
 
 def _eval_latents(dim: int, n_eval: int, seed: int, run: int) -> np.ndarray:

@@ -346,6 +346,26 @@ class TestExitCodes:
         assert "--rates" in capsys.readouterr().err
         assert not (tmp_path / "w.latd").exists()
 
+    # bad or blank synth flag values are rejected before anything is written,
+    # never replaced by the defaults or left to fail later as a data error
+    @pytest.mark.parametrize("flags,named", [
+        (["--names", "a,,b"], "--names"),
+        (["--names", ""], "--names"),
+        (["--rates", ""], "--rates"),
+        (["--rates", "0.5,,0.5"], "--rates"),
+        (["--dim", "0"], "--dim"),
+        (["--names", "a,b,c", "--dim", "2"], "--dim"),
+        (["--sharpness", "-1"], "--sharpness"),
+        (["--sharpness", "0"], "--sharpness"),
+        (["--sharpness", "nan"], "--sharpness"),
+    ], ids=["names-blank-entry", "names-empty", "rates-empty", "rates-blank-entry",
+            "dim-zero", "dim-below-m", "sharpness-negative", "sharpness-zero", "sharpness-nan"])
+    def test_bad_synth_flag_is_usage_error(self, tmp_path, capsys, flags, named):
+        code = run("synth", "--out", str(tmp_path / "w"), "--n", "100", *flags, "--seed", "1")
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_grid_flags_are_exclusive(self, tmp_path, synth_base, capsys):
         code = run("sweep", "--data", synth_base, "--world", synth_base + ".world.json",
                    "--sizes", "10", "--c-grid", "1.0",
@@ -363,8 +383,9 @@ class TestExitCodes:
         (["--sizes", "100", "--runs", "0"], "got 0"),
         (["--sizes", "100", "--n-eval", "0"], "got 0"),
         (["--sizes", "100", "--methods", "svm", "--c", "0"], "got 0.0"),
+        (["--sizes", "100,"], "'100,'"),
     ], ids=["policy", "method", "size-zero", "size-text", "n0-zero", "c-negative", "runs-zero",
-            "n-eval-zero", "svm-c-zero"])
+            "n-eval-zero", "svm-c-zero", "size-blank-entry"])
     def test_bad_sweep_grid_is_usage_error(self, tmp_path, capsys, flags, named):
         out = tmp_path / "s.csv"
         code = run("sweep", "--data", str(tmp_path / "nope"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import latbal as lb
 from latbal.evaluation import (RescoreMatrix, rescore_to_csv, rescore_to_dict,
@@ -193,6 +195,85 @@ class TestSweeps:
         # a point's fit seed keys on its grid position, not on its neighbours' fate
         other = lb.sweep_sample_size(dataset20k, world42.score, sizes=[3000, 1000], **kwargs)
         assert other.rows[8:] == ok
+
+
+def _random_fit_set(n, dim, m, rate, repeats, seed):
+    """n Gaussian rows with Bernoulli(rate) labels, oversampled to n * repeats rows."""
+    rng = np.random.default_rng(seed)
+    ds = lb.LatentDataset(dim=dim, codes=rng.standard_normal((n, dim)) * 3.0 + 0.5,
+                          labels=rng.random((n, m)) < rate,
+                          schema=lb.AttributeSchema(tuple(f"a{k}" for k in range(m))))
+    return ds.select(rng.integers(0, n, size=n * repeats)) if repeats > 1 else ds
+
+
+def _fit_or_error(fit, ds):
+    try:
+        return fit(ds)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _split_centroids(ds):
+    """The reference fit: centroid_direction on split_by_attribute's two classes."""
+    dirs = []
+    for j in range(ds.m):
+        pos, neg = lb.split_by_attribute(ds, j)
+        dirs.append(lb.centroid_direction(pos.codes, neg.codes, j))
+    return dirs
+
+
+_FIT_SETS = dict(n=st.integers(1, 300), m=st.integers(1, 20),
+                 rate=st.sampled_from([0.0, 0.03, 0.3, 0.5, 0.9, 1.0]),
+                 repeats=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+
+
+class TestFitDirections:
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.integers(2, 130), **_FIT_SETS)
+    @example(n=1, dim=8, m=3, rate=0.5, repeats=1, seed=1)      # one row: one class only
+    @example(n=50, dim=4, m=2, rate=0.0, repeats=1, seed=2)     # a one-class attribute
+    @example(n=300, dim=64, m=20, rate=0.3, repeats=4, seed=3)  # oversampled, m = 20
+    def test_centroid_fit_is_bit_identical_to_split_classes(self, n, dim, m, rate,
+                                                            repeats, seed):
+        ds = _random_fit_set(n, dim, m, rate, repeats, seed)
+        got = _fit_or_error(lambda d: lb.fit_directions(d, "centroid"), ds)
+        want = _fit_or_error(_split_centroids, ds)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert [(u.attribute, u.method, u.meta, u.vector.tobytes()) for u in got] == \
+            [(u.attribute, u.method, u.meta, u.vector.tobytes()) for u in want]
+
+    # at dim 1 mean(axis=0) sums pairwise, so raw_norm is held to the float64
+    # error bound of a sum in another order, rows * eps * mean |x| per class
+    @settings(max_examples=100, deadline=None)
+    @given(**_FIT_SETS)
+    def test_centroid_fit_at_dim_one_is_within_rounding(self, n, m, rate, repeats, seed):
+        ds = _random_fit_set(n, 1, m, rate, repeats, seed)
+        got = _fit_or_error(lambda d: lb.fit_directions(d, "centroid"), ds)
+        want = _fit_or_error(_split_centroids, ds)
+        if isinstance(want, str):
+            assert got == want
+            return
+        eps = np.finfo(np.float64).eps
+        for j, (u, v) in enumerate(zip(got, want)):
+            pos, neg = lb.split_by_attribute(ds, j)
+            bound = eps * sum(c.n * np.abs(c.codes).mean() for c in (pos, neg))
+            assert np.abs(u.vector - v.vector).max() <= 1e-15
+            assert abs(u.meta["raw_norm"] - v.meta["raw_norm"]) <= bound
+            assert (u.meta["n_pos"], u.meta["n_neg"]) == (v.meta["n_pos"], v.meta["n_neg"])
+
+    def test_svm_fit_uses_the_split_classes(self, dataset20k):
+        ds = dataset20k.select(np.arange(300))
+        got = lb.fit_directions(ds, "svm", c=1e-2, max_iter=50)
+        for j, u in enumerate(got):
+            pos, neg = lb.split_by_attribute(ds, j)
+            v = lb.svm_direction(pos.codes, neg.codes, j, c=1e-2, max_iter=50)
+            assert u.vector.tobytes() == v.vector.tobytes() and u.meta == v.meta
+
+    def test_unknown_method_rejected(self, dataset20k):
+        with pytest.raises(ValueError, match="unknown fit method 'lda'"):
+            lb.fit_directions(dataset20k.select(np.arange(10)), "lda")
 
 
 class TestExports:
