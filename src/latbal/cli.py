@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -74,6 +75,16 @@ def _default(value, default):
     return default if value is None else value
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expects a finite number, got {text!r}")
+    return value
+
+
 def _check_counts(**counts: int):
     for name, value in counts.items():
         if value < 1:
@@ -112,7 +123,8 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--mode", choices=("balanced", "uniform"), default="balanced")
     p.add_argument("--n0", type=int, default=1000)
-    p.add_argument("--policy", choices=POLICIES, default="skip")
+    p.add_argument("--policy", choices=POLICIES, default=None,
+                   help="--mode balanced only; exhausted-cell policy (default skip)")
     p.add_argument("--out", required=True, help="output path base (.csv + .json)")
     _add_seed(p)
 
@@ -138,14 +150,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("edit", help="translate all codes along a direction")
     p.add_argument("--data", required=True)
     p.add_argument("--direction", required=True)
-    p.add_argument("--alpha", type=float, default=0.2)
+    p.add_argument("--alpha", type=_finite, default=0.2)
     p.add_argument("--out", required=True, help="output dataset path base")
 
     p = sub.add_parser("eval",
                        help="re-score directions against an oracle world")
     p.add_argument("--world", required=True)
     p.add_argument("--directions", nargs="+", required=True)
-    p.add_argument("--alpha", type=float, default=0.2)
+    p.add_argument("--alpha", type=_finite, default=0.2)
     p.add_argument("--n", type=int, default=2000, help="evaluation codes")
     p.add_argument("--out", required=True, help="output path base (.csv + .json)")
     _add_seed(p)
@@ -166,7 +178,7 @@ def build_parser() -> _Parser:
     p.add_argument("--c", type=float, default=None,
                    help="--sizes only; SVM C (default 1.0)")
     p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=0.2)
+    p.add_argument("--alpha", type=_finite, default=0.2)
     p.add_argument("--n-eval", type=int, default=2000)
     p.add_argument("--out", required=True, help="output CSV path")
     _add_seed(p)
@@ -181,44 +193,11 @@ def build_parser() -> _Parser:
 
 def _cmd_synth(args) -> int:
     seed = _resolve_seed(args)
-    custom = any(v is not None for v in
-                 (args.dim, args.names, args.rates, args.corr, args.sharpness))
-    if not custom:
-        world = default_world(seed=seed)
-    else:
-        names = None if args.names is None else tuple(_parse_grid(
-            "--names", args.names, str, lambda v: v.strip() != "",
-            "comma-separated non-blank names"))
-        rates = None if args.rates is None else _parse_grid(
-            "--rates", args.rates, float, lambda r: 0 < r < 1,
-            "comma-separated numbers in (0, 1)")
-        if names and rates and len(rates) != len(names):
-            raise _UsageError(f"--rates has {len(rates)} values for {len(names)} --names")
-        m = len(names) if names else (len(rates) if rates else 4)
-        if names is None:
-            names = tuple(f"attr{k}" for k in range(m))
-        if rates is None:
-            rates = [0.5] * m
-        dim = _default(args.dim, 64)
-        if dim < m:
-            raise _UsageError(f"--dim must be >= the number of attributes ({m}), got {dim}")
-        sharpness = _default(args.sharpness, 1.0)
-        if not (np.isfinite(sharpness) and sharpness > 0):
-            raise _UsageError(f"--sharpness must be a finite number > 0, got {sharpness}")
-        gram = np.eye(m)
-        for spec in args.corr or []:
-            try:
-                i_text, j_text, rho_text = spec.split(",")
-                i, j, rho = int(i_text), int(j_text), float(rho_text)
-            except ValueError:
-                raise _UsageError(f"--corr expects I,J,RHO, got {spec!r}") from None
-            if not (0 <= i < m and 0 <= j < m and i != j):
-                raise _UsageError(f"--corr needs two distinct indices in 0..{m - 1}, "
-                                  f"got {spec!r}")
-            gram[i, j] = gram[j, i] = rho
-        world = make_world(dim=dim, m=m, gram=gram, positive_rates=rates,
-                           sharpness=sharpness, seed=seed, names=names)
-    dataset = sample_world(world, args.n, seed=seed)
+    try:  # synth reads no file, so every value its world rejects is a bad flag
+        world = _synth_world(args, seed)
+        dataset = sample_world(world, args.n, seed=seed)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     write_dataset(dataset, args.out)
     save_world(world, args.world_out or args.out + ".world.json")
     print(f"wrote {args.out}.latd ({dataset.n} codes, dim {dataset.dim}, "
@@ -226,17 +205,51 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _synth_world(args, seed: int):
+    """The default world, or the one the custom-world flags describe."""
+    custom = any(v is not None for v in
+                 (args.dim, args.names, args.rates, args.corr, args.sharpness))
+    if not custom:
+        return default_world(seed=seed)
+    names = None if args.names is None else tuple(_parse_grid(
+        "--names", args.names, str, lambda v: v.strip() != "",
+        "comma-separated non-blank names"))
+    rates = None if args.rates is None else _parse_grid(
+        "--rates", args.rates, float, lambda r: 0 < r < 1,
+        "comma-separated numbers in (0, 1)")
+    if names and rates and len(rates) != len(names):
+        raise _UsageError(f"--rates has {len(rates)} values for {len(names)} --names")
+    m = len(names) if names else (len(rates) if rates else 4)
+    if names is None:
+        names = tuple(f"attr{k}" for k in range(m))
+    if rates is None:
+        rates = [0.5] * m
+    dim = _default(args.dim, 64)
+    if dim < m:
+        raise _UsageError(f"--dim must be >= the number of attributes ({m}), got {dim}")
+    sharpness = _default(args.sharpness, 1.0)
+    if not (np.isfinite(sharpness) and sharpness > 0):
+        raise _UsageError(f"--sharpness must be a finite number > 0, got {sharpness}")
+    gram = np.eye(m)
+    for spec in args.corr or []:
+        try:
+            i_text, j_text, rho_text = spec.split(",")
+            i, j, rho = int(i_text), int(j_text), float(rho_text)
+        except ValueError:
+            raise _UsageError(f"--corr expects I,J,RHO, got {spec!r}") from None
+        if not (0 <= i < m and 0 <= j < m and i != j):
+            raise _UsageError(f"--corr needs two distinct indices in 0..{m - 1}, "
+                              f"got {spec!r}")
+        gram[i, j] = gram[j, i] = rho
+    return make_world(dim=dim, m=m, gram=gram, positive_rates=rates,
+                      sharpness=sharpness, seed=seed, names=names)
+
+
 def _cmd_contingency(args) -> int:
     dataset = read_dataset(args.data)
     table = build_contingency(dataset)
     write_contingency_csv(table, args.out)
-    stats = imbalance_stats(table)
-    payload = {
-        "min_cell": stats.min_cell, "max_cell": stats.max_cell,
-        "nonempty_cells": stats.nonempty_cells,
-        "max_min_ratio": stats.max_min_ratio,
-        "chi_square_vs_uniform": stats.chi_square_vs_uniform,
-    }
+    payload = dataclasses.asdict(imbalance_stats(table))
     if args.stats:
         atomic_write_text(args.stats, json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload))
@@ -246,13 +259,15 @@ def _cmd_contingency(args) -> int:
 def _cmd_sample(args) -> int:
     seed = _resolve_seed(args)
     _check_counts(n0=args.n0)
+    if args.mode == "uniform" and args.policy is not None:
+        raise _UsageError("--policy does not apply to --mode uniform")
     dataset = read_dataset(args.data)
     if args.mode == "uniform":
         result = uniform_subsample(dataset, args.n0, seed)
     else:
         table = build_contingency(dataset)
-        result = balanced_subsample(dataset, table,
-                                    SamplePlan(n0=args.n0, policy=args.policy, seed=seed))
+        plan = SamplePlan(n0=args.n0, policy=_default(args.policy, "skip"), seed=seed)
+        result = balanced_subsample(dataset, table, plan)
     write_subsample(result, args.out)
     print(f"wrote {args.out}.csv ({result.size} draws, "
           f"{result.skipped_iterations} skipped)")
@@ -262,7 +277,12 @@ def _cmd_sample(args) -> int:
 def _cmd_fit(args) -> int:
     dataset = read_dataset(args.data)
     if args.subsample:
-        dataset = dataset.select(read_subsample_indices(args.subsample))
+        indices = read_subsample_indices(args.subsample)
+        bad = np.flatnonzero((indices < 0) | (indices >= dataset.n))
+        if bad.size:  # the header is line 1, row k is line k + 2
+            raise ValueError(f"{args.subsample}:{bad[0] + 2}: row index {indices[bad[0]]} "
+                             f"is outside 0..{dataset.n - 1}")
+        dataset = dataset.select(indices)
     dirs = fit_directions(dataset, args.method, c=args.c, tol=args.tol,
                           max_iter=args.max_iter)
     for direction in dirs:
@@ -290,8 +310,8 @@ def _cmd_edit(args) -> int:
     dataset = read_dataset(args.data)
     direction = load_direction(args.direction)
     edited = edit_latent(dataset.codes, direction, args.alpha)
-    out = LatentDataset(dim=dataset.dim, codes=edited, labels=dataset.labels,
-                        schema=dataset.schema, confidences=dataset.confidences)
+    out = LatentDataset(codes=edited, labels=dataset.labels, schema=dataset.schema,
+                        confidences=dataset.confidences)
     write_dataset(out, args.out)
     print(f"wrote {args.out}.latd")
     return 0
@@ -299,6 +319,7 @@ def _cmd_edit(args) -> int:
 
 def _cmd_eval(args) -> int:
     seed = _resolve_seed(args)
+    _check_counts(n=args.n)
     world = load_world(args.world)
     dirs = [load_direction(p) for p in args.directions]
     latents = _eval_latents(world.dim, args.n, seed, 0)

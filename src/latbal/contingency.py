@@ -7,7 +7,6 @@ dataset row order, so table construction is deterministic.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,10 +24,6 @@ class ContingencyTable:
     @property
     def n_cells(self) -> int:
         return 1 << self.m
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass
@@ -87,16 +82,3 @@ def write_contingency_csv(table: ContingencyTable, path: str) -> None:
     for c in range(table.n_cells):
         lines.append(f"{c},{bits_string(c, table.m)},{int(table.counts[c])}")
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_contingency_csv(path: str) -> tuple[np.ndarray, int]:
-    """Counts array and m from an exported table."""
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    if not rows:
-        raise ValueError(f"{path}: empty contingency CSV")
-    m = len(rows[0]["bits"])
-    counts = np.zeros(1 << m, dtype=np.int64)
-    for row in rows:
-        counts[int(row["cell_index"])] = int(row["count"])
-    return counts, m

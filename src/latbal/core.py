@@ -39,9 +39,6 @@ class AttributeSchema:
     def m(self) -> int:
         return len(self.names)
 
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
 
 def decode_index(index: int, m: int) -> tuple[int, ...]:
     """Bits of cell index for m attributes; attribute 0 is the least significant bit."""
@@ -54,7 +51,6 @@ def decode_index(index: int, m: int) -> tuple[int, ...]:
 class LatentDataset:
     """N latent codes with per-code binary labels and optional confidences."""
 
-    dim: int
     codes: np.ndarray
     labels: np.ndarray
     schema: AttributeSchema
@@ -74,6 +70,10 @@ class LatentDataset:
         return self.codes.shape[0]
 
     @property
+    def dim(self) -> int:
+        return self.codes.shape[1]
+
+    @property
     def m(self) -> int:
         return self.schema.m
 
@@ -81,7 +81,6 @@ class LatentDataset:
         """New dataset holding the given rows, in the given order (repeats allowed)."""
         idx = np.asarray(indices, dtype=np.int64)
         return LatentDataset(
-            dim=self.dim,
             codes=self.codes[idx],
             labels=self.labels[idx],
             schema=self.schema,
@@ -113,29 +112,18 @@ class SemanticDirection:
         return self.vector.shape[0]
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_dataset(dataset: LatentDataset) -> ValidationReport:
-    """Check every dataset invariant; returns a report instead of raising."""
+def validate_dataset(dataset: LatentDataset) -> list[str]:
+    """Check every dataset invariant; returns the violations instead of raising."""
     v: list[str] = []
     codes, labels, conf = dataset.codes, dataset.labels, dataset.confidences
     m = dataset.m
 
     if codes.ndim != 2:
         v.append(f"codes must be 2-d, got ndim={codes.ndim}")
-        return ValidationReport(v)
+        return v
     n = codes.shape[0]
     if dataset.dim <= 0:
         v.append(f"dim must be positive, got {dataset.dim}")
-    if codes.shape[1] != dataset.dim:
-        v.append(f"codes have width {codes.shape[1]}, declared dim {dataset.dim}")
 
     finite = np.isfinite(codes).all(axis=1) if codes.size else np.ones(n, dtype=bool)
     for row in np.flatnonzero(~finite):
@@ -158,7 +146,7 @@ def validate_dataset(dataset: LatentDataset) -> ValidationReport:
             for row in np.flatnonzero(~ok_rows):
                 v.append(f"confidences row {row}: value outside [0, 1]")
 
-    return ValidationReport(v)
+    return v
 
 
 def split_by_attribute(dataset: LatentDataset, j: int) -> tuple[LatentDataset, LatentDataset]:

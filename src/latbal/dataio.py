@@ -215,9 +215,9 @@ def read_dataset(path_base: str) -> LatentDataset:
             confidences = np.fromfile(f, dtype="<f8", count=count * schema.m)
             confidences = confidences.reshape(count, schema.m)
 
-    dataset = LatentDataset(dim=dim, codes=codes, labels=labels,
-                            schema=schema, confidences=confidences)
-    report = validate_dataset(dataset)
-    if not report.ok:
-        raise LatdFormatError(f"{path_base}: invalid dataset: " + "; ".join(report.violations[:5]))
+    dataset = LatentDataset(codes=codes, labels=labels, schema=schema,
+                            confidences=confidences)
+    violations = validate_dataset(dataset)
+    if violations:
+        raise LatdFormatError(f"{path_base}: invalid dataset: " + "; ".join(violations[:5]))
     return dataset

@@ -80,7 +80,7 @@ def svm_direction(pos, neg, j: int, c: float = 1.0, tol: float = 1e-6,
     )
 
 
-def orthonormal_basis(vectors: np.ndarray, drop_tol: float = 1e-12) -> np.ndarray:
+def orthonormal_basis(vectors: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt with re-orthogonalization; drops dependent rows."""
     basis: list[np.ndarray] = []
     for v in _as_matrix(vectors):
@@ -89,7 +89,7 @@ def orthonormal_basis(vectors: np.ndarray, drop_tol: float = 1e-12) -> np.ndarra
             for b in basis:
                 u -= (u @ b) * b
         norm = float(np.linalg.norm(u))
-        if norm > drop_tol * max(1.0, float(np.linalg.norm(v))):
+        if norm > 1e-12 * max(1.0, float(np.linalg.norm(v))):
             basis.append(u / norm)
     return np.array(basis) if basis else np.empty((0, vectors.shape[1]))
 

@@ -2,7 +2,7 @@
 
 rescore measures, per direction, the mean change in each attribute's score
 after pushing evaluation codes a step alpha along the direction.  The sign
-convention is edited-minus-original (recorded on the matrix), so a direction
+convention is edited-minus-original (recorded in the JSON), so a direction
 that works shows a positive diagonal.  effect is the diagonal entry;
 overall_entanglement averages |delta| over the non-target attributes.
 
@@ -19,8 +19,10 @@ fits on the subsample seeded derive_seed(seed, _STREAM_FIT, *key, run);
 consecutive points with the same policy, n0 and fit seed share one draw.
 The size sweep keys each point by its grid position (si, mi, pi); the C
 sweep keys every point, centroid reference included, by (), so within a run
-all of them fit on one subsample.  Rows hold effect/entanglement means and
-standard deviations across runs, or NaN and the point's first error.
+all of them fit on one subsample.  Every SVM fit of a sweep stops at a
+duality gap of _SWEEP_SVM_TOL or after _SWEEP_SVM_MAX_ITER Newton steps.
+Rows hold effect/entanglement means and standard deviations across runs, or
+NaN and the point's first error.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .sampler import SamplePlan, balanced_subsample, uniform_subsample
 
 _STREAM_EVAL = 31
 _STREAM_FIT = 32
+_SWEEP_SVM_TOL, _SWEEP_SVM_MAX_ITER = 1e-4, 300
 
 RESCORE_CONVENTION = "edited_minus_original"
 
@@ -56,9 +59,7 @@ class RescoreMatrix:
     values: np.ndarray                 # rows: applied direction, cols: measured attribute
     alpha: float
     n: int
-    convention: str = RESCORE_CONVENTION
     direction_attributes: tuple[int, ...] = ()
-    names: tuple[str, ...] = ()
 
     @property
     def m(self) -> int:
@@ -81,7 +82,6 @@ class SweepRow:
 
 @dataclass
 class SweepReport:
-    kind: str                          # "sample_size" or "regularization"
     rows: list[SweepRow] = field(default_factory=list)
 
 
@@ -166,9 +166,8 @@ def _subsample(dataset, table, policy: str, n0: int, seed: int):
     return balanced_subsample(dataset, table, SamplePlan(n0=n0, policy=policy, seed=seed))
 
 
-def _sweep(kind: str, dataset: LatentDataset, scorer: Scorer, points: list[tuple],
-           runs: int, alpha: float, n_eval: int, svm_tol: float, svm_max_iter: int,
-           seed: int) -> SweepReport:
+def _sweep(dataset: LatentDataset, scorer: Scorer, points: list[tuple], runs: int,
+           alpha: float, n_eval: int, seed: int) -> SweepReport:
     """Refit and re-score every grid point in every run (see the module docstring).
 
     A point's first ValueError or IndexError ends it and becomes its NaN rows.
@@ -191,15 +190,15 @@ def _sweep(kind: str, dataset: LatentDataset, scorer: Scorer, points: list[tuple
                 if sub_key != fit_key:
                     sub = _subsample(dataset, table, *sub_key)
                     fit_key, fit_set = sub_key, dataset.select(sub.indices)
-                dirs = fit_directions(fit_set, method, c=c, tol=svm_tol,
-                                      max_iter=svm_max_iter)
+                dirs = fit_directions(fit_set, method, c=c, tol=_SWEEP_SVM_TOL,
+                                      max_iter=_SWEEP_SVM_MAX_ITER)
                 matrix = rescore(scorer, dirs, latents, alpha)
                 results[p].append([[effect(matrix, j) for j in js],
                                    [overall_entanglement(matrix, j) for j in js]])
             except (ValueError, IndexError) as exc:
                 errors[p] = f"run {run}: {exc}"
 
-    report = SweepReport(kind=kind)
+    report = SweepReport()
     nan = float("nan")
     for (parameter, method, policy, *_), err, per_run in zip(points, errors, results):
         if err is not None:
@@ -218,8 +217,7 @@ def sweep_sample_size(dataset: LatentDataset, scorer: Scorer, sizes: Sequence[in
                       methods: Sequence[str] = ("centroid",),
                       policies: Sequence[str] = ("skip",),
                       runs: int = 5, alpha: float = 0.2, n_eval: int = 2000,
-                      c: float = 1.0, svm_tol: float = 1e-4,
-                      svm_max_iter: int = 300, seed: int = 0) -> SweepReport:
+                      c: float = 1.0, seed: int = 0) -> SweepReport:
     """Refit and re-score across subsample sizes, methods, and sampling policies."""
     if not sizes:
         raise ValueError("sizes must be non-empty")
@@ -227,16 +225,14 @@ def sweep_sample_size(dataset: LatentDataset, scorer: Scorer, sizes: Sequence[in
               for si, n0 in enumerate(sizes)
               for mi, method in enumerate(methods)
               for pi, policy in enumerate(policies)]
-    return _sweep("sample_size", dataset, scorer, points, runs, alpha, n_eval,
-                  svm_tol, svm_max_iter, seed)
+    return _sweep(dataset, scorer, points, runs, alpha, n_eval, seed)
 
 
 def sweep_regularization(dataset: LatentDataset, scorer: Scorer,
-                         c_values: Sequence[float], n0: int = 1000,
-                         policy: str = "skip", runs: int = 5, alpha: float = 0.2,
-                         n_eval: int = 2000, svm_tol: float = 1e-4,
-                         svm_max_iter: int = 300, seed: int = 0) -> SweepReport:
-    """SVM directions across a C grid on balanced subsamples, plus centroid rows.
+                         c_values: Sequence[float], n0: int = 1000, runs: int = 5,
+                         alpha: float = 0.2, n_eval: int = 2000,
+                         seed: int = 0) -> SweepReport:
+    """SVM directions across a C grid on balanced skip subsamples, plus centroid rows.
 
     Within a run the same balanced subsample feeds every C value and the
     centroid reference, so differences along the grid are attributable to C.
@@ -245,16 +241,14 @@ def sweep_regularization(dataset: LatentDataset, scorer: Scorer,
         raise ValueError("c_values must be non-empty")
     if any(c <= 0 for c in c_values):
         raise ValueError("c_values must be positive")
-    points = [(float(c), "svm", policy, n0, c, ()) for c in c_values]
-    points.append((None, "centroid", policy, n0, 1.0, ()))
-    return _sweep("regularization", dataset, scorer, points, runs, alpha, n_eval,
-                  svm_tol, svm_max_iter, seed)
+    points = [(float(c), "svm", "skip", n0, c, ()) for c in c_values]
+    points.append((None, "centroid", "skip", n0, 1.0, ()))
+    return _sweep(dataset, scorer, points, runs, alpha, n_eval, seed)
 
 
-def rescore_to_csv(matrix: RescoreMatrix, names: Sequence[str] | None = None) -> str:
+def rescore_to_csv(matrix: RescoreMatrix, names: Sequence[str]) -> str:
     """Long format: direction,attribute,value."""
     m = matrix.m
-    names = list(names) if names else [f"attr{k}" for k in range(m)]
     rows = [("direction", "attribute", "value")]
     for row, j in enumerate(matrix.direction_attributes or range(matrix.values.shape[0])):
         dir_name = names[j] if 0 <= j < m else str(j)
@@ -263,14 +257,12 @@ def rescore_to_csv(matrix: RescoreMatrix, names: Sequence[str] | None = None) ->
     return csv_text(rows)
 
 
-def rescore_to_dict(matrix: RescoreMatrix, names: Sequence[str] | None = None) -> dict:
-    m = matrix.m
-    names = list(names) if names else [f"attr{k}" for k in range(m)]
+def rescore_to_dict(matrix: RescoreMatrix, names: Sequence[str]) -> dict:
     return {
         "alpha": matrix.alpha,
         "n": matrix.n,
-        "convention": matrix.convention,
-        "attributes": names,
+        "convention": RESCORE_CONVENTION,
+        "attributes": list(names),
         "direction_attributes": list(matrix.direction_attributes),
         "values": [[float(x) for x in row] for row in matrix.values],
     }
@@ -290,7 +282,7 @@ def sweep_to_csv(report: SweepReport) -> str:
 
 
 def save_rescore(matrix: RescoreMatrix, path_base: str,
-                 names: Sequence[str] | None = None) -> tuple[str, str]:
+                 names: Sequence[str]) -> tuple[str, str]:
     from .dataio import atomic_write_text
 
     csv_path, json_path = path_base + ".csv", path_base + ".json"

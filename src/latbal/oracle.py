@@ -129,8 +129,8 @@ def sample_world(world: LinearAttributeWorld, n: int, seed: int) -> LatentDatase
     margins = codes @ world.vectors.T - world.biases
     labels = (margins > 0).astype(np.uint8)
     confidences = np.abs(2.0 * _sigmoid(world.sharpness * margins) - 1.0)
-    return LatentDataset(dim=world.dim, codes=codes, labels=labels,
-                         schema=world.schema, confidences=confidences)
+    return LatentDataset(codes=codes, labels=labels, schema=world.schema,
+                         confidences=confidences)
 
 
 def default_world(seed: int = 0) -> LinearAttributeWorld:

@@ -128,14 +128,14 @@ def uniforms(seed: int, n: int, start: int = 0) -> np.ndarray:
     return (bits.astype(np.float64) + 0.5) * 2.0**-53
 
 
-def normals(seed: int, n: int, start: int = 0) -> np.ndarray:
+def normals(seed: int, n: int) -> np.ndarray:
     """n standard normal variates via inverse-CDF of the uniform stream."""
     out = np.empty(n, dtype=np.float64)
     # every step is elementwise, so blocks give the same bits as one call
     # while their temporaries stay small
     for a in range(0, n, _NORMALS_BLOCK):
         k = min(_NORMALS_BLOCK, n - a)
-        out[a:a + k] = _acklam_ppf(uniforms(seed, k, start + a))
+        out[a:a + k] = _acklam_ppf(uniforms(seed, k, a))
     return out
 
 

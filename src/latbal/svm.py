@@ -46,9 +46,6 @@ class SvmModel:
     dual_history: list[float] = field(default_factory=list)       # dual per certificate
     smoothed_history: list[list[float]] = field(default_factory=list)  # per stage and step
 
-    def decision(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64) @ self.weights + self.bias
-
 
 def canonical_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Content-based example order: by coordinates, label as tie-break."""

@@ -24,5 +24,5 @@ def tiny_dataset(labels, dim=2, confidences=None, names=None):
     labels = np.asarray(labels, dtype=np.uint8)
     m = labels.shape[1]
     schema = lb.AttributeSchema(tuple(names) if names else tuple(f"a{k}" for k in range(m)))
-    return lb.LatentDataset(dim=dim, codes=np.zeros((labels.shape[0], dim)),
-                            labels=labels, schema=schema, confidences=confidences)
+    return lb.LatentDataset(codes=np.zeros((labels.shape[0], dim)), labels=labels,
+                            schema=schema, confidences=confidences)

@@ -193,8 +193,7 @@ def test_criterion_08_regularization_trend(world42, dataset100k):
     t0 = time.time()
     grid = [1e-6, 1e-4, 1e-2, 1.0]
     report = lb.sweep_regularization(dataset100k, world42.score, c_values=grid,
-                                     n0=1000, runs=5, n_eval=2000,
-                                     svm_tol=1e-4, svm_max_iter=300, seed=42)
+                                     n0=1000, runs=5, n_eval=2000, seed=42)
     rows = {(r.method, r.parameter, r.attribute): r for r in report.rows}
     names = dataset100k.schema.names
 

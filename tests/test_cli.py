@@ -1,9 +1,6 @@
 import csv
 import hashlib
 import json
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,47 +187,80 @@ def test_readme_first_step_creates_the_data_directory(tmp_path, monkeypatch):
         "demo.labels.csv", "demo.latd", "demo.world.json"]
 
 
-# sha256 of the README walkthrough's CSVs (at 20k codes and a shorter sweep),
-# recorded before the CSV writers moved to csv.writer: plain names must keep
-# every byte
-WALKTHROUGH_CSV_SHA256 = {
+# sha256 of every file the README walkthrough writes (at 20k codes and a
+# shorter sweep).  The CSV digests were recorded before the CSV writers moved
+# to csv.writer, the others before the unused knobs and fields were deleted
+# from src/: plain names must keep every byte
+WALKTHROUGH_SHA256 = {
+    "demo.latd": "691727dd62499dd0ee51f52bef500a611eeec88345eedf412f73e41fe436d870",
+    "demo.labels.csv": "beb7f045a867d296b358ee88a2a102a6b88208a3f97a86f3fd75e807cced8273",
+    "demo.world.json": "4bc36b0f5bf9117db4065e5fe6caaab9a178df93bdae85f3593918a466c825bf",
     "table.csv": "c43e34e56f742005463e5523fbad91892e9edf54bc18874e5d16d18897826b41",
+    "stats.json": "118b562111b8f7a0d0076b2d1843b305f5784520a81ba601e2784d472db209f3",
     "bal.csv": "4c0be95a3e9c7fd9a65500f8e3cad8c1666623a78d72e61fb86f62f27c09f445",
+    "bal.json": "2b587ae8ac464341afb1a3a2229046129aca5cfd6ce3c3531f11604f4c710254",
     "uni.csv": "95e38fd77e345a8f434d201f2fe76586da57fdf0934446292970f5f4c0594ace",
+    "uni.json": "d36bd5c5f51d348ae461ed2f52b421ff2a0f13d983942abcfe6a7a58637624fd",
+    "dirs/attr0.json": "01acd6bfec22987d553300142292f9a360ab6a48de94a2de3abced2691072d0a",
+    "dirs/attr1.json": "45df4774aad035827f6e8d8980bda8031ba447050a929d8bc7445846ca790714",
+    "dirs/attr2.json": "b2f4b16b416275b49afeaff2a41808cec4dc8b524cdaee31cfec13d1990c590e",
+    "dirs/attr3.json": "1f356e3d70b0be55404abbc2c96e105065f0409f265573d35c5b55c78696c74c",
     "rescore.csv": "77487fb573aa922e6be4e854fb9afc453e4fcf555ba1e0f0923e2f5eaae7c9a3",
+    "rescore.json": "5ab433c6ac9b27dd2a37bca48823d2231ad44bf6ac86e97e50a41b915fdf5c03",
+    "attr0_conditional.json":
+        "7923feab61b01fb819189c955e1a42d4b53062d7ce195b603ff167164b59ce67",
+    "edited.latd": "809dfbec8723d073cabc6e61bd91c046ec7d4023bcea84750cd4ed6a420a7a5e",
+    "edited.labels.csv": "beb7f045a867d296b358ee88a2a102a6b88208a3f97a86f3fd75e807cced8273",
     "sizes.csv": "b771470d270da24a84f6b4da15b6c8dee55c852074fdaf26e127a5fc1b93984e",
+    "cs.csv": "a861f13224c6c083a128378c5cd6675d0b632eaf0f9b4223676021406ed6b3c2",
     "all.csv": "085fc8b9697b4e008b74241bbe73dbbacd472cf3479bcbafd5a61a9facf7aa00",
+    "all.json": "1edbd92b58c43715c76c2cbc8777ac7323ea06fbd7d7a0eae969d751beeb073c",
 }
 
 
 def test_walkthrough_csvs_keep_their_bytes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "data").mkdir()
-    dirs = [f"data/dirs/attr{k}.json" for k in range(4)]
+    dirs = " ".join(f"data/dirs/attr{k}.json" for k in range(4))
     for line in [
         "synth --out data/demo --n 20000 --seed 42",
-        "contingency --data data/demo --out data/table.csv",
+        "contingency --data data/demo --out data/table.csv --stats data/stats.json",
         "sample --data data/demo --mode balanced --n0 1000 --policy skip --seed 42 "
         "--out data/bal",
         "sample --data data/demo --mode uniform --n0 1000 --seed 42 --out data/uni",
         "fit --data data/demo --subsample data/bal.csv --method centroid "
         "--out-dir data/dirs --seed 42",
-        "eval --world data/demo.world.json --directions " + " ".join(dirs)
-        + " --alpha 0.2 --n 2000 --seed 7 --out data/rescore",
+        f"eval --world data/demo.world.json --directions {dirs} "
+        "--alpha 0.2 --n 2000 --seed 7 --out data/rescore",
+        "project --target data/dirs/attr0.json --others " + dirs.split(" ", 1)[1]
+        + " --out data/attr0_conditional.json",
+        "edit --data data/demo --direction data/dirs/attr0.json --alpha 0.2 "
+        "--out data/edited",
         "sweep --data data/demo --world data/demo.world.json --sizes 100,300,1000 "
         "--runs 2 --n-eval 500 --seed 42 --out data/sizes.csv",
+        "sweep --data data/demo --world data/demo.world.json --c-grid 1e-6,1e-4,1e-2,1 "
+        "--n0 1000 --runs 2 --n-eval 500 --seed 42 --out data/cs.csv",
         "report --inputs data/sizes.csv data/sizes.csv --out data/all.csv",
+        "report --inputs data/sizes.csv data/cs.csv --out data/all.json --format json",
     ]:
         assert run(*line.split()) == 0, line
-    for name, digest in WALKTHROUGH_CSV_SHA256.items():
-        assert hashlib.sha256((tmp_path / "data" / name).read_bytes()).hexdigest() == digest
+    written = sorted(str(p.relative_to(tmp_path / "data"))
+                     for p in (tmp_path / "data").rglob("*") if p.is_file())
+    assert written == sorted(WALKTHROUGH_SHA256)
+    for name, digest in WALKTHROUGH_SHA256.items():
+        assert hashlib.sha256((tmp_path / "data" / name).read_bytes()).hexdigest() == digest, \
+            name
 
 
-# sha256 of an SVM-bearing size sweep over every policy and of a C sweep on the
-# 20k-code walkthrough dataset, recorded before the two sweeps shared one engine
+# sha256 of an SVM-bearing size sweep over every policy and of two C sweeps on the
+# 20k-code walkthrough dataset, recorded before the two sweeps shared one engine;
+# the 1e-2,1 sweep changes when the sweep's SVM stop rule (duality gap 1e-4,
+# 300 Newton steps) does
 SWEEP_CSV_SHA256 = {
     "--c-grid 1e-4,1 --n0 500":
         "e0754ff1891b71cc8e33622ffe0a7357b224f4f5145d1378c7987f22303f70ce",
+    "--c-grid 1e-2,1 --n0 1000":
+        "ba30d37f0ee95f93f4772a20cc324ea80ffee3735519e9c51b9055330f8a5eed",
     "--sizes 100,1000 --methods centroid,svm --policies skip,oversample,uniform":
         "45ddc5332d9d24ec62dacaeb64608b0561bcd7b6db249715ef705332d5426e06",
 }
@@ -246,12 +276,24 @@ def test_sweep_csvs_keep_their_bytes(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, grid
 
 
-def test_demo_balance_script_runs():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "demo_balance.py"
-    proc = subprocess.run([sys.executable, str(script), "--n", "20000", "--n0", "200"],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("max/min ratio") == 3
+# sha256 of the SVM directions that `latbal fit` writes at its defaults (gap
+# 1e-6, 1000 Newton steps) on the walkthrough's balanced subsample
+SVM_FIT_SHA256 = [
+    "d1e065c0d12ae7db5e2b0ac26e24f33c54158dcede17d3816201679b90b534b4",
+    "319790a37ed687d15bf27e29fe12266a1719ed0f8f889f21149c56589ef2332d",
+    "f5277f70469c546111f9eb6fa8a077a653f140a81e5c5afbe990e046bee21c91",
+    "6252aaa7eda43e072e6276afda9332b5fd91ffaeb7e103b0796f7b259798d4f6",
+]
+
+
+def test_svm_fit_keeps_its_bytes(tmp_path):
+    base, bal, out = str(tmp_path / "demo"), str(tmp_path / "bal"), tmp_path / "dirs"
+    assert run("synth", "--out", base, "--n", "20000", "--seed", "42") == 0
+    assert run("sample", "--data", base, "--n0", "1000", "--seed", "42", "--out", bal) == 0
+    assert run("fit", "--data", base, "--subsample", bal + ".csv", "--method", "svm",
+               "--out-dir", str(out)) == 0
+    assert [hashlib.sha256((out / f"attr{k}.json").read_bytes()).hexdigest()
+            for k in range(4)] == SVM_FIT_SHA256
 
 
 def test_csv_outputs_quote_names_that_need_it(tmp_path):
@@ -358,8 +400,13 @@ class TestExitCodes:
         (["--sharpness", "-1"], "--sharpness"),
         (["--sharpness", "0"], "--sharpness"),
         (["--sharpness", "nan"], "--sharpness"),
+        (["--names", "a,a"], "unique"),
+        (["--names", ",".join(f"a{k}" for k in range(21))], "got 21"),
+        (["--corr", "0,1,2.0"], "positive semi-definite"),
+        (["--n", "-1"], "got -1"),
     ], ids=["names-blank-entry", "names-empty", "rates-empty", "rates-blank-entry",
-            "dim-zero", "dim-below-m", "sharpness-negative", "sharpness-zero", "sharpness-nan"])
+            "dim-zero", "dim-below-m", "sharpness-negative", "sharpness-zero", "sharpness-nan",
+            "names-repeated", "names-21", "corr-not-psd", "n-negative"])
     def test_bad_synth_flag_is_usage_error(self, tmp_path, capsys, flags, named):
         code = run("synth", "--out", str(tmp_path / "w"), "--n", "100", *flags, "--seed", "1")
         assert code == 1
@@ -419,3 +466,42 @@ class TestExitCodes:
         assert code == 1
         assert "--n0" in capsys.readouterr().err
         assert not (tmp_path / "sub.csv").exists()
+
+    @pytest.mark.parametrize("rows,named", [
+        (["0,-400"], ":2: row index -400"),
+        (["0,5", "1,4000"], ":3: row index 4000"),
+        (["0,5", "1 7"], ":3: expected POSITION,ROW_INDEX, got '1 7'"),
+        (["0,5", "1,x"], ":3: expected POSITION,ROW_INDEX, got '1,x'"),
+    ], ids=["negative", "past-the-end", "no-comma", "not-an-integer"])
+    def test_bad_subsample_row_is_data_error(self, tmp_path, synth_base, capsys, rows, named):
+        sub = tmp_path / "sub.csv"
+        sub.write_text("\n".join(["position,row_index"] + rows) + "\n")
+        code = run("fit", "--data", synth_base, "--subsample", str(sub),
+                   "--out-dir", str(tmp_path / "dirs"))
+        assert code == 2
+        assert f"{sub}{named}" in capsys.readouterr().err
+        assert not (tmp_path / "dirs").exists()
+
+    # checked before any data is read: the input paths do not even exist
+    @pytest.mark.parametrize("argv,named", [
+        (["edit", "--data", "nope", "--direction", "nope.json", "--alpha", "nan"],
+         "--alpha: expects a finite number, got 'nan'"),
+        (["eval", "--world", "nope.json", "--directions", "nope.json", "--alpha", "inf",
+          "--seed", "1"], "--alpha: expects a finite number, got 'inf'"),
+        (["sweep", "--data", "nope", "--world", "nope.json", "--sizes", "100",
+          "--alpha", "nan", "--seed", "1"], "--alpha: expects a finite number, got 'nan'"),
+        (["eval", "--world", "nope.json", "--directions", "nope.json", "--n", "0",
+          "--seed", "1"], "--n must be >= 1, got 0"),
+        (["sample", "--data", "nope", "--mode", "uniform", "--policy", "oversample",
+          "--seed", "1"], "--policy does not apply to --mode uniform"),
+    ], ids=["edit-alpha-nan", "eval-alpha-inf", "sweep-alpha-nan", "eval-n-zero",
+            "uniform-sample-policy"])
+    def test_bad_flag_value_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, named):
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = run(*argv, "--out", "out")
+        except SystemExit as exc:  # argparse rejects a value its type check refuses
+            code = exc.code
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

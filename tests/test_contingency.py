@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latbal as lb
-from latbal.contingency import bits_string, read_contingency_csv, write_contingency_csv
+from latbal.contingency import bits_string, write_contingency_csv
 from latbal.rng import uniforms
 from conftest import tiny_dataset
 
@@ -49,7 +49,7 @@ def test_permutation_leaves_counts_unchanged():
 def test_conservation(seed, m):
     labels = (uniforms(seed, 40 * m).reshape(40, m) > 0.5).astype(np.uint8)
     table = lb.build_contingency(tiny_dataset(labels))
-    assert table.total == 40
+    assert table.counts.sum() == 40
 
 
 class TestImbalanceStats:
@@ -114,6 +114,4 @@ def test_csv_roundtrip(tmp_path):
     write_contingency_csv(table, path)
     text = (tmp_path / "table.csv").read_text()
     assert text.splitlines()[0] == "cell_index,bits,count"
-    assert "2,01,2" in text.splitlines()
-    counts, m = read_contingency_csv(path)
-    assert m == 2 and counts.tolist() == [1, 0, 2, 1]
+    assert text.splitlines()[1:] == ["0,00,1", "1,10,0", "2,01,2", "3,11,1"]

@@ -29,7 +29,7 @@ def test_roundtrip_is_bit_exact(tmp_path, oracle_dataset):
 
 
 def test_roundtrip_without_confidences(tmp_path, oracle_dataset):
-    ds = lb.LatentDataset(dim=oracle_dataset.dim, codes=oracle_dataset.codes,
+    ds = lb.LatentDataset(codes=oracle_dataset.codes,
                           labels=oracle_dataset.labels, schema=oracle_dataset.schema)
     base = str(tmp_path / "plain")
     lb.write_dataset(ds, base)
@@ -40,7 +40,7 @@ def test_roundtrip_without_confidences(tmp_path, oracle_dataset):
 
 def test_empty_dataset_writes_header_only(tmp_path):
     schema = lb.AttributeSchema(("glasses", "gender", "smile", "age"))
-    ds = lb.LatentDataset(dim=512, codes=np.zeros((0, 512)),
+    ds = lb.LatentDataset(codes=np.zeros((0, 512)),
                           labels=np.zeros((0, 4), np.uint8), schema=schema)
     base = str(tmp_path / "empty")
     latd_path, labels_path = lb.write_dataset(ds, base)
@@ -52,7 +52,7 @@ def test_empty_dataset_writes_header_only(tmp_path):
 
 def test_schema_adopted_from_csv_header(tmp_path, oracle_dataset):
     base = str(tmp_path / "named")
-    named = lb.LatentDataset(dim=oracle_dataset.dim, codes=oracle_dataset.codes,
+    named = lb.LatentDataset(codes=oracle_dataset.codes,
                              labels=oracle_dataset.labels,
                              schema=lb.AttributeSchema(("glasses", "gender", "smile", "age")),
                              confidences=oracle_dataset.confidences)
@@ -163,7 +163,7 @@ def test_written_files_get_umask_mode(tmp_path, oracle_dataset, umask, mode):
 
 def _labels_dataset(labels, names):
     labels = np.asarray(labels, dtype=np.uint8)
-    return lb.LatentDataset(dim=1, codes=np.zeros((labels.shape[0], 1)), labels=labels,
+    return lb.LatentDataset(codes=np.zeros((labels.shape[0], 1)), labels=labels,
                             schema=lb.AttributeSchema(names))
 
 

@@ -60,7 +60,7 @@ class TestRescore:
         dirs = [lb.SemanticDirection(0, _unit(normals(64, 64)), "centroid")]
         latents = normals(65, 10 * 64).reshape(10, 64)
         matrix = lb.rescore(world42.score, dirs, latents, 0.2)
-        assert matrix.convention == "edited_minus_original"
+        assert rescore_to_dict(matrix, world42.names)["convention"] == "edited_minus_original"
         assert matrix.n == 10 and matrix.alpha == 0.2
 
     def test_empty_latents_rejected(self, world42):
@@ -145,8 +145,7 @@ class TestSweeps:
 
     def test_regularization_shape_and_small_c_limit(self, world42, dataset20k):
         report = lb.sweep_regularization(dataset20k, world42.score, c_values=[1e-6],
-                                         n0=500, runs=1, n_eval=500, seed=4,
-                                         svm_tol=1e-8, svm_max_iter=100)
+                                         n0=500, runs=1, n_eval=500, seed=4)
         svm_rows = [r for r in report.rows if r.method == "svm"]
         cen_rows = [r for r in report.rows if r.method == "centroid"]
         assert len(svm_rows) == 4 and len(cen_rows) == 4
@@ -169,14 +168,12 @@ class TestSweeps:
         ds = lb.sample_world(world42, 2000, seed=3)
         labels = ds.labels.copy()
         labels[:, 1] = 1
-        broken = lb.LatentDataset(dim=ds.dim, codes=ds.codes, labels=labels,
-                                  schema=ds.schema)
+        broken = lb.LatentDataset(codes=ds.codes, labels=labels, schema=ds.schema)
         report = lb.sweep_sample_size(broken, world42.score, sizes=[100],
                                       runs=1, n_eval=50, seed=1)
         assert all(r.error is not None for r in report.rows)
         report = lb.sweep_regularization(broken, world42.score, c_values=[1e-6],
-                                         n0=100, runs=1, n_eval=50, seed=1,
-                                         svm_max_iter=5)
+                                         n0=100, runs=1, n_eval=50, seed=1)
         assert all(r.error is not None for r in report.rows)
         assert all(np.isnan(r.effect) for r in report.rows)
 
@@ -200,7 +197,7 @@ class TestSweeps:
 def _random_fit_set(n, dim, m, rate, repeats, seed):
     """n Gaussian rows with Bernoulli(rate) labels, oversampled to n * repeats rows."""
     rng = np.random.default_rng(seed)
-    ds = lb.LatentDataset(dim=dim, codes=rng.standard_normal((n, dim)) * 3.0 + 0.5,
+    ds = lb.LatentDataset(codes=rng.standard_normal((n, dim)) * 3.0 + 0.5,
                           labels=rng.random((n, m)) < rate,
                           schema=lb.AttributeSchema(tuple(f"a{k}" for k in range(m))))
     return ds.select(rng.integers(0, n, size=n * repeats)) if repeats > 1 else ds
@@ -288,8 +285,9 @@ class TestExports:
 
     def test_rescore_dict(self):
         matrix = _row_matrix([0.1, 0.2, 0.3, 0.4])
-        obj = rescore_to_dict(matrix)
+        obj = rescore_to_dict(matrix, ["a", "b", "c", "d"])
         assert obj["convention"] == "edited_minus_original"
+        assert obj["attributes"] == ["a", "b", "c", "d"]
         assert obj["values"] == [[0.1, 0.2, 0.3, 0.4]]
 
     def test_sweep_csv_header(self, world42, dataset20k):
@@ -298,4 +296,3 @@ class TestExports:
         text = sweep_to_csv(report)
         assert text.splitlines()[0] == ("parameter,attribute,effect,entanglement,"
                                         "effect_std,entanglement_std,method,policy,runs")
-        assert report.kind == "sample_size"

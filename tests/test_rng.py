@@ -108,11 +108,11 @@ def test_normals_deterministic():
     assert not np.array_equal(rng.normals(5, 1000), rng.normals(6, 1000))
 
 
-@pytest.mark.parametrize("n,start", [(3 * 2**16 + 5, 12345), (0, 7), (2**16, 0)],
+@pytest.mark.parametrize("n", [3 * 2**16 + 5, 0, 2**16],
                          ids=["three-blocks-and-a-bit", "empty", "one-block"])
-def test_blockwise_normals_equal_one_shot_transform(n, start):
-    reference = rng._acklam_ppf(rng.uniforms(2024, n, start))
-    assert np.array_equal(rng.normals(2024, n, start), reference)
+def test_blockwise_normals_equal_one_shot_transform(n):
+    reference = rng._acklam_ppf(rng.uniforms(2024, n))
+    assert np.array_equal(rng.normals(2024, n), reference)
 
 
 def _scalar_below(seed, bounds, start):

@@ -43,7 +43,7 @@ def test_blob_training_accuracy(blobs_model):
     pos, neg, model = blobs_model
     x = np.vstack([pos, neg])
     y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
-    accuracy = (np.sign(model.decision(x)) == y).mean()
+    accuracy = (np.sign(x @ model.weights + model.bias) == y).mean()
     assert accuracy >= 0.97
 
 
@@ -51,7 +51,7 @@ def _slackness_residual(pos, neg, model):
     x_raw = np.vstack([pos, neg])
     y_raw = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
     order = canonical_order(x_raw, y_raw)
-    f = model.decision(x_raw[order])
+    f = x_raw[order] @ model.weights + model.bias
     y = y_raw[order]
     s = y * f - 1.0
     # complementary slackness: alpha * max(0, yf-1) and (C-alpha) * max(0, 1-yf)
