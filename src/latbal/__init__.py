@@ -18,9 +18,8 @@ from .contingency import (ContingencyTable, ImbalanceStats, build_contingency,
 from .core import (AttributeSchema, LatentDataset, SemanticDirection,
                    decode_index, split_by_attribute, validate_dataset)
 from .dataio import LatdFormatError, read_dataset, write_dataset
-from .directions import (centroid_direction, conditional_project, cosine_matrix,
-                         edit_latent, load_direction, save_direction,
-                         svm_direction)
+from .directions import (centroid_direction, conditional_project, edit_latent,
+                         load_direction, save_direction, svm_direction)
 from .evaluation import (RescoreMatrix, SweepReport, SweepRow, effect,
                          fit_directions, overall_entanglement, rescore,
                          sweep_regularization, sweep_sample_size)
@@ -38,7 +37,7 @@ __all__ = [
     "SamplePlan", "SubsampleResult", "balanced_subsample", "uniform_subsample",
     "SvmModel", "train_svm",
     "centroid_direction", "svm_direction", "conditional_project", "edit_latent",
-    "cosine_matrix", "save_direction", "load_direction",
+    "save_direction", "load_direction",
     "LinearAttributeWorld", "make_world", "sample_world",
     "default_world", "save_world", "load_world",
     "RescoreMatrix", "SweepReport", "SweepRow", "rescore", "effect",

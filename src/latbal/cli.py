@@ -59,36 +59,43 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
-def _parse_grid(flag: str, text: str, parse, valid, expected: str) -> list:
-    """Comma-separated values of one flag; a bad or blank value is a usage error."""
-    try:
-        values = [parse(t) for t in text.split(",")]
-    except ValueError:
-        raise _UsageError(f"{flag} expects {expected}, got {text!r}") from None
-    for v in values:
-        if not valid(v):
-            raise _UsageError(f"{flag} expects {expected}, got {v!r}")
-    return values
-
-
 def _default(value, default):
     return default if value is None else value
 
 
-def _finite(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expects a finite number, got {text!r}")
-    return value
+def _checked(parse, valid, expected: str, many: bool = False):
+    """An argparse type: the parsed value, or with ``many`` the list of
+    comma-separated values; a value that does not parse or fails ``valid`` is
+    a usage error (exit 1) that names the flag and the value."""
+    def check(text: str):
+        try:
+            values = [parse(t) for t in (text.split(",") if many else [text])]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expects {expected}, got {text!r}") from None
+        for v in values:
+            if not valid(v):
+                raise argparse.ArgumentTypeError(f"expects {expected}, got {v!r}")
+        return values if many else values[0]
+    return check
 
 
-def _check_counts(**counts: int):
-    for name, value in counts.items():
-        if value < 1:
-            raise _UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+def _positive(x: float) -> bool:
+    return bool(np.isfinite(x)) and x > 0
+
+
+def _corr(text: str) -> tuple:
+    i, j, rho = text.split(",")
+    return int(i), int(j), float(rho)
+
+
+def _subset(choices):
+    return _checked(str.strip, lambda v: v in choices,
+                    "a comma-separated subset of " + ",".join(choices), many=True)
+
+
+_COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_POSITIVE = _checked(float, _positive, "a finite number > 0")
+_FINITE = _checked(float, np.isfinite, "a finite number")
 
 
 def build_parser() -> _Parser:
@@ -105,12 +112,18 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output dataset path base")
     p.add_argument("--world-out", default=None, help="world JSON path (default <out>.world.json)")
     p.add_argument("--n", type=int, default=10000, help="number of latent codes")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--names", default=None, help="comma-separated attribute names")
-    p.add_argument("--rates", default=None, help="comma-separated positive rates")
-    p.add_argument("--corr", action="append", default=None, metavar="I,J,RHO",
+    p.add_argument("--dim", type=_COUNT, default=None)
+    p.add_argument("--names", type=_checked(str, lambda v: v.strip() != "",
+                                            "comma-separated non-blank names", many=True),
+                   default=None, help="comma-separated attribute names")
+    p.add_argument("--rates", type=_checked(float, lambda r: 0 < r < 1,
+                                            "comma-separated numbers in (0, 1)", many=True),
+                   default=None, help="comma-separated positive rates")
+    p.add_argument("--corr", type=_checked(_corr, lambda t: np.isfinite(t[2]),
+                                           "I,J,RHO with a finite RHO"),
+                   action="append", default=None, metavar="I,J,RHO",
                    help="pairwise cosine between planted vectors (repeatable)")
-    p.add_argument("--sharpness", type=float, default=None, help="logistic slope")
+    p.add_argument("--sharpness", type=_POSITIVE, default=None, help="logistic slope")
     _add_seed(p)
 
     p = sub.add_parser("contingency",
@@ -122,7 +135,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sample", help="subsample a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--mode", choices=("balanced", "uniform"), default="balanced")
-    p.add_argument("--n0", type=int, default=1000)
+    p.add_argument("--n0", type=_COUNT, default=1000)
     p.add_argument("--policy", choices=POLICIES, default=None,
                    help="--mode balanced only; exhausted-cell policy (default skip)")
     p.add_argument("--out", required=True, help="output path base (.csv + .json)")
@@ -132,10 +145,10 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--subsample", default=None, help="subsample CSV restricting the fit rows")
     p.add_argument("--method", choices=_METHODS, default="centroid")
-    p.add_argument("--c", type=float, default=1.0, help="SVM regularization")
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--c", type=_POSITIVE, default=1.0, help="SVM regularization")
+    p.add_argument("--tol", type=_POSITIVE, default=1e-6,
                    help="SVM duality-gap tolerance that certifies convergence")
-    p.add_argument("--max-iter", type=int, default=1000,
+    p.add_argument("--max-iter", type=_COUNT, default=1000,
                    help="cap on SVM Newton steps, summed over all smoothing stages")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=None,
@@ -150,15 +163,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("edit", help="translate all codes along a direction")
     p.add_argument("--data", required=True)
     p.add_argument("--direction", required=True)
-    p.add_argument("--alpha", type=_finite, default=0.2)
+    p.add_argument("--alpha", type=_FINITE, default=0.2)
     p.add_argument("--out", required=True, help="output dataset path base")
 
     p = sub.add_parser("eval",
                        help="re-score directions against an oracle world")
     p.add_argument("--world", required=True)
     p.add_argument("--directions", nargs="+", required=True)
-    p.add_argument("--alpha", type=_finite, default=0.2)
-    p.add_argument("--n", type=int, default=2000, help="evaluation codes")
+    p.add_argument("--alpha", type=_FINITE, default=0.2)
+    p.add_argument("--n", type=_COUNT, default=2000, help="evaluation codes")
     p.add_argument("--out", required=True, help="output path base (.csv + .json)")
     _add_seed(p)
 
@@ -166,20 +179,26 @@ def build_parser() -> _Parser:
                        help="sample-size or regularization sweep")
     p.add_argument("--data", required=True)
     p.add_argument("--world", required=True)
-    p.add_argument("--sizes", default=None, help="comma-separated N0 grid")
-    p.add_argument("--c-grid", default=None, help="comma-separated C grid")
-    p.add_argument("--methods", default=None,
+    grid = p.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--sizes", type=_checked(int, lambda n: n >= 1,
+                                               "comma-separated integers >= 1", many=True),
+                      help="comma-separated N0 grid")
+    grid.add_argument("--c-grid", type=_checked(float, _positive,
+                                                "comma-separated finite numbers > 0",
+                                                many=True),
+                      help="comma-separated C grid")
+    p.add_argument("--methods", type=_subset(_METHODS), default=None,
                    help="--sizes only; comma-separated: centroid,svm (default centroid)")
-    p.add_argument("--policies", default=None,
+    p.add_argument("--policies", type=_subset(_SWEEP_POLICIES), default=None,
                    help="--sizes only; comma-separated: skip,oversample,uniform "
                         "(default skip)")
-    p.add_argument("--n0", type=int, default=None,
+    p.add_argument("--n0", type=_COUNT, default=None,
                    help="--c-grid only; balanced subsample size (default 1000)")
-    p.add_argument("--c", type=float, default=None,
+    p.add_argument("--c", type=_POSITIVE, default=None,
                    help="--sizes only; SVM C (default 1.0)")
-    p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--alpha", type=_finite, default=0.2)
-    p.add_argument("--n-eval", type=int, default=2000)
+    p.add_argument("--runs", type=_COUNT, default=5)
+    p.add_argument("--alpha", type=_FINITE, default=0.2)
+    p.add_argument("--n-eval", type=_COUNT, default=2000)
     p.add_argument("--out", required=True, help="output CSV path")
     _add_seed(p)
 
@@ -207,42 +226,24 @@ def _cmd_synth(args) -> int:
 
 def _synth_world(args, seed: int):
     """The default world, or the one the custom-world flags describe."""
-    custom = any(v is not None for v in
-                 (args.dim, args.names, args.rates, args.corr, args.sharpness))
-    if not custom:
+    names, rates = args.names, args.rates
+    if all(v is None for v in (args.dim, names, rates, args.corr, args.sharpness)):
         return default_world(seed=seed)
-    names = None if args.names is None else tuple(_parse_grid(
-        "--names", args.names, str, lambda v: v.strip() != "",
-        "comma-separated non-blank names"))
-    rates = None if args.rates is None else _parse_grid(
-        "--rates", args.rates, float, lambda r: 0 < r < 1,
-        "comma-separated numbers in (0, 1)")
     if names and rates and len(rates) != len(names):
         raise _UsageError(f"--rates has {len(rates)} values for {len(names)} --names")
     m = len(names) if names else (len(rates) if rates else 4)
-    if names is None:
-        names = tuple(f"attr{k}" for k in range(m))
-    if rates is None:
-        rates = [0.5] * m
     dim = _default(args.dim, 64)
     if dim < m:
         raise _UsageError(f"--dim must be >= the number of attributes ({m}), got {dim}")
-    sharpness = _default(args.sharpness, 1.0)
-    if not (np.isfinite(sharpness) and sharpness > 0):
-        raise _UsageError(f"--sharpness must be a finite number > 0, got {sharpness}")
     gram = np.eye(m)
-    for spec in args.corr or []:
-        try:
-            i_text, j_text, rho_text = spec.split(",")
-            i, j, rho = int(i_text), int(j_text), float(rho_text)
-        except ValueError:
-            raise _UsageError(f"--corr expects I,J,RHO, got {spec!r}") from None
+    for i, j, rho in args.corr or []:
         if not (0 <= i < m and 0 <= j < m and i != j):
             raise _UsageError(f"--corr needs two distinct indices in 0..{m - 1}, "
-                              f"got {spec!r}")
+                              f"got {i},{j},{rho!r}")
         gram[i, j] = gram[j, i] = rho
-    return make_world(dim=dim, m=m, gram=gram, positive_rates=rates,
-                      sharpness=sharpness, seed=seed, names=names)
+    return make_world(dim=dim, m=m, gram=gram, positive_rates=_default(rates, [0.5] * m),
+                      sharpness=_default(args.sharpness, 1.0), seed=seed,
+                      names=None if names is None else tuple(names))
 
 
 def _cmd_contingency(args) -> int:
@@ -258,7 +259,6 @@ def _cmd_contingency(args) -> int:
 
 def _cmd_sample(args) -> int:
     seed = _resolve_seed(args)
-    _check_counts(n0=args.n0)
     if args.mode == "uniform" and args.policy is not None:
         raise _UsageError("--policy does not apply to --mode uniform")
     dataset = read_dataset(args.data)
@@ -319,7 +319,6 @@ def _cmd_edit(args) -> int:
 
 def _cmd_eval(args) -> int:
     seed = _resolve_seed(args)
-    _check_counts(n=args.n)
     world = load_world(args.world)
     dirs = [load_direction(p) for p in args.directions]
     latents = _eval_latents(world.dim, args.n, seed, 0)
@@ -331,40 +330,20 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
-    if (args.sizes is None) == (args.c_grid is None):
-        raise _UsageError("exactly one of --sizes or --c-grid is required")
     kind = "--sizes" if args.sizes is not None else "--c-grid"
     for name in ("methods", "policies", "c") if args.c_grid is not None else ("n0",):
         if getattr(args, name) is not None:
             raise _UsageError(f"--{name} does not apply to a {kind} sweep")
-    _check_counts(runs=args.runs, n_eval=args.n_eval)
-    if args.sizes is not None:
-        methods = _parse_grid("--methods", _default(args.methods, "centroid"), str.strip,
-                              lambda v: v in _METHODS,
-                              "a comma-separated subset of " + ",".join(_METHODS))
-        policies = _parse_grid("--policies", _default(args.policies, "skip"), str.strip,
-                               lambda v: v in _SWEEP_POLICIES,
-                               "a comma-separated subset of " + ",".join(_SWEEP_POLICIES))
-        c = _default(args.c, 1.0)
-        if not c > 0:
-            raise _UsageError(f"--c must be > 0, got {c}")
-        sizes = _parse_grid("--sizes", args.sizes, int, lambda n: n >= 1,
-                            "comma-separated integers >= 1")
-    else:
-        n0 = _default(args.n0, 1000)
-        _check_counts(n0=n0)
-        c_values = _parse_grid("--c-grid", args.c_grid, float, lambda c: c > 0,
-                               "comma-separated numbers > 0")
     dataset = read_dataset(args.data)
     world = load_world(args.world)
     if args.sizes is not None:
         report = sweep_sample_size(
-            dataset, world.score, sizes, methods=tuple(methods),
-            policies=tuple(policies), runs=args.runs, alpha=args.alpha,
-            n_eval=args.n_eval, c=c, seed=seed)
+            dataset, world.score, args.sizes, methods=tuple(args.methods or ["centroid"]),
+            policies=tuple(args.policies or ["skip"]), runs=args.runs, alpha=args.alpha,
+            n_eval=args.n_eval, c=_default(args.c, 1.0), seed=seed)
     else:
         report = sweep_regularization(
-            dataset, world.score, c_values, n0=n0,
+            dataset, world.score, args.c_grid, n0=_default(args.n0, 1000),
             runs=args.runs, alpha=args.alpha, n_eval=args.n_eval, seed=seed)
     atomic_write_text(args.out, sweep_to_csv(report))
     print(f"wrote {args.out} ({len(report.rows)} rows)")

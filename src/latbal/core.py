@@ -104,7 +104,7 @@ class SemanticDirection:
         if self.method not in DIRECTION_METHODS:
             raise ValueError(f"unknown direction method {self.method!r}")
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
             raise ValueError(f"direction vector must be unit-norm, got ||v|| = {norm!r}")
 
     @property

@@ -127,17 +127,6 @@ def edit_latent(z: np.ndarray, direction: SemanticDirection, alpha: float) -> np
     return z + alpha * direction.vector
 
 
-def cosine_matrix(directions: list[SemanticDirection]) -> np.ndarray:
-    """Pairwise cosines; directions are unit vectors so this is just the Gram."""
-    if not directions:
-        return np.empty((0, 0))
-    dims = {d.dim for d in directions}
-    if len(dims) != 1:
-        raise ValueError(f"direction dimensions disagree: {sorted(dims)}")
-    v = np.array([d.vector for d in directions])
-    return v @ v.T
-
-
 def direction_to_dict(direction: SemanticDirection) -> dict:
     return {
         "schema_version": DIRECTION_SCHEMA_VERSION,

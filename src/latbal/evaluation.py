@@ -239,8 +239,8 @@ def sweep_regularization(dataset: LatentDataset, scorer: Scorer,
     """
     if not c_values:
         raise ValueError("c_values must be non-empty")
-    if any(c <= 0 for c in c_values):
-        raise ValueError("c_values must be positive")
+    if not all(np.isfinite(c) and c > 0 for c in c_values):
+        raise ValueError(f"c_values must be finite positive numbers, got {list(c_values)}")
     points = [(float(c), "svm", "skip", n0, c, ()) for c in c_values]
     points.append((None, "centroid", "skip", n0, 1.0, ()))
     return _sweep(dataset, scorer, points, runs, alpha, n_eval, seed)

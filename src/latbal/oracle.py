@@ -99,10 +99,10 @@ def make_world(dim: int, m: int, gram: np.ndarray, positive_rates,
         raise ValueError("gram matrix must have unit diagonal")
     if dim < m:
         raise ValueError(f"dim ({dim}) must be >= m ({m})")
-    if rates.shape != (m,) or np.any(rates <= 0.0) or np.any(rates >= 1.0):
+    if rates.shape != (m,) or not np.all((rates > 0.0) & (rates < 1.0)):
         raise ValueError("positive_rates must be m values strictly inside (0, 1)")
-    if sharpness <= 0:
-        raise ValueError(f"sharpness must be positive, got {sharpness}")
+    if not (np.isfinite(sharpness) and sharpness > 0):
+        raise ValueError(f"sharpness must be a finite positive number, got {sharpness}")
     if names is None:
         names = tuple(f"attr{k}" for k in range(m))
     if len(names) != m:

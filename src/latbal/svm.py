@@ -112,8 +112,10 @@ def train_svm(pos: np.ndarray, neg: np.ndarray, c: float = 1.0, tol: float = 1e-
         raise ValueError("both classes must be non-empty")
     if pos.shape[1] != neg.shape[1]:
         raise ValueError(f"dimension mismatch: pos d={pos.shape[1]}, neg d={neg.shape[1]}")
-    if c <= 0:
-        raise ValueError(f"C must be positive, got {c}")
+    if not (np.isfinite(c) and c > 0):
+        raise ValueError(f"C must be a finite positive number, got {c}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
 
     x = np.vstack([pos, neg])
     y = np.concatenate([np.ones(pos.shape[0]), -np.ones(neg.shape[0])])

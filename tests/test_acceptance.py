@@ -146,7 +146,8 @@ def test_criterion_06_ground_truth_direction_recovery():
     table = lb.build_contingency(ds)
     dirs = _balanced_fit(ds, table, 1000, 42)
     cosines = [float(dirs[j].vector @ world.vectors[j]) for j in range(4)]
-    mat = lb.cosine_matrix(dirs)
+    vectors = np.array([d.vector for d in dirs])
+    mat = vectors @ vectors.T
     off_diag = float(np.abs(mat - np.diag(np.diag(mat))).max())
     elapsed = time.time() - t0
     ok = min(cosines) >= 0.9 and off_diag <= 0.2 and elapsed < 10.0

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -6,11 +7,15 @@ import numpy as np
 import pytest
 
 import latbal as lb
-from latbal.cli import main
+from latbal.cli import build_parser, main
 
 
 def run(*argv):
-    return main(list(argv))
+    """The exit code, whether main returns it or argparse exits on a bad flag."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture()
@@ -338,13 +343,13 @@ def test_byte_identical_reruns(tmp_path):
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            run("synth", "--bogus")
+            main(["synth", "--bogus"])
         assert exc.value.code == 1
         assert "error" in capsys.readouterr().err
 
     def test_unknown_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            run("frobnicate")
+            main(["frobnicate"])
         assert exc.value.code == 1
 
     def test_strict_requires_seed(self, tmp_path, capsys):
@@ -403,10 +408,11 @@ class TestExitCodes:
         (["--names", "a,a"], "unique"),
         (["--names", ",".join(f"a{k}" for k in range(21))], "got 21"),
         (["--corr", "0,1,2.0"], "positive semi-definite"),
+        (["--corr", "0,1,nan"], "--corr: expects I,J,RHO with a finite RHO, got (0, 1, nan)"),
         (["--n", "-1"], "got -1"),
     ], ids=["names-blank-entry", "names-empty", "rates-empty", "rates-blank-entry",
             "dim-zero", "dim-below-m", "sharpness-negative", "sharpness-zero", "sharpness-nan",
-            "names-repeated", "names-21", "corr-not-psd", "n-negative"])
+            "names-repeated", "names-21", "corr-not-psd", "corr-rho-nan", "n-negative"])
     def test_bad_synth_flag_is_usage_error(self, tmp_path, capsys, flags, named):
         code = run("synth", "--out", str(tmp_path / "w"), "--n", "100", *flags, "--seed", "1")
         assert code == 1
@@ -484,24 +490,54 @@ class TestExitCodes:
 
     # checked before any data is read: the input paths do not even exist
     @pytest.mark.parametrize("argv,named", [
-        (["edit", "--data", "nope", "--direction", "nope.json", "--alpha", "nan"],
-         "--alpha: expects a finite number, got 'nan'"),
+        (["edit", "--data", "nope", "--direction", "nope.json", "--alpha", "nan",
+          "--out", "out"], "--alpha: expects a finite number, got nan"),
         (["eval", "--world", "nope.json", "--directions", "nope.json", "--alpha", "inf",
-          "--seed", "1"], "--alpha: expects a finite number, got 'inf'"),
+          "--seed", "1", "--out", "out"], "--alpha: expects a finite number, got inf"),
         (["sweep", "--data", "nope", "--world", "nope.json", "--sizes", "100",
-          "--alpha", "nan", "--seed", "1"], "--alpha: expects a finite number, got 'nan'"),
+          "--alpha", "nan", "--seed", "1", "--out", "out"],
+         "--alpha: expects a finite number, got nan"),
         (["eval", "--world", "nope.json", "--directions", "nope.json", "--n", "0",
-          "--seed", "1"], "--n must be >= 1, got 0"),
+          "--seed", "1", "--out", "out"], "--n: expects an integer >= 1, got 0"),
         (["sample", "--data", "nope", "--mode", "uniform", "--policy", "oversample",
-          "--seed", "1"], "--policy does not apply to --mode uniform"),
+          "--seed", "1", "--out", "out"], "--policy does not apply to --mode uniform"),
+        (["fit", "--data", "nope", "--method", "svm", "--c", "nan", "--out-dir", "out"],
+         "--c: expects a finite number > 0, got nan"),
+        (["fit", "--data", "nope", "--method", "svm", "--c", "inf", "--out-dir", "out"],
+         "--c: expects a finite number > 0, got inf"),
+        (["fit", "--data", "nope", "--method", "svm", "--c", "-1", "--out-dir", "out"],
+         "--c: expects a finite number > 0, got -1.0"),
+        (["fit", "--data", "nope", "--method", "svm", "--tol", "nan", "--out-dir", "out"],
+         "--tol: expects a finite number > 0, got nan"),
+        (["fit", "--data", "nope", "--method", "svm", "--tol", "0", "--out-dir", "out"],
+         "--tol: expects a finite number > 0, got 0.0"),
+        (["fit", "--data", "nope", "--method", "svm", "--max-iter", "0", "--out-dir", "out"],
+         "--max-iter: expects an integer >= 1, got 0"),
+        (["sweep", "--data", "nope", "--world", "nope.json", "--sizes", "100",
+          "--methods", "svm", "--c", "inf", "--seed", "1", "--out", "out"],
+         "--c: expects a finite number > 0, got inf"),
+        (["sweep", "--data", "nope", "--world", "nope.json", "--c-grid", "inf",
+          "--seed", "1", "--out", "out"], "--c-grid: expects comma-separated finite "
+                                          "numbers > 0, got inf"),
     ], ids=["edit-alpha-nan", "eval-alpha-inf", "sweep-alpha-nan", "eval-n-zero",
-            "uniform-sample-policy"])
+            "uniform-sample-policy", "fit-c-nan", "fit-c-inf", "fit-c-negative",
+            "fit-tol-nan", "fit-tol-zero", "fit-max-iter-zero", "sweep-svm-c-inf",
+            "sweep-c-grid-inf"])
     def test_bad_flag_value_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, named):
         monkeypatch.chdir(tmp_path)
-        try:
-            code = run(*argv, "--out", "out")
-        except SystemExit as exc:  # argparse rejects a value its type check refuses
-            code = exc.code
+        code = run(*argv)
         assert code == 1
         assert named in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+# every value flag parses through a checked type, so a new flag cannot skip the
+# checks; --seed takes any integer and synth --n leaves n >= 0 to sample_world
+def test_no_flag_has_a_bare_numeric_type():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    bare = [(command, action.option_strings) for command, parser in sub.choices.items()
+            for action in parser._actions
+            if action.type in (int, float) and action.dest != "seed"
+            and (command, action.dest) != ("synth", "n")]
+    assert bare == []

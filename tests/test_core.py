@@ -125,6 +125,12 @@ class TestSemanticDirection:
         with pytest.raises(ValueError, match="unit"):
             lb.SemanticDirection(attribute=0, vector=np.array([1.0, 1.0]), method="centroid")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="unit"):
+            lb.SemanticDirection(attribute=0, vector=np.array([bad, 0.0, 0.0]),
+                                 method="centroid")
+
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
             lb.SemanticDirection(attribute=0, vector=np.array([1.0, 0.0]), method="pca")

@@ -199,23 +199,6 @@ class TestEditLatent:
         assert np.array_equal(z, snapshot)
 
 
-class TestCosineMatrix:
-    def test_identical_directions(self):
-        u = _random_direction(21)
-        mat = lb.cosine_matrix([u, u])
-        assert mat[0, 1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_canonical_basis(self):
-        dirs = [lb.SemanticDirection(k, np.eye(4)[k], "centroid") for k in range(4)]
-        assert np.allclose(lb.cosine_matrix(dirs), np.eye(4), atol=1e-15)
-
-    def test_diagonal_is_one(self):
-        dirs = [_random_direction(30 + k, d=16, attribute=k) for k in range(5)]
-        mat = lb.cosine_matrix(dirs)
-        assert np.allclose(np.diag(mat), 1.0, atol=1e-12)
-        assert np.allclose(mat, mat.T, atol=1e-15)
-
-
 def test_orthonormal_basis_drops_dependent_rows():
     rows = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     basis = orthonormal_basis(rows)

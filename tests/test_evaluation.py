@@ -159,8 +159,14 @@ class TestSweeps:
     def test_invalid_grids_rejected(self, world42, dataset20k):
         with pytest.raises(ValueError):
             lb.sweep_sample_size(dataset20k, world42.score, sizes=[], runs=1)
-        with pytest.raises(ValueError):
-            lb.sweep_regularization(dataset20k, world42.score, c_values=[-1.0])
+        for bad in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="c_values"):
+                lb.sweep_regularization(dataset20k, world42.score, c_values=[1.0, bad])
+
+    def test_non_finite_svm_c_gives_error_rows(self, world42, dataset20k):
+        report = lb.sweep_sample_size(dataset20k, world42.score, sizes=[100],
+                                      methods=("svm",), c=float("inf"), runs=1, n_eval=50)
+        assert all("C must be a finite positive number" in r.error for r in report.rows)
 
     def test_fit_errors_recorded_not_fatal(self, world42):
         # attribute 1 constant: its negative class is empty, so fits fail;

@@ -49,10 +49,16 @@ class TestMakeWorld:
         with pytest.raises(ValueError, match="dim"):
             lb.make_world(dim=2, m=3, gram=np.eye(3), positive_rates=(0.5,) * 3, seed=0)
 
-    @pytest.mark.parametrize("rate", [0.0, 1.0, -0.2, 1.3])
+    @pytest.mark.parametrize("rate", [0.0, 1.0, -0.2, 1.3, float("nan")])
     def test_rates_must_be_interior(self, rate):
         with pytest.raises(ValueError, match="rates"):
             lb.make_world(dim=4, m=1, gram=np.eye(1), positive_rates=(rate,), seed=0)
+
+    @pytest.mark.parametrize("sharpness", [0.0, -1.0, float("nan"), float("inf")])
+    def test_sharpness_must_be_finite_and_positive(self, sharpness):
+        with pytest.raises(ValueError, match="sharpness"):
+            lb.make_world(dim=4, m=1, gram=np.eye(1), positive_rates=(0.5,),
+                          sharpness=sharpness, seed=0)
 
 
 class TestSampleWorld:

@@ -257,3 +257,14 @@ def test_c_must_be_positive():
     x = np.array([[1.0]])
     with pytest.raises(ValueError, match="positive"):
         train_svm(x, -x, c=0.0)
+
+
+@pytest.mark.parametrize("kwargs,err", [
+    ({"c": float("nan")}, "C must"), ({"c": float("inf")}, "C must"),
+    ({"tol": float("nan")}, "tol must"), ({"tol": float("inf")}, "tol must"),
+    ({"tol": -1.0}, "tol must"),
+], ids=["c-nan", "c-inf", "tol-nan", "tol-inf", "tol-negative"])
+def test_non_finite_c_or_tol_rejected(kwargs, err):
+    x = np.array([[1.0]])
+    with pytest.raises(ValueError, match=err):
+        train_svm(x, -x, **kwargs)
