@@ -125,23 +125,28 @@ def validate_dataset(dataset: LatentDataset) -> list[str]:
     if dataset.dim <= 0:
         v.append(f"dim must be positive, got {dataset.dim}")
 
-    finite = np.isfinite(codes).all(axis=1) if codes.size else np.ones(n, dtype=bool)
-    for row in np.flatnonzero(~finite):
-        v.append(f"codes row {row}: non-finite component")
+    # Each check reduces its whole array to one value and scans the rows, to
+    # name them, only when that value shows a violation.  If the sum is
+    # finite, so is every component (finite rows can still overflow it, and
+    # then the scan names none); min and max carry a NaN through.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = codes.sum()
+    if not np.isfinite(total):
+        for row in np.flatnonzero(~np.isfinite(codes).all(axis=1)):
+            v.append(f"codes row {row}: non-finite component")
 
     if labels.ndim != 2 or labels.shape[1] != m:
         v.append(f"labels must have shape (N, {m}), got {labels.shape}")
     elif labels.shape[0] != n:
         v.append(f"row-count mismatch: {n} codes vs {labels.shape[0]} label rows")
-    else:
-        bad = np.flatnonzero((labels > 1).any(axis=1))
-        for row in bad:
+    elif labels.size and labels.max() > 1:
+        for row in np.flatnonzero((labels > 1).any(axis=1)):
             v.append(f"labels row {row}: value outside {{0, 1}}")
 
     if conf is not None:
         if conf.shape != (n, m):
             v.append(f"confidences must have shape ({n}, {m}), got {conf.shape}")
-        else:
+        elif conf.size and not (conf.min() >= 0.0 and conf.max() <= 1.0):
             ok_rows = np.isfinite(conf).all(axis=1) & (conf >= 0.0).all(axis=1) & (conf <= 1.0).all(axis=1)
             for row in np.flatnonzero(~ok_rows):
                 v.append(f"confidences row {row}: value outside [0, 1]")

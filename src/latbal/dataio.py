@@ -23,7 +23,10 @@ rejected with the path and line number of its first bad row.
 
 All writes go through a temp file in the target directory, fsynced, then
 atomically renamed over the target, so an interrupted run never leaves a
-half-written file.
+half-written file; the directory is then fsynced, so the rename survives a
+crash too.  A ``.latd`` write streams the header, the codes and the
+confidences to the temp file one after another, with no assembled copy of
+the dataset.
 """
 
 from __future__ import annotations
@@ -57,9 +60,9 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write_bytes(path: str, payload: bytes | np.ndarray) -> None:
-    """Write payload (bytes or a 1-D uint8 array) to path durably and atomically,
-    creating a missing parent directory first."""
+def _atomic_write(path: str, chunks) -> None:
+    """Write the chunks (bytes or C-contiguous arrays), one after another, to
+    path durably and atomically, creating a missing parent directory first."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
@@ -68,7 +71,8 @@ def atomic_write_bytes(path: str, payload: bytes | np.ndarray) -> None:
             # mkstemp creates the file 0600 and os.replace keeps that mode;
             # give it the mode open() would have: 0666 less the umask
             os.fchmod(f.fileno(), 0o666 & ~_umask())
-            f.write(payload)
+            for chunk in chunks:
+                f.write(chunk)
             f.flush()
             # the data must reach the disk before the rename publishes it
             os.fsync(f.fileno())
@@ -77,6 +81,18 @@ def atomic_write_bytes(path: str, payload: bytes | np.ndarray) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    # and the rename itself must reach the disk, or a crash can undo it
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
+def atomic_write_bytes(path: str, payload: bytes | np.ndarray) -> None:
+    """Write payload (bytes or a 1-D uint8 array) to path durably and atomically,
+    creating a missing parent directory first."""
+    _atomic_write(path, (payload,))
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -94,20 +110,6 @@ def dataset_paths(path_base: str) -> tuple[str, str]:
     return path_base + ".latd", path_base + ".labels.csv"
 
 
-def _latd_payload(dataset: LatentDataset) -> np.ndarray:
-    flags = FLAG_CONFIDENCES if dataset.confidences is not None else 0
-    n_codes = dataset.codes.size
-    n_conf = 0 if dataset.confidences is None else dataset.confidences.size
-    payload = np.empty(_HEADER.size + 8 * (n_codes + n_conf), dtype=np.uint8)
-    payload[:_HEADER.size] = np.frombuffer(
-        _HEADER.pack(MAGIC, VERSION, dataset.dim, dataset.n, flags), dtype=np.uint8)
-    values = payload[_HEADER.size:].view("<f8")
-    values[:n_codes] = dataset.codes.ravel()
-    if dataset.confidences is not None:
-        values[n_codes:] = dataset.confidences.ravel()
-    return payload
-
-
 def _labels_payload(schema: AttributeSchema, labels: np.ndarray) -> np.ndarray:
     header = np.frombuffer(csv_text([schema.names]).encode("utf-8"), dtype=np.uint8)
     payload = np.empty(header.size + labels.size * 2, dtype=np.uint8)
@@ -121,7 +123,12 @@ def _labels_payload(schema: AttributeSchema, labels: np.ndarray) -> np.ndarray:
 
 def write_dataset(dataset: LatentDataset, path_base: str) -> tuple[str, str]:
     latd_path, labels_path = dataset_paths(path_base)
-    atomic_write_bytes(latd_path, _latd_payload(dataset))
+    conf = dataset.confidences
+    header = _HEADER.pack(MAGIC, VERSION, dataset.dim, dataset.n,
+                          0 if conf is None else FLAG_CONFIDENCES)
+    # the header and the arrays go straight to the file, with no assembled copy
+    arrays = (dataset.codes,) if conf is None else (dataset.codes, conf)
+    _atomic_write(latd_path, [header, *(np.ascontiguousarray(a, dtype="<f8") for a in arrays)])
     atomic_write_bytes(labels_path, _labels_payload(dataset.schema, dataset.labels))
     return latd_path, labels_path
 

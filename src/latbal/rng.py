@@ -22,6 +22,13 @@ components into the seed through the same finalizer.  Uniform doubles, drawn
 in vectorized blocks, map the top 53 bits to (0, 1) via (k + 0.5) * 2^-53, and
 normal variates apply an inverse normal CDF (Acklam's rational approximation)
 to those uniforms.
+
+The block functions work in place: :func:`normals` reuses one set of scratch
+arrays for every block, evaluates Acklam's central branch over the whole
+block and then recomputes only the tail elements (about 4.85% of them).
+Every floating-point operation runs in the order of the straightforward form
+(one temporary per operation, masks per branch), so the bits are the same as
+that form's; ``tests/test_rng.py`` pins them.
 """
 
 from __future__ import annotations
@@ -82,15 +89,23 @@ class SplitMix64:
                 return x % n
 
 
+def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer applied to z in place; t is scratch of z's size."""
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=t)
+        z *= np.uint64(mix)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
+
+
 def u64_block(seed: int, n: int, start: int = 0) -> np.ndarray:
     """Vectorized outputs at counters start .. start+n-1 (same stream as SplitMix64)."""
     if n == 0:
         return np.empty(0, dtype=np.uint64)
-    ctr = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    z = np.uint64(seed & MASK64) + ctr * np.uint64(GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN)
+    z += np.uint64(seed & MASK64)
+    return _mix(z, np.empty_like(z))
 
 
 def below_block(seed: int, bounds, start: int = 0) -> tuple[np.ndarray, int]:
@@ -122,20 +137,38 @@ def below_block(seed: int, bounds, start: int = 0) -> tuple[np.ndarray, int]:
     return out, start
 
 
+def _unit(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(k + 0.5) * 2^-53 into out, k the top 53 bits of each of bits (which it shifts)."""
+    bits >>= np.uint64(11)
+    np.add(bits, 0.5, out=out)  # k < 2^53 converts exactly, then one rounding
+    out *= 2.0**-53
+    return out
+
+
 def uniforms(seed: int, n: int, start: int = 0) -> np.ndarray:
     """n doubles (k + 0.5) * 2^-53 in (0, 1), k the top 53 bits of each output."""
-    bits = u64_block(seed, n, start) >> np.uint64(11)
-    return (bits.astype(np.float64) + 0.5) * 2.0**-53
+    return _unit(u64_block(seed, n, start), np.empty(n, dtype=np.float64))
 
 
 def normals(seed: int, n: int) -> np.ndarray:
     """n standard normal variates via inverse-CDF of the uniform stream."""
     out = np.empty(n, dtype=np.float64)
-    # every step is elementwise, so blocks give the same bits as one call
-    # while their temporaries stay small
+    # Every step is elementwise, so blocks give the same bits as one call.
+    # All blocks share one set of scratch arrays: the allocator hands freed
+    # temporaries of this size back to the OS, and faulting in fresh pages
+    # for every block cost more than the arithmetic.
+    size = min(n, _NORMALS_BLOCK)
+    z, t = np.empty(size, np.uint64), np.empty(size, np.uint64)
+    den = np.empty(size, np.float64)
+    # the state at counter a + i + 1 is (seed + a*GOLDEN) + (i + 1)*GOLDEN
+    steps = np.arange(1, size + 1, dtype=np.uint64)
+    steps *= np.uint64(GOLDEN)
     for a in range(0, n, _NORMALS_BLOCK):
         k = min(_NORMALS_BLOCK, n - a)
-        out[a:a + k] = _acklam_ppf(uniforms(seed, k, a))
+        base = np.uint64((seed + a * GOLDEN) & MASK64)
+        bits = _mix(np.add(steps[:k], base, out=z[:k]), t[:k])
+        x = _unit(bits, out[a:a + k])
+        _acklam_inplace(x, t[:k].view(np.float64), z[:k].view(np.float64), den[:k])
     return out
 
 
@@ -152,29 +185,48 @@ _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _P_LOW = 0.02425
 
 
-def _acklam_ppf(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    x = np.empty_like(p)
+def _acklam_inplace(x: np.ndarray, r: np.ndarray, num: np.ndarray,
+                    den: np.ndarray) -> np.ndarray:
+    """Acklam's approximation applied to x in place; r, num and den are scratch
+    of x's size.
 
-    lo = p < _P_LOW
-    hi = p > 1.0 - _P_LOW
-    mid = ~(lo | hi)
+    The central branch runs over every element, in the operation order of
+    ((A0*r + A1)*r + ...)*q / den; its denominator stays above 1e-4 for any
+    p in [0, 1], so on tail elements it raises no warning.  The tails (about
+    4.85% of uniform input) are then computed apart and written over them.
+    """
+    lo = np.flatnonzero(x < _P_LOW)
+    hi = np.flatnonzero(x > 1.0 - _P_LOW)
+    tails = ((lo, x[lo], 1.0), (hi, 1.0 - x[hi], -1.0))
 
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
-        den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        x[mid] = num * q / den
+    x -= 0.5                                     # q
+    np.multiply(x, x, out=r)
+    np.multiply(r, _A[0], out=num)
+    for a in _A[1:-1]:
+        num += a
+        num *= r
+    num += _A[-1]
+    np.multiply(r, _B[0], out=den)
+    for b in _B[1:]:
+        den += b
+        den *= r
+    den += 1.0
+    x *= num
+    x /= den
 
-    for mask, sign in ((lo, 1.0), (hi, -1.0)):
-        if np.any(mask):
-            pp = p[mask] if sign > 0 else 1.0 - p[mask]
+    for idx, pp, sign in tails:
+        if idx.size:
             q = np.sqrt(-2.0 * np.log(pp))
-            num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-            den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-            x[mask] = sign * num / den
+            num_t = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
+            den_t = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
+            x[idx] = sign * num_t / den_t
+    return x
 
+
+def _acklam_ppf(p: np.ndarray) -> np.ndarray:
+    x = np.array(p, dtype=np.float64)
+    flat = x.reshape(-1)                         # a view: x gets the results
+    _acklam_inplace(flat, np.empty_like(flat), np.empty_like(flat), np.empty_like(flat))
     return x
 
 

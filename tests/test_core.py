@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,32 @@ class TestValidateDataset:
         violations = lb.validate_dataset(bad)
         assert violations
         assert any("row 1" in v for v in violations)
+
+    @pytest.mark.parametrize("rows,expected", [
+        ([[1e308, 1e308], [1e308, 1e308], [-1e308, 1.0]], []),
+        ([[math.inf, 1.0], [0.0, 0.0], [-math.inf, 2.0], [math.nan, -math.inf]],
+         ["codes row 0: non-finite component", "codes row 2: non-finite component",
+          "codes row 3: non-finite component"]),
+    ], ids=["finite-sum-overflows", "mixed-infinities"])
+    def test_non_finite_codes_named_without_warnings(self, rows, expected):
+        ds = tiny_dataset([[0]] * len(rows), dim=2)
+        ds = lb.LatentDataset(codes=np.array(rows), labels=ds.labels, schema=ds.schema)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lb.validate_dataset(ds) == expected
+
+    def test_bad_labels_and_confidences_named_by_row(self):
+        conf = np.array([[0.0, 1.0], [math.nan, 0.5], [0.5, 0.5], [0.2, math.inf],
+                         [1.5, -0.0], [-1e-300, 0.3]])
+        ds = tiny_dataset([[0, 1], [1, 1], [2, 0], [0, 0], [1, 7], [0, 0]], confidences=conf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lb.validate_dataset(ds) == [
+                "labels row 2: value outside {0, 1}", "labels row 4: value outside {0, 1}",
+                "confidences row 1: value outside [0, 1]",
+                "confidences row 3: value outside [0, 1]",
+                "confidences row 4: value outside [0, 1]",
+                "confidences row 5: value outside [0, 1]"]
 
     def test_empty_dataset_is_ok(self):
         schema = lb.AttributeSchema(tuple(f"a{k}" for k in range(4)))

@@ -3,6 +3,7 @@ import io
 import os
 import stat
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,11 +235,12 @@ def test_undecodable_labels_file_names_path_and_line(tmp_path, labels_bytes, lin
 
 
 def test_atomic_write_fsyncs_before_rename(tmp_path, monkeypatch):
-    calls = []
+    calls, on_dir = [], []
     real_fsync, real_replace = os.fsync, os.replace
 
     def fsync(fd):
         calls.append("fsync")
+        on_dir.append(stat.S_ISDIR(os.fstat(fd).st_mode))
         real_fsync(fd)
 
     def replace(src, dst):
@@ -249,5 +251,25 @@ def test_atomic_write_fsyncs_before_rename(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "replace", replace)
     target = tmp_path / "durable.bin"
     atomic_write_bytes(str(target), b"payload")
-    assert calls == ["fsync", "replace"]
+    # the file before the rename publishes it, its directory after, so the
+    # rename too survives a crash
+    assert calls == ["fsync", "replace", "fsync"]
+    assert on_dir == [False, True]
     assert target.read_bytes() == b"payload"
+
+
+def test_write_dataset_holds_no_copy_of_the_arrays(tmp_path, dataset20k):
+    # the header and the arrays stream to the file; assembling them into one
+    # payload first would peak at about the arrays' size
+    array_bytes = dataset20k.codes.nbytes + dataset20k.confidences.nbytes
+    tracemalloc.start()
+    try:
+        lb.write_dataset(dataset20k, str(tmp_path / "big"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dataset20k.codes.shape == (20_000, 64)
+    assert peak < 0.1 * array_bytes
+    loaded = lb.read_dataset(str(tmp_path / "big"))
+    assert np.array_equal(loaded.codes, dataset20k.codes)
+    assert np.array_equal(loaded.confidences, dataset20k.confidences)

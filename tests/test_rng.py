@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -113,6 +114,52 @@ def test_normals_deterministic():
 def test_blockwise_normals_equal_one_shot_transform(n):
     reference = rng._acklam_ppf(rng.uniforms(2024, n))
     assert np.array_equal(rng.normals(2024, n), reference)
+
+
+def _sha256(values) -> str:
+    return hashlib.sha256(values.tobytes()).hexdigest()
+
+
+# Digests of the little-endian output bytes, recorded from the straightforward
+# (one temporary per operation) implementation; any rewrite must keep them.
+_BLOCK_PINS = [
+    ((0, 3 * 2**16 + 5, 0),
+     "1dc9f42471fd248628bc090f0c06e1adb4f3c03cf3277a9dfe2a2a6b70819030",
+     "eda41323b0a6e1ddf9f7e5452d5b00ab713aa581fd58484abf8c48b286ab0f8b"),
+    ((7, 1000, 12345),
+     "f804fc8f14d1792afa2c52d2cf7d802d34188afb8fcf9af9579c40a7047b5b6c",
+     "94a61708af654a60b6fca1fbd2809c0a15df2264cc929ed32b88d55a48e74cc2"),
+    ((2**64 - 1, 70001, 2**40 + 3),
+     "7f4c83a34408138e46822e6182c685de7f2f537da0ed7fb09b71201cbce1be1c",
+     "b8c833195cab4856816dea71603685af73c2147537beddfa626282abb3d9fa7a"),
+]
+
+
+@pytest.mark.parametrize("args,u64_digest,uniform_digest", _BLOCK_PINS,
+                         ids=["seed0-three-blocks-and-a-bit", "seed7-start12345",
+                              "seedmax-start2^40"])
+def test_block_streams_keep_their_bits(args, u64_digest, uniform_digest):
+    assert _sha256(rng.u64_block(*args).astype("<u8")) == u64_digest
+    assert _sha256(rng.uniforms(*args).astype("<f8")) == uniform_digest
+
+
+@pytest.mark.parametrize("seed,n,digest", [
+    (0, 3 * 2**16 + 5, "59c56218644292184dc222c67c57632152a50cfd30713ac9b247ae285ef03a28"),
+    (7, 1000, "edb075a812a7d4af4bf7274bfd1d529f6f58848602c7456fd6a9464a51c96528"),
+    (2**64 - 1, 2**17, "1441b8a8c76d9ba25276bf1bc667e503f352159a92b09e2042aa819b9ddaf048"),
+], ids=["seed0-three-blocks-and-a-bit", "seed7-short", "seedmax-two-blocks"])
+def test_normals_keep_their_bits(seed, n, digest):
+    assert _sha256(rng.normals(seed, n).astype("<f8")) == digest
+
+
+def test_acklam_raises_no_floating_point_warning_at_the_extremes():
+    # the central branch also runs on tail inputs, so its denominator must stay
+    # clear of zero there; 1 - 2^-53 is the largest double below 1
+    p = np.array([2.0**-54, 0.02425, 0.5, 1.0 - 2.0**-53])
+    with np.errstate(all="raise"):
+        x = rng._acklam_ppf(p)
+    assert np.all(np.isfinite(x)) and x[2] == 0.0
+    assert np.array_equal(x[[0, 3]] < 0, [True, False])
 
 
 def _scalar_below(seed, bounds, start):
