@@ -310,9 +310,8 @@ def _cmd_edit(args) -> int:
     dataset = read_dataset(args.data)
     direction = load_direction(args.direction)
     edited = edit_latent(dataset.codes, direction, args.alpha)
-    out = LatentDataset(codes=edited, labels=dataset.labels, schema=dataset.schema,
-                        confidences=dataset.confidences)
-    write_dataset(out, args.out)
+    write_dataset(LatentDataset(codes=edited, labels=dataset.labels, schema=dataset.schema),
+                  args.out)
     print(f"wrote {args.out}.latd")
     return 0
 

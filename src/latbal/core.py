@@ -1,15 +1,14 @@
 """Domain types: attribute schemas, labeled latent datasets, directions.
 
 A dataset is N latent codes in R^d plus an N x m binary label matrix (one
-column per attribute) and optional per-label confidences.  Datasets are
-treated as immutable after construction: the arrays are flagged read-only
-and every operation returns a new dataset, so concurrent readers are safe.
+column per attribute).  Datasets are treated as immutable after
+construction: the arrays are flagged read-only and every operation returns
+a new dataset, so concurrent readers are safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -49,21 +48,21 @@ def decode_index(index: int, m: int) -> tuple[int, ...]:
 
 @dataclass
 class LatentDataset:
-    """N latent codes with per-code binary labels and optional confidences."""
+    """N latent codes with per-code binary labels."""
 
     codes: np.ndarray
     labels: np.ndarray
     schema: AttributeSchema
-    confidences: Optional[np.ndarray] = None
+    # Not a field: no constructor sets it.  perfbench/workloads.py still
+    # compares edited.confidences with demo.confidences; ROADMAP item 1
+    # deletes that check, and then this line.
+    confidences = None
 
     def __post_init__(self):
         self.codes = np.ascontiguousarray(self.codes, dtype=np.float64)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.uint8)
-        if self.confidences is not None:
-            self.confidences = np.ascontiguousarray(self.confidences, dtype=np.float64)
-        for arr in (self.codes, self.labels, self.confidences):
-            if arr is not None:
-                arr.setflags(write=False)
+        self.codes.setflags(write=False)
+        self.labels.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -80,12 +79,7 @@ class LatentDataset:
     def select(self, indices) -> "LatentDataset":
         """New dataset holding the given rows, in the given order (repeats allowed)."""
         idx = np.asarray(indices, dtype=np.int64)
-        return LatentDataset(
-            codes=self.codes[idx],
-            labels=self.labels[idx],
-            schema=self.schema,
-            confidences=None if self.confidences is None else self.confidences[idx],
-        )
+        return LatentDataset(codes=self.codes[idx], labels=self.labels[idx], schema=self.schema)
 
 
 @dataclass(frozen=True)
@@ -115,7 +109,7 @@ class SemanticDirection:
 def validate_dataset(dataset: LatentDataset) -> list[str]:
     """Check every dataset invariant; returns the violations instead of raising."""
     v: list[str] = []
-    codes, labels, conf = dataset.codes, dataset.labels, dataset.confidences
+    codes, labels = dataset.codes, dataset.labels
     m = dataset.m
 
     if codes.ndim != 2:
@@ -142,14 +136,6 @@ def validate_dataset(dataset: LatentDataset) -> list[str]:
     elif labels.size and labels.max() > 1:
         for row in np.flatnonzero((labels > 1).any(axis=1)):
             v.append(f"labels row {row}: value outside {{0, 1}}")
-
-    if conf is not None:
-        if conf.shape != (n, m):
-            v.append(f"confidences must have shape ({n}, {m}), got {conf.shape}")
-        elif conf.size and not (conf.min() >= 0.0 and conf.max() <= 1.0):
-            ok_rows = np.isfinite(conf).all(axis=1) & (conf >= 0.0).all(axis=1) & (conf <= 1.0).all(axis=1)
-            for row in np.flatnonzero(~ok_rows):
-                v.append(f"confidences row {row}: value outside [0, 1]")
 
     return v
 

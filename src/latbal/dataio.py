@@ -7,26 +7,28 @@ Layout of ``<base>.latd``::
     4       4     version (u32, = 1)
     8       4     dim (u32)
     12      8     count (u64)
-    20      4     flags (u32; bit 0: confidences present)
+    20      4     flags (u32; written as 0)
     24      -     count * dim float64 codes, row-major
-    ...     -     count * m float64 confidences (only if flag bit 0)
+    ...     -     count * m float64, only if flag bit 0 (skipped)
 
-All integers and floats are little-endian.  Labels are human-editable and
-live in ``<base>.labels.csv``: a header row of attribute names (standard
-CSV, so names with commas or quotes round-trip) followed by one row per
-code.  The attribute count m comes from that header, which is why the
-reader parses the CSV before sizing the confidence block.  Each row is m
-unquoted ``0``/``1`` tokens separated by ``,``; rows end in LF (as written)
-or CRLF, and the final newline is optional.  The file is UTF-8.  Rows are
-written and checked as one fixed-width byte array; a malformed file is
-rejected with the path and line number of its first bad row.
+All integers and floats are little-endian.  Files from older versions set
+flag bit 0 and carry a per-label block after the codes; the reader accepts
+them, counting the block in its size check but never reading it.  Labels
+are human-editable and live in ``<base>.labels.csv``: a header row of
+attribute names (standard CSV, so names with commas or quotes round-trip)
+followed by one row per code.  The attribute count m comes from that
+header, which is why the reader parses the CSV before it checks the file
+size.  Each row is m unquoted ``0``/``1`` tokens separated by ``,``; rows
+end in LF (as written) or CRLF, and the final newline is optional.  The
+file is UTF-8.  Rows are written and checked as one fixed-width byte array;
+a malformed file is rejected with the path and line number of its first bad
+row.
 
 All writes go through a temp file in the target directory, fsynced, then
 atomically renamed over the target, so an interrupted run never leaves a
 half-written file; the directory is then fsynced, so the rename survives a
-crash too.  A ``.latd`` write streams the header, the codes and the
-confidences to the temp file one after another, with no assembled copy of
-the dataset.
+crash too.  A ``.latd`` write streams the header and then the codes to the
+temp file, with no assembled copy of the dataset.
 """
 
 from __future__ import annotations
@@ -123,12 +125,9 @@ def _labels_payload(schema: AttributeSchema, labels: np.ndarray) -> np.ndarray:
 
 def write_dataset(dataset: LatentDataset, path_base: str) -> tuple[str, str]:
     latd_path, labels_path = dataset_paths(path_base)
-    conf = dataset.confidences
-    header = _HEADER.pack(MAGIC, VERSION, dataset.dim, dataset.n,
-                          0 if conf is None else FLAG_CONFIDENCES)
-    # the header and the arrays go straight to the file, with no assembled copy
-    arrays = (dataset.codes,) if conf is None else (dataset.codes, conf)
-    _atomic_write(latd_path, [header, *(np.ascontiguousarray(a, dtype="<f8") for a in arrays)])
+    header = _HEADER.pack(MAGIC, VERSION, dataset.dim, dataset.n, 0)
+    # the header and the codes go straight to the file, with no assembled copy
+    _atomic_write(latd_path, [header, np.ascontiguousarray(dataset.codes, dtype="<f8")])
     atomic_write_bytes(labels_path, _labels_payload(dataset.schema, dataset.labels))
     return latd_path, labels_path
 
@@ -209,21 +208,17 @@ def read_dataset(path_base: str) -> LatentDataset:
             raise LatdFormatError(
                 f"{labels_path}: {labels.shape[0]} label rows but binary declares {count} codes")
 
-        has_conf = bool(flags & FLAG_CONFIDENCES)
-        expected = _HEADER.size + count * dim * 8 + (count * schema.m * 8 if has_conf else 0)
+        # an older file's confidence block follows the codes and is skipped
+        skipped = count * schema.m * 8 if flags & FLAG_CONFIDENCES else 0
+        expected = _HEADER.size + count * dim * 8 + skipped
         size = os.fstat(f.fileno()).st_size
         if size != expected:
             raise LatdFormatError(f"{latd_path}: payload length mismatch "
                                   f"(expected {expected} bytes, got {size})")
 
         codes = np.fromfile(f, dtype="<f8", count=count * dim).reshape(count, dim)
-        confidences = None
-        if has_conf:
-            confidences = np.fromfile(f, dtype="<f8", count=count * schema.m)
-            confidences = confidences.reshape(count, schema.m)
 
-    dataset = LatentDataset(codes=codes, labels=labels, schema=schema,
-                            confidences=confidences)
+    dataset = LatentDataset(codes=codes, labels=labels, schema=schema)
     violations = validate_dataset(dataset)
     if violations:
         raise LatdFormatError(f"{path_base}: invalid dataset: " + "; ".join(violations[:5]))

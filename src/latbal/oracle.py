@@ -122,15 +122,12 @@ def make_world(dim: int, m: int, gram: np.ndarray, positive_rates,
 
 
 def sample_world(world: LinearAttributeWorld, n: int, seed: int) -> LatentDataset:
-    """n codes from the standard Gaussian prior, labeled and scored by the world."""
+    """n codes from the standard Gaussian prior, labeled by the world."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     codes = normals(derive_seed(seed, _STREAM_CODES), n * world.dim).reshape(n, world.dim)
-    margins = codes @ world.vectors.T - world.biases
-    labels = (margins > 0).astype(np.uint8)
-    confidences = np.abs(2.0 * _sigmoid(world.sharpness * margins) - 1.0)
-    return LatentDataset(codes=codes, labels=labels, schema=world.schema,
-                         confidences=confidences)
+    labels = (world.margins(codes) > 0).astype(np.uint8)
+    return LatentDataset(codes=codes, labels=labels, schema=world.schema)
 
 
 def default_world(seed: int = 0) -> LinearAttributeWorld:

@@ -14,14 +14,13 @@ Output at counter n (zero-based) for a given seed:
 
 where GOLDEN = 0x9E3779B97F4A7C15 and ``finalize`` is the standard SplitMix64
 mixing function.  Because the state is an affine function of the counter, the
-scalar generator and the vectorized numpy block generator produce identical
-streams (tested).
+vectorized block generator equals a scalar loop (tests/test_rng.py holds it).
 
 Substreams are derived with :func:`derive_seed`, which folds integer path
 components into the seed through the same finalizer.  Uniform doubles, drawn
-in vectorized blocks, map the top 53 bits to (0, 1) via (k + 0.5) * 2^-53, and
-normal variates apply an inverse normal CDF (Acklam's rational approximation)
-to those uniforms.
+in vectorized blocks, map the top 53 bits to (0, 1) via (k + 0.5) * 2^-53,
+clamped below 1, and normal variates apply an inverse normal CDF (Acklam's
+rational approximation) to those uniforms.
 
 The block functions work in place: :func:`normals` reuses one set of scratch
 arrays for every block, evaluates Acklam's central branch over the whole
@@ -66,29 +65,6 @@ def derive_seed(seed: int, *path: int) -> int:
     return s
 
 
-class SplitMix64:
-    """Scalar stream over the counter-based sequence for one seed."""
-
-    def __init__(self, seed: int):
-        self.seed = seed & MASK64
-        self.counter = 0
-
-    def next_u64(self) -> int:
-        out = _finalize(self.seed + (self.counter + 1) * GOLDEN)
-        self.counter += 1
-        return out
-
-    def below(self, n: int) -> int:
-        """Unbiased integer in [0, n) by rejection sampling."""
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
-        limit = ((1 << 64) // n) * n
-        while True:
-            x = self.next_u64()
-            if x < limit:
-                return x % n
-
-
 def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """SplitMix64's finalizer applied to z in place; t is scratch of z's size."""
     for shift, mix in ((30, _MIX1), (27, _MIX2)):
@@ -99,7 +75,7 @@ def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def u64_block(seed: int, n: int, start: int = 0) -> np.ndarray:
-    """Vectorized outputs at counters start .. start+n-1 (same stream as SplitMix64)."""
+    """Vectorized SplitMix64 outputs at counters start .. start+n-1."""
     if n == 0:
         return np.empty(0, dtype=np.uint64)
     z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
@@ -109,10 +85,11 @@ def u64_block(seed: int, n: int, start: int = 0) -> np.ndarray:
 
 
 def below_block(seed: int, bounds, start: int = 0) -> tuple[np.ndarray, int]:
-    """Successive SplitMix64(seed).below(b) for b in bounds, from counter start.
+    """Unbiased integers in [0, b) for b in bounds, from counter start.
 
     Returns the values (uint64) and the counter after the last draw, exactly
-    as the scalar calls would leave them.  Outputs are drawn one block at a
+    as successive scalar ``SplitMix64(seed).below(b)`` calls (the reference in
+    tests/test_rng.py) would leave them.  Outputs are drawn one block at a
     time; an output at or above the largest multiple of its bound below 2^64
     is rejected, and the draw resumes from the next counter with the same
     bound.  Each rejection redraws the rest of the block; at bounds far below
@@ -138,11 +115,14 @@ def below_block(seed: int, bounds, start: int = 0) -> tuple[np.ndarray, int]:
 
 
 def _unit(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(k + 0.5) * 2^-53 into out, k the top 53 bits of each of bits (which it shifts)."""
+    """(k + 0.5) * 2^-53, clamped below 1, into out; k the top 53 bits of each of
+    bits (which it shifts)."""
     bits >>= np.uint64(11)
     np.add(bits, 0.5, out=out)  # k < 2^53 converts exactly, then one rounding
     out *= 2.0**-53
-    return out
+    # k = 2^53 - 1 rounds (ties to even) to exactly 1.0, where the inverse CDF
+    # is infinite; every other k stays below 1 - 2^-53
+    return np.minimum(out, 1.0 - 2.0**-53, out=out)
 
 
 def uniforms(seed: int, n: int, start: int = 0) -> np.ndarray:

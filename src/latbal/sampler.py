@@ -27,8 +27,8 @@ partial Fisher-Yates shuffle over its member list), then, under oversample,
 q - s more with replacement from the shuffled list, filling its slots in
 schedule order.  All derive from the plan seed (see rng.derive_seed).  Each
 stream's draws come from one vectorized block (rng.below_block), with
-rejection sampling handled exactly, so the values equal successive scalar
-SplitMix64.below calls.
+rejection sampling handled exactly, so the values equal successive calls
+of the scalar reference SplitMix64.below in tests/test_rng.py.
 """
 
 from __future__ import annotations

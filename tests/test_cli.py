@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,10 +49,10 @@ def test_contingency_command(tmp_path, synth_base, capsys):
     out = str(tmp_path / "table.csv")
     stats = str(tmp_path / "stats.json")
     assert run("contingency", "--data", synth_base, "--out", out, "--stats", stats) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "cell_index,bits,count"
     assert len(lines) == 17
-    payload = json.loads(open(stats).read())
+    payload = json.loads(Path(stats).read_text())
     assert payload["nonempty_cells"] >= 14
     assert payload["max_min_ratio"] > 3
 
@@ -60,7 +61,7 @@ def test_sample_fit_eval_pipeline(tmp_path, synth_base):
     sub = str(tmp_path / "sub")
     assert run("sample", "--data", synth_base, "--mode", "balanced",
                "--n0", "400", "--policy", "skip", "--seed", "42", "--out", sub) == 0
-    sidecar = json.loads(open(sub + ".json").read())
+    sidecar = json.loads(Path(sub + ".json").read_text())
     assert sidecar["policy"] == "skip" and sidecar["size"] <= 400
 
     fits = str(tmp_path / "dirs")
@@ -74,10 +75,10 @@ def test_sample_fit_eval_pipeline(tmp_path, synth_base):
     assert run("eval", "--world", synth_base + ".world.json",
                "--directions", *[f"{fits}/{n}.json" for n in names],
                "--alpha", "0.2", "--n", "500", "--seed", "7", "--out", out) == 0
-    lines = open(out + ".csv").read().splitlines()
+    lines = Path(out + ".csv").read_text().splitlines()
     assert lines[0] == "direction,attribute,value"
     assert len(lines) == 1 + 16
-    payload = json.loads(open(out + ".json").read())
+    payload = json.loads(Path(out + ".json").read_text())
     values = np.array(payload["values"])
     assert np.all(np.diag(values) > 0)
 
@@ -86,7 +87,7 @@ def test_uniform_sample_mode(tmp_path, synth_base):
     sub = str(tmp_path / "uni")
     assert run("sample", "--data", synth_base, "--mode", "uniform",
                "--n0", "100", "--seed", "3", "--out", sub) == 0
-    rows = open(sub + ".csv").read().splitlines()
+    rows = Path(sub + ".csv").read_text().splitlines()
     assert rows[0] == "position,row_index"
     assert len(rows) == 101
 
@@ -164,13 +165,13 @@ def test_sweep_and_report(tmp_path, synth_base):
     assert run("sweep", "--data", synth_base, "--world", synth_base + ".world.json",
                "--sizes", "50,200", "--runs", "2", "--n-eval", "200",
                "--seed", "11", "--out", out) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0].startswith("parameter,attribute,effect,entanglement")
     assert len(lines) == 1 + 2 * 4
 
     merged = str(tmp_path / "merged.json")
     assert run("report", "--inputs", out, out, "--out", merged, "--format", "json") == 0
-    rows = json.loads(open(merged).read())
+    rows = json.loads(Path(merged).read_text())
     assert len(rows) == 16
     assert {"parameter", "attribute", "effect"} <= set(rows[0])
 
@@ -180,7 +181,7 @@ def test_c_grid_sweep(tmp_path, synth_base):
     assert run("sweep", "--data", synth_base, "--world", synth_base + ".world.json",
                "--c-grid", "1e-6", "--n0", "300", "--runs", "1", "--n-eval", "100",
                "--seed", "3", "--out", out) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 1 + 4 + 4  # svm rows + centroid reference rows
 
 
@@ -195,9 +196,11 @@ def test_readme_first_step_creates_the_data_directory(tmp_path, monkeypatch):
 # sha256 of every file the README walkthrough writes (at 20k codes and a
 # shorter sweep).  The CSV digests were recorded before the CSV writers moved
 # to csv.writer, the others before the unused knobs and fields were deleted
-# from src/: plain names must keep every byte
+# from src/: plain names must keep every byte.  The two .latd digests changed
+# once more when files stopped carrying confidences: each new file is the old
+# one with flags 0 and its last count*m*8 bytes removed
 WALKTHROUGH_SHA256 = {
-    "demo.latd": "691727dd62499dd0ee51f52bef500a611eeec88345eedf412f73e41fe436d870",
+    "demo.latd": "10f65056fb07f82e46dba40ae51b723b7c77c7c3b2c1179c87a72ca63af467cc",
     "demo.labels.csv": "beb7f045a867d296b358ee88a2a102a6b88208a3f97a86f3fd75e807cced8273",
     "demo.world.json": "4bc36b0f5bf9117db4065e5fe6caaab9a178df93bdae85f3593918a466c825bf",
     "table.csv": "c43e34e56f742005463e5523fbad91892e9edf54bc18874e5d16d18897826b41",
@@ -214,7 +217,7 @@ WALKTHROUGH_SHA256 = {
     "rescore.json": "5ab433c6ac9b27dd2a37bca48823d2231ad44bf6ac86e97e50a41b915fdf5c03",
     "attr0_conditional.json":
         "7923feab61b01fb819189c955e1a42d4b53062d7ce195b603ff167164b59ce67",
-    "edited.latd": "809dfbec8723d073cabc6e61bd91c046ec7d4023bcea84750cd4ed6a420a7a5e",
+    "edited.latd": "838a44a5b77334599718def388011670875fae363b858d81a8c6f6a96dfd5d12",
     "edited.labels.csv": "beb7f045a867d296b358ee88a2a102a6b88208a3f97a86f3fd75e807cced8273",
     "sizes.csv": "b771470d270da24a84f6b4da15b6c8dee55c852074fdaf26e127a5fc1b93984e",
     "cs.csv": "a861f13224c6c083a128378c5cd6675d0b632eaf0f9b4223676021406ed6b3c2",
@@ -335,9 +338,9 @@ def test_byte_identical_reruns(tmp_path):
     b = str(tmp_path / "b")
     for base in (a, b):
         assert run("synth", "--out", base, "--n", "300", "--seed", "9") == 0
-    assert open(a + ".latd", "rb").read() == open(b + ".latd", "rb").read()
-    assert open(a + ".labels.csv").read() == open(b + ".labels.csv").read()
-    assert open(a + ".world.json").read() == open(b + ".world.json").read()
+    assert Path(a + ".latd").read_bytes() == Path(b + ".latd").read_bytes()
+    assert Path(a + ".labels.csv").read_text() == Path(b + ".labels.csv").read_text()
+    assert Path(a + ".world.json").read_text() == Path(b + ".world.json").read_text()
 
 
 class TestExitCodes:

@@ -68,18 +68,12 @@ class TestValidateDataset:
             warnings.simplefilter("error")
             assert lb.validate_dataset(ds) == expected
 
-    def test_bad_labels_and_confidences_named_by_row(self):
-        conf = np.array([[0.0, 1.0], [math.nan, 0.5], [0.5, 0.5], [0.2, math.inf],
-                         [1.5, -0.0], [-1e-300, 0.3]])
-        ds = tiny_dataset([[0, 1], [1, 1], [2, 0], [0, 0], [1, 7], [0, 0]], confidences=conf)
+    def test_bad_labels_named_by_row(self):
+        ds = tiny_dataset([[0, 1], [1, 1], [2, 0], [0, 0], [1, 7], [0, 0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert lb.validate_dataset(ds) == [
-                "labels row 2: value outside {0, 1}", "labels row 4: value outside {0, 1}",
-                "confidences row 1: value outside [0, 1]",
-                "confidences row 3: value outside [0, 1]",
-                "confidences row 4: value outside [0, 1]",
-                "confidences row 5: value outside [0, 1]"]
+                "labels row 2: value outside {0, 1}", "labels row 4: value outside {0, 1}"]
 
     def test_empty_dataset_is_ok(self):
         schema = lb.AttributeSchema(tuple(f"a{k}" for k in range(4)))
@@ -100,10 +94,6 @@ class TestValidateDataset:
         labels[0, 0] = 3
         bad = lb.LatentDataset(codes=ds.codes, labels=labels, schema=ds.schema)
         assert lb.validate_dataset(bad)
-
-    def test_confidence_range_checked(self):
-        ds = tiny_dataset([[0, 1]], confidences=np.array([[0.5, 1.5]]))
-        assert any("confidences row 0" in v for v in lb.validate_dataset(ds))
 
     def test_valid_oracle_sample(self, dataset20k):
         assert lb.validate_dataset(dataset20k) == []

@@ -4,13 +4,14 @@ import os
 import stat
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import latbal as lb
 from latbal.dataio import (FLAG_CONFIDENCES, MAGIC, VERSION, LatdFormatError,
-                           atomic_write_bytes, dataset_paths)
+                           atomic_write_bytes)
 
 
 @pytest.fixture()
@@ -24,19 +25,8 @@ def test_roundtrip_is_bit_exact(tmp_path, oracle_dataset):
     loaded = lb.read_dataset(base)
     assert np.array_equal(loaded.codes, oracle_dataset.codes)
     assert np.array_equal(loaded.labels, oracle_dataset.labels)
-    assert np.array_equal(loaded.confidences, oracle_dataset.confidences)
     assert loaded.schema == oracle_dataset.schema
     assert loaded.dim == oracle_dataset.dim
-
-
-def test_roundtrip_without_confidences(tmp_path, oracle_dataset):
-    ds = lb.LatentDataset(codes=oracle_dataset.codes,
-                          labels=oracle_dataset.labels, schema=oracle_dataset.schema)
-    base = str(tmp_path / "plain")
-    lb.write_dataset(ds, base)
-    loaded = lb.read_dataset(base)
-    assert loaded.confidences is None
-    assert np.array_equal(loaded.codes, ds.codes)
 
 
 def test_empty_dataset_writes_header_only(tmp_path):
@@ -55,8 +45,7 @@ def test_schema_adopted_from_csv_header(tmp_path, oracle_dataset):
     base = str(tmp_path / "named")
     named = lb.LatentDataset(codes=oracle_dataset.codes,
                              labels=oracle_dataset.labels,
-                             schema=lb.AttributeSchema(("glasses", "gender", "smile", "age")),
-                             confidences=oracle_dataset.confidences)
+                             schema=lb.AttributeSchema(("glasses", "gender", "smile", "age")))
     lb.write_dataset(named, base)
     assert lb.read_dataset(base).schema.names == ("glasses", "gender", "smile", "age")
 
@@ -126,13 +115,19 @@ def test_short_binary_header_rejected(tmp_path):
 
 
 def test_confidence_flag_roundtrip_layout(tmp_path, oracle_dataset):
-    base = str(tmp_path / "flags")
-    lb.write_dataset(oracle_dataset, base)
-    latd_path, _ = dataset_paths(base)
-    raw = open(latd_path, "rb").read()
-    _, _, dim, count, flags = struct.unpack_from("<4sIIQI", raw)
-    assert flags == FLAG_CONFIDENCES
-    assert len(raw) == 24 + count * dim * 8 + count * 4 * 8
+    # older versions set flag bit 0 and wrote count*m per-label confidences
+    # after the codes; such a file loads, and rewriting it drops the block
+    ds = oracle_dataset
+    codes = ds.codes.astype("<f8").tobytes()
+    block = np.linspace(0.0, 1.0, ds.n * ds.m).astype("<f8").tobytes()
+    labels_csv = Path(lb.write_dataset(ds, str(tmp_path / "new"))[1]).read_bytes()
+    old = struct.pack("<4sIIQI", MAGIC, VERSION, ds.dim, ds.n, FLAG_CONFIDENCES) + codes + block
+    loaded = lb.read_dataset(_write_raw(tmp_path, "old", old, labels_csv.decode()))
+    assert loaded.codes.tobytes() == ds.codes.tobytes()
+    assert np.array_equal(loaded.labels, ds.labels)
+    latd_path, labels_path = lb.write_dataset(loaded, str(tmp_path / "rewritten"))
+    assert Path(latd_path).read_bytes() == old[:20] + struct.pack("<I", 0) + old[24:-len(block)]
+    assert Path(labels_path).read_bytes() == labels_csv
 
 
 def test_nan_codes_fail_validation_on_read(tmp_path):
@@ -177,7 +172,7 @@ def test_labels_csv_bytes_equal_csv_writer_reference(tmp_path):
     writer.writerow(names)
     for row in labels:
         writer.writerow([int(b) for b in row])
-    assert open(labels_path, "rb").read() == out.getvalue().encode("utf-8")
+    assert Path(labels_path).read_bytes() == out.getvalue().encode("utf-8")
     loaded = lb.read_dataset(str(tmp_path / "q"))
     assert loaded.schema.names == names
     assert np.array_equal(loaded.labels, labels)
@@ -261,7 +256,7 @@ def test_atomic_write_fsyncs_before_rename(tmp_path, monkeypatch):
 def test_write_dataset_holds_no_copy_of_the_arrays(tmp_path, dataset20k):
     # the header and the arrays stream to the file; assembling them into one
     # payload first would peak at about the arrays' size
-    array_bytes = dataset20k.codes.nbytes + dataset20k.confidences.nbytes
+    array_bytes = dataset20k.codes.nbytes
     tracemalloc.start()
     try:
         lb.write_dataset(dataset20k, str(tmp_path / "big"))
@@ -272,4 +267,3 @@ def test_write_dataset_holds_no_copy_of_the_arrays(tmp_path, dataset20k):
     assert peak < 0.1 * array_bytes
     loaded = lb.read_dataset(str(tmp_path / "big"))
     assert np.array_equal(loaded.codes, dataset20k.codes)
-    assert np.array_equal(loaded.confidences, dataset20k.confidences)

@@ -97,7 +97,6 @@ class TestSampleWorld:
         b = lb.sample_world(world42, 100, seed=9)
         assert np.array_equal(a.codes, b.codes)
         assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.confidences, b.confidences)
 
     def test_negative_n_rejected(self, world42):
         with pytest.raises(ValueError):
@@ -127,11 +126,6 @@ class TestOracleScore:
         ds = lb.sample_world(world42, 10_000, seed=8)
         scores = world42.score(ds.codes)
         assert np.array_equal(scores > 0.5, ds.labels.astype(bool))
-
-    def test_confidence_definition(self, world42):
-        ds = lb.sample_world(world42, 1000, seed=8)
-        expected = np.abs(2.0 * world42.score(ds.codes) - 1.0)
-        assert np.allclose(ds.confidences, expected, atol=1e-15)
 
     def test_dimension_mismatch(self, world42):
         with pytest.raises(ValueError, match="dimension"):

@@ -9,9 +9,37 @@ from hypothesis import strategies as st
 from latbal import rng
 
 
+class SplitMix64:
+    """Scalar reference stream for one seed: output n is finalize(state_n),
+    state_n = (seed + (n + 1) * GOLDEN) mod 2^64, one counter step at a time.
+
+    The block generators in latbal.rng must reproduce it exactly; the sampler
+    tests use it too.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed & rng.MASK64
+        self.counter = 0
+
+    def next_u64(self) -> int:
+        out = rng._finalize(self.seed + (self.counter + 1) * rng.GOLDEN)
+        self.counter += 1
+        return out
+
+    def below(self, n: int) -> int:
+        """Unbiased integer in [0, n) by rejection sampling."""
+        if n <= 0:
+            raise ValueError("below() needs n >= 1")
+        limit = ((1 << 64) // n) * n
+        while True:
+            x = self.next_u64()
+            if x < limit:
+                return x % n
+
+
 def test_splitmix64_reference_stream():
     # first outputs for seed 0 of the published SplitMix64 algorithm
-    g = rng.SplitMix64(0)
+    g = SplitMix64(0)
     assert g.next_u64() == 0xE220A8397B1DCDAF
     assert g.next_u64() == 0x6E789E6AA1B965F4
     assert g.next_u64() == 0x06C45D188009454F
@@ -20,7 +48,7 @@ def test_splitmix64_reference_stream():
 @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 200), start=st.integers(0, 500))
 @settings(max_examples=50, deadline=None)
 def test_scalar_and_vectorized_streams_agree(seed, n, start):
-    g = rng.SplitMix64(seed)
+    g = SplitMix64(seed)
     scalar = [g.next_u64() for _ in range(start + n)][start:]
     block = rng.u64_block(seed, n, start=start)
     assert scalar == [int(x) for x in block]
@@ -36,8 +64,8 @@ def test_uniforms_open_interval(seed):
 @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 1000))
 @settings(max_examples=50, deadline=None)
 def test_below_in_range_and_deterministic(seed, n):
-    a = rng.SplitMix64(seed)
-    b = rng.SplitMix64(seed)
+    a = SplitMix64(seed)
+    b = SplitMix64(seed)
     xs = [a.below(n) for _ in range(20)]
     assert xs == [b.below(n) for _ in range(20)]
     assert all(0 <= x < n for x in xs)
@@ -45,7 +73,7 @@ def test_below_in_range_and_deterministic(seed, n):
 
 def test_below_rejects_nonpositive():
     with pytest.raises(ValueError):
-        rng.SplitMix64(0).below(0)
+        SplitMix64(0).below(0)
 
 
 def test_derive_seed_is_path_sensitive():
@@ -162,8 +190,16 @@ def test_acklam_raises_no_floating_point_warning_at_the_extremes():
     assert np.array_equal(x[[0, 3]] < 0, [True, False])
 
 
+def test_top_output_maps_below_one_and_to_a_finite_normal():
+    # k = 2^53 - 1: (k + 0.5) * 2^-53 rounds to exactly 1.0 unless clamped
+    u = rng._unit(np.array([2**64 - 1], dtype=np.uint64), np.empty(1))
+    assert u[0] == 1.0 - 2.0**-53
+    with np.errstate(all="raise"):
+        assert np.isfinite(rng._acklam_ppf(u)).all()
+
+
 def _scalar_below(seed, bounds, start):
-    g = rng.SplitMix64(seed)
+    g = SplitMix64(seed)
     g.counter = start
     return [g.below(int(b)) for b in bounds], g.counter
 

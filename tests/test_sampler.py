@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 import latbal as lb
 from latbal.contingency import cell_indices
-from latbal.rng import SplitMix64, derive_seed, u64_block
+from latbal.rng import derive_seed, u64_block
 from latbal.sampler import (_STREAM_CELLS, _STREAM_MEMBERS, _STREAM_UNIFORM,
                             read_subsample_indices, write_subsample)
 from conftest import tiny_dataset
+from test_rng import SplitMix64
 
 
 def _dataset_with_cells(per_cell: dict[tuple[int, int], int]):
