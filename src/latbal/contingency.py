@@ -46,8 +46,9 @@ def build_contingency(dataset: LatentDataset) -> ContingencyTable:
     n_cells = 1 << m
     cells = cell_indices(dataset)
     counts = np.bincount(cells, minlength=n_cells).astype(np.int64)
-    # stable sort groups rows by cell while preserving row order within cells
-    order = np.argsort(cells, kind="stable")
+    # stable sort groups rows by cell while preserving row order within
+    # cells; in the narrowest dtype that holds every cell it is a radix sort
+    order = np.argsort(cells.astype(np.min_scalar_type(n_cells - 1)), kind="stable")
     bounds = np.cumsum(counts)
     members = np.split(order, bounds[:-1])
     return ContingencyTable(m=m, counts=counts, members=[np.asarray(g) for g in members])

@@ -181,13 +181,15 @@ def _sweep(dataset: LatentDataset, scorer: Scorer, points: list[tuple], runs: in
     errors: list[Optional[str]] = [None] * len(points)
     for run in range(runs):
         latents = _eval_latents(dataset.dim, n_eval, seed, run)
-        fit_key = fit_set = None  # hold one fit set at a time, not one per key
+        fit_key = fit_set = None
         for p, (_, method, policy, n0, c, key) in enumerate(points):
             if errors[p] is not None:
                 continue
             try:
                 sub_key = (policy, n0, derive_seed(seed, _STREAM_FIT, *key, run))
                 if sub_key != fit_key:
+                    # drop the old fit set first: one fit set alive at a time
+                    fit_key = fit_set = None
                     sub = _subsample(dataset, table, *sub_key)
                     fit_key, fit_set = sub_key, dataset.select(sub.indices)
                 dirs = fit_directions(fit_set, method, c=c, tol=_SWEEP_SVM_TOL,

@@ -28,7 +28,10 @@ q - s more with replacement from the shuffled list, filling its slots in
 schedule order.  All derive from the plan seed (see rng.derive_seed).  Each
 stream's draws come from one vectorized block (rng.below_block), with
 rejection sampling handled exactly, so the values equal successive calls
-of the scalar reference SplitMix64.below in tests/test_rng.py.
+of the scalar reference SplitMix64.below in tests/test_rng.py.  The partial
+Fisher-Yates shuffle is resolved as whole arrays too (see _distinct_below):
+there is no per-draw loop, and its output equals the scalar shuffle in
+tests/test_sampler.py draw for draw.
 """
 
 from __future__ import annotations
@@ -75,18 +78,40 @@ class SubsampleResult:
 
 
 def _distinct_below(seed: int, n: int, k: int) -> tuple[np.ndarray, int]:
-    """k distinct integers in [0, n) by a sparse partial Fisher-Yates shuffle.
+    """k distinct integers in [0, n) by a partial Fisher-Yates shuffle.
 
     Also returns the counter of seed's stream after the k draws.
+
+    Step t swaps positions t and r_t = t + d_t of the identity array, so
+    out[t] is the value at r_t just before step t: r_t itself if no earlier
+    step targeted r_t, else pre(s) for the latest such step s, where pre(s)
+    is the value position s held before step s.  pre(s) is s unless an
+    earlier step u < s targeted s, in which case it is pre(u) for the latest
+    such u; those chains run to strictly smaller steps, so pointer jumping
+    resolves every one in O(log length) whole-array passes.
     """
     draws, counter = below_block(seed, np.arange(n, n - k, -1))
-    swapped: dict[int, int] = {}
-    out = []
-    for t, d in enumerate(draws.tolist()):
-        r = t + d
-        out.append(swapped.get(r, r))
-        swapped[r] = swapped.get(t, t)
-    return np.asarray(out, dtype=np.int64), counter
+    t = np.arange(k, dtype=np.int64)
+    r = draws.astype(np.int64) + t
+    # group the steps by target, in step order within a group; r < n and
+    # t < k <= n, so the keys are distinct and r * k + t < n^2 fits int64
+    key = r * k + t
+    order = np.argsort(key)
+    key = key[order]
+    r_sorted = r[order]
+    # root[s]: the latest step u < s with r_u = s (the largest key below
+    # s * k + s), or s itself; following it to a fixed point gives pre(s)
+    below = np.searchsorted(key, t * (k + 1)) - 1
+    root = np.where((below >= 0) & (r_sorted[below] == t), order[below], t)
+    nxt = root[root]
+    while not np.array_equal(nxt, root):
+        root, nxt = nxt, nxt[nxt]
+    # a step whose target an earlier step already swapped takes pre() of
+    # the latest such step, its predecessor in the sorted group
+    same = np.flatnonzero(r_sorted[1:] == r_sorted[:-1])
+    out = r
+    out[order[same + 1]] = root[order[same]]
+    return out, counter
 
 
 def balanced_subsample(dataset: LatentDataset, table: ContingencyTable,
@@ -97,10 +122,18 @@ def balanced_subsample(dataset: LatentDataset, table: ContingencyTable,
     # quotas: every cell gets `base` slots and `extra` distinct cells one more
     base, extra = divmod(plan.n0, n_cells)
     extra_cells, counter = _distinct_below(cell_seed, n_cells, extra)
-    slots = np.concatenate([np.tile(np.arange(n_cells), base), extra_cells])
-    # shuffle the slots by sorting them on the stream's next n0 outputs
+    # the narrowest cell dtype makes the stable by_cell sort below a radix sort
+    cell_type = np.min_scalar_type(n_cells - 1)
+    slots = np.concatenate([np.tile(np.arange(n_cells, dtype=cell_type), base),
+                            extra_cells.astype(cell_type)])
+    # shuffle the slots by sorting them on the stream's next n0 outputs; any
+    # sort gives the stable order unless two keys are equal (odds ~n0^2/2^65)
     keys = u64_block(cell_seed, plan.n0, start=counter)
-    schedule = slots[np.argsort(keys, kind="stable")]
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+        order = np.argsort(keys, kind="stable")
+    schedule = slots[order]
 
     # each cell's slots in schedule order; its k-th draw fills its k-th slot
     quotas = np.bincount(schedule, minlength=n_cells)

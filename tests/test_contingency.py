@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latbal as lb
-from latbal.contingency import bits_string, write_contingency_csv
+from latbal.contingency import bits_string, cell_indices, write_contingency_csv
 from latbal.rng import uniforms
 from conftest import tiny_dataset
 
@@ -33,6 +33,18 @@ def test_members_partition_rows():
         assert cell.size == table.counts[c]
         # row order preserved within a cell
         assert cell.tolist() == sorted(cell.tolist())
+
+
+@pytest.mark.parametrize("m", [3, 17])
+def test_members_follow_the_stable_int64_order(m):
+    # the cells are sorted as uint8 at m=3 and as uint32 at m=17; mostly-zero
+    # labels put many rows in the same cell, so an unstable order would show
+    labels = (uniforms(m, 4000 * m).reshape(4000, m) > 0.85).astype(np.uint8)
+    ds = tiny_dataset(labels)
+    table = lb.build_contingency(ds)
+    order = np.argsort(cell_indices(ds), kind="stable")
+    assert np.array_equal(np.concatenate(table.members), order)
+    assert [cell.size for cell in table.members] == table.counts.tolist()
 
 
 def test_permutation_leaves_counts_unchanged():

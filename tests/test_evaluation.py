@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -142,6 +144,20 @@ class TestSweeps:
         a = lb.sweep_sample_size(dataset20k, world42.score, **kwargs)
         b = lb.sweep_sample_size(dataset20k, world42.score, **kwargs)
         assert sweep_to_csv(a) == sweep_to_csv(b)
+
+    def test_sweep_holds_one_fit_set_at_a_time(self, world42, dataset100k):
+        # two grid points, two uniform fit sets of 50k rows: building the
+        # second while the first is still referenced would peak near 2x
+        fit_bytes = 50_000 * (dataset100k.codes[0].nbytes + dataset100k.labels[0].nbytes)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            lb.sweep_sample_size(dataset100k, world42.score, sizes=[50_000, 50_000],
+                                 policies=("uniform",), runs=1, n_eval=100, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 1.5 * fit_bytes
 
     def test_regularization_shape_and_small_c_limit(self, world42, dataset20k):
         report = lb.sweep_regularization(dataset20k, world42.score, c_values=[1e-6],

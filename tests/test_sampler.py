@@ -2,14 +2,15 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latbal as lb
+import latbal.sampler
 from latbal.contingency import cell_indices
 from latbal.rng import derive_seed, u64_block
 from latbal.sampler import (_STREAM_CELLS, _STREAM_MEMBERS, _STREAM_UNIFORM,
-                            read_subsample_indices, write_subsample)
+                            _distinct_below, read_subsample_indices, write_subsample)
 from conftest import tiny_dataset
 from test_rng import SplitMix64
 
@@ -230,7 +231,7 @@ def _reference_distinct_below(rng, n, k):
     return out
 
 
-def _reference_balanced(table, plan):
+def _reference_balanced(table, plan, key_block=u64_block):
     n_cells = table.n_cells
     pools = [cell.tolist() for cell in table.members]
     used = [0] * n_cells
@@ -243,7 +244,7 @@ def _reference_balanced(table, plan):
     slots = np.concatenate([np.tile(np.arange(n_cells), base),
                             np.asarray(_reference_distinct_below(cell_rng, n_cells, extra),
                                        np.int64)])
-    keys = u64_block(cell_rng.seed, plan.n0, start=cell_rng.counter)
+    keys = key_block(cell_rng.seed, plan.n0, start=cell_rng.counter)
     for c in slots[np.argsort(keys, kind="stable")].tolist():
         pool = pools[c]
         size = len(pool)
@@ -262,6 +263,22 @@ def _reference_balanced(table, plan):
         indices.append(pick)
         per_cell[c] += 1
     return indices, per_cell.tolist(), skipped
+
+
+@given(seed=st.integers(0, 2**64 - 1),
+       nk=st.integers(1, 2000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+@example(seed=0, nk=(5, 0))
+@example(seed=2**64 - 1, nk=(1, 1))
+@example(seed=7, nk=(1 << 16, 1 << 16))  # a full shuffle has the longest chains
+@settings(max_examples=100, deadline=None)
+def test_distinct_below_equals_the_scalar_reference(seed, nk):
+    n, k = nk
+    rng = SplitMix64(seed)
+    ref = _reference_distinct_below(rng, n, k)
+    out, counter = _distinct_below(seed, n, k)
+    assert out.dtype == np.int64
+    assert out.tolist() == ref
+    assert counter == rng.counter
 
 
 def _reference_uniform(n, n0, seed):
@@ -289,6 +306,26 @@ class TestMatchesScalarReference:
         assert res.indices.tolist() == indices
         assert res.per_cell_counts.tolist() == per_cell
         assert res.skipped_iterations == skipped
+
+    def test_equal_sort_keys_keep_the_stable_order(self, prepared, monkeypatch):
+        # no real seed draws two equal keys in one schedule; keys cut to
+        # their top 3 bits repeat, and the slots must still be shuffled
+        # into the stable order of the keys
+        def coarse_keys(seed, n, start=0):
+            return u64_block(seed, n, start) >> np.uint64(61)
+
+        # 1000 slots over 4 cells pick no extra cells: the keys start at counter 0
+        keys = coarse_keys(derive_seed(42, _STREAM_CELLS), 1000)
+        assert not np.array_equal(np.argsort(keys), np.argsort(keys, kind="stable"))
+        monkeypatch.setattr(latbal.sampler, "u64_block", coarse_keys)
+        ds, table = prepared
+        for policy in ("skip", "oversample"):
+            plan = lb.SamplePlan(1000, policy, 42)
+            res = lb.balanced_subsample(ds, table, plan)
+            indices, per_cell, skipped = _reference_balanced(table, plan, coarse_keys)
+            assert res.indices.tolist() == indices
+            assert res.per_cell_counts.tolist() == per_cell
+            assert res.skipped_iterations == skipped
 
     @pytest.mark.parametrize("n0", [1, 15, 16, 17, 1000])
     @pytest.mark.parametrize("policy", ["skip", "oversample"])
