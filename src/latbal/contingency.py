@@ -41,14 +41,21 @@ def cell_indices(dataset: LatentDataset) -> np.ndarray:
     return dataset.labels.astype(np.int64) @ weights
 
 
+def cell_dtype(n_cells: int) -> np.dtype:
+    """Narrowest integer dtype that holds every cell index below n_cells.
+
+    numpy's stable sort is a radix sort on it for up to 2^16 cells (m <= 16).
+    """
+    return np.min_scalar_type(n_cells - 1)
+
+
 def build_contingency(dataset: LatentDataset) -> ContingencyTable:
     m = dataset.m
     n_cells = 1 << m
     cells = cell_indices(dataset)
     counts = np.bincount(cells, minlength=n_cells).astype(np.int64)
-    # stable sort groups rows by cell while preserving row order within
-    # cells; in the narrowest dtype that holds every cell it is a radix sort
-    order = np.argsort(cells.astype(np.min_scalar_type(n_cells - 1)), kind="stable")
+    # stable sort groups rows by cell while preserving row order within cells
+    order = np.argsort(cells.astype(cell_dtype(n_cells)), kind="stable")
     bounds = np.cumsum(counts)
     members = np.split(order, bounds[:-1])
     return ContingencyTable(m=m, counts=counts, members=[np.asarray(g) for g in members])

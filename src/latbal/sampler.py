@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contingency import ContingencyTable, cell_indices
+from .contingency import ContingencyTable, cell_dtype, cell_indices
 from .core import LatentDataset
 from .rng import ALGORITHM, below_block, derive_seed, u64_block
 
@@ -122,8 +122,8 @@ def balanced_subsample(dataset: LatentDataset, table: ContingencyTable,
     # quotas: every cell gets `base` slots and `extra` distinct cells one more
     base, extra = divmod(plan.n0, n_cells)
     extra_cells, counter = _distinct_below(cell_seed, n_cells, extra)
-    # the narrowest cell dtype makes the stable by_cell sort below a radix sort
-    cell_type = np.min_scalar_type(n_cells - 1)
+    # narrow cells keep the stable by_cell sort below fast (see cell_dtype)
+    cell_type = cell_dtype(n_cells)
     slots = np.concatenate([np.tile(np.arange(n_cells, dtype=cell_type), base),
                             extra_cells.astype(cell_type)])
     # shuffle the slots by sorting them on the stream's next n0 outputs; any

@@ -314,9 +314,10 @@ class TestMatchesScalarReference:
         def coarse_keys(seed, n, start=0):
             return u64_block(seed, n, start) >> np.uint64(61)
 
-        # 1000 slots over 4 cells pick no extra cells: the keys start at counter 0
+        # 1000 slots over 4 cells pick no extra cells: the keys start at
+        # counter 0, and they repeat, so the stable fallback is taken
         keys = coarse_keys(derive_seed(42, _STREAM_CELLS), 1000)
-        assert not np.array_equal(np.argsort(keys), np.argsort(keys, kind="stable"))
+        assert np.unique(keys).size < keys.size
         monkeypatch.setattr(latbal.sampler, "u64_block", coarse_keys)
         ds, table = prepared
         for policy in ("skip", "oversample"):
