@@ -276,15 +276,15 @@ def _cmd_sample(args) -> int:
 
 def _cmd_fit(args) -> int:
     dataset = read_dataset(args.data)
+    indices = None
     if args.subsample:
         indices = read_subsample_indices(args.subsample)
         bad = np.flatnonzero((indices < 0) | (indices >= dataset.n))
         if bad.size:  # the header is line 1, row k is line k + 2
             raise ValueError(f"{args.subsample}:{bad[0] + 2}: row index {indices[bad[0]]} "
                              f"is outside 0..{dataset.n - 1}")
-        dataset = dataset.select(indices)
     dirs = fit_directions(dataset, args.method, c=args.c, tol=args.tol,
-                          max_iter=args.max_iter)
+                          max_iter=args.max_iter, rows=indices)
     for direction in dirs:
         name = dataset.schema.names[direction.attribute]
         path = os.path.join(args.out_dir, f"{name}.json")

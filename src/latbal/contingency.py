@@ -35,10 +35,11 @@ class ImbalanceStats:
     chi_square_vs_uniform: float     # expected count N/2^m for every cell
 
 
-def cell_indices(dataset: LatentDataset) -> np.ndarray:
-    """Cell index per dataset row."""
+def cell_indices(dataset: LatentDataset, rows=None) -> np.ndarray:
+    """Cell index per dataset row, or per row of ``rows`` (indices, in order)."""
+    labels = dataset.labels if rows is None else dataset.labels[rows]
     weights = (1 << np.arange(dataset.m, dtype=np.int64))
-    return dataset.labels.astype(np.int64) @ weights
+    return labels.astype(np.int64) @ weights
 
 
 def cell_dtype(n_cells: int) -> np.dtype:

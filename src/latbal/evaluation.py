@@ -6,16 +6,19 @@ convention is edited-minus-original (recorded in the JSON), so a direction
 that works shows a positive diagonal.  effect is the diagonal entry;
 overall_entanglement averages |delta| over the non-target attributes.
 
-fit_directions fits one direction per attribute on a fit set.  A centroid
-fit reads the fit set's codes once, summing every attribute's two classes
-in one pass, and copies no class rows; an SVM fit hands each attribute's
-two classes to svm_direction as plain arrays.
+fit_directions fits one direction per attribute on rows of a dataset: every
+row, or the row indices a subsample drew.  A centroid fit streams those
+rows through one small gathered buffer, summing every attribute's two
+classes in one pass, and copies neither a fit set nor class rows; an SVM
+fit gathers the rows once and hands each attribute's two classes to
+svm_direction as plain arrays.
 
 Both sweeps run on one engine, _sweep, over grid points (parameter,
 method, policy, n0, C, seed key).  Each run draws its evaluation codes once
 from the standard Gaussian prior (never reused from fitting data) and shares
 them across grid points, so comparisons between methods are paired.  A point
-fits on the subsample seeded derive_seed(seed, _STREAM_FIT, *key, run);
+fits on the rows of the subsample seeded derive_seed(seed, _STREAM_FIT,
+*key, run), passed to fit_directions as indices, with no fit set built;
 consecutive points with the same policy, n0 and fit seed share one draw.
 The size sweep keys each point by its grid position (si, mi, pi); the C
 sweep keys every point, centroid reference included, by (), so within a run
@@ -47,6 +50,8 @@ from .sampler import SamplePlan, balanced_subsample, uniform_subsample
 _STREAM_EVAL = 31
 _STREAM_FIT = 32
 _SWEEP_SVM_TOL, _SWEEP_SVM_MAX_ITER = 1e-4, 300
+# rows per gathered chunk of a centroid fit: 1 MB of codes at dim 64 stays in cache
+_CHUNK = 2048
 
 RESCORE_CONVENTION = "edited_minus_original"
 
@@ -124,13 +129,18 @@ def overall_entanglement(matrix: RescoreMatrix, j: int) -> float:
 
 
 def fit_directions(dataset: LatentDataset, method: str, c: float = 1.0,
-                   tol: float = 1e-6, max_iter: int = 1000,
-                   seed: int = 0) -> list[SemanticDirection]:
-    """One direction per schema attribute, fit on the given rows.
+                   tol: float = 1e-6, max_iter: int = 1000, seed: int = 0,
+                   rows=None) -> list[SemanticDirection]:
+    """One direction per schema attribute, fit on rows of dataset.
+
+    ``rows`` holds row indices in order, repeats allowed, as
+    LatentDataset.select takes them; None means every row.  An index outside
+    [-n, n) raises IndexError, as select does.  No fit set is built, and the
+    directions are bit for bit those of a fit on dataset.select(rows).
 
     Both methods split attribute j's rows as split_by_attribute does
     (label 1 against the rest) but build no dataset per class.  The centroid
-    fit reads the codes once, taking all 2m class sums as one einsum over
+    fit reads the rows once, taking all 2m class sums as one einsum over
     the 0/1 class masks [pos, ~pos]: every product is exact and each class's
     rows are added in row order, the order mean(axis=0) adds a gathered
     class in when dim >= 2, so the directions are bit-identical to
@@ -138,22 +148,61 @@ def fit_directions(dataset: LatentDataset, method: str, c: float = 1.0,
     and raw_norm may differ in the last bits; a BLAS product, masks.T @
     codes, sums in another order at every dim.)
 
+    The rows stream through in chunks of _CHUNK, each gathered into one
+    buffer below the 2m running sums, with the identity on top of the
+    chunk's masks.  So each class sum first adds its own running value
+    (exactly; the other sums' rows add 0 * sum, also exact while the sums
+    are finite), then the chunk's rows in order: it carries on row by row
+    from the previous chunk, in the order the einsum over every row at once
+    adds, and ends with the same bits.
+
+    An SVM fit gathers the rows' codes once and hands each attribute's two
+    classes to svm_direction.
+
     ``seed`` is accepted and unused: neither fit draws random numbers.
     """
-    codes = dataset.codes
-    pos = dataset.labels == 1
+    codes, labels = dataset.codes, dataset.labels
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        # IndexError for any row outside [-n, n), as select raises
+        labels = np.take(labels, rows, axis=0)
+    pos = labels == 1
+    m = dataset.m
     if method == "centroid":
         masks = np.hstack([pos, ~pos])
-        sums = np.einsum("ik,ij->kj", masks.astype(np.float64), codes)
+        sums = _class_sums(codes, np.arange(dataset.n) if rows is None else rows, masks)
         counts = masks.sum(axis=0)
-        m = dataset.m
         return [_centroid_from_sums(sums[j], counts[j], sums[m + j], counts[m + j], j)
                 for j in range(m)]
     if method == "svm":
+        if rows is not None:
+            codes = codes[rows]
         return [svm_direction(codes[pos[:, j]], codes[~pos[:, j]], j, c=c, tol=tol,
                               max_iter=max_iter)
-                for j in range(dataset.m)]
+                for j in range(m)]
     raise ValueError(f"unknown fit method {method!r}")
+
+
+def _class_sums(codes: np.ndarray, rows: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """(k, dim) sums of codes[rows] over the k 0/1 columns of classes.
+
+    Each class's rows are added in row order, chunk by chunk (see
+    fit_directions).  rows must lie in [-n, n).
+    """
+    k = classes.shape[1]
+    size = k + min(_CHUNK, rows.size)
+    buf = np.zeros((size, codes.shape[1]))
+    masks = np.zeros((size, k))
+    masks[:k] = np.eye(k)
+    for start in range(0, rows.size, _CHUNK):
+        chunk = rows[start:start + _CHUNK]
+        stop = k + chunk.size
+        # "wrap" maps -n..-1 as indexing does; the default "raise" would
+        # buffer the gather instead of writing to out directly
+        np.take(codes, chunk, axis=0, out=buf[k:stop], mode="wrap")
+        masks[k:stop] = classes[start:start + _CHUNK]
+        buf[:k] = np.einsum("ik,ij->kj", masks[:stop], buf[:stop])
+    return buf[:k]
 
 
 def _eval_latents(dim: int, n_eval: int, seed: int, run: int) -> np.ndarray:
@@ -181,19 +230,16 @@ def _sweep(dataset: LatentDataset, scorer: Scorer, points: list[tuple], runs: in
     errors: list[Optional[str]] = [None] * len(points)
     for run in range(runs):
         latents = _eval_latents(dataset.dim, n_eval, seed, run)
-        fit_key = fit_set = None
+        fit_key = rows = None
         for p, (_, method, policy, n0, c, key) in enumerate(points):
             if errors[p] is not None:
                 continue
             try:
                 sub_key = (policy, n0, derive_seed(seed, _STREAM_FIT, *key, run))
                 if sub_key != fit_key:
-                    # drop the old fit set first: one fit set alive at a time
-                    fit_key = fit_set = None
-                    sub = _subsample(dataset, table, *sub_key)
-                    fit_key, fit_set = sub_key, dataset.select(sub.indices)
-                dirs = fit_directions(fit_set, method, c=c, tol=_SWEEP_SVM_TOL,
-                                      max_iter=_SWEEP_SVM_MAX_ITER)
+                    fit_key, rows = sub_key, _subsample(dataset, table, *sub_key).indices
+                dirs = fit_directions(dataset, method, c=c, tol=_SWEEP_SVM_TOL,
+                                      max_iter=_SWEEP_SVM_MAX_ITER, rows=rows)
                 matrix = rescore(scorer, dirs, latents, alpha)
                 results[p].append([[effect(matrix, j) for j in js],
                                    [overall_entanglement(matrix, j) for j in js]])

@@ -173,7 +173,7 @@ def uniform_subsample(dataset: LatentDataset, n0: int, seed: int) -> SubsampleRe
         raise ValueError(f"n0 must be in [0, {n}], got {n0}")
     out, _ = _distinct_below(derive_seed(seed, _STREAM_UNIFORM), n, n0)
 
-    cells = cell_indices(dataset)[out] if n0 else np.empty(0, dtype=np.int64)
+    cells = cell_indices(dataset, out)  # the drawn rows only
     per_cell = np.bincount(cells, minlength=1 << dataset.m).astype(np.int64)
     return SubsampleResult(
         indices=out,

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latbal as lb
-from latbal.evaluation import (RescoreMatrix, rescore_to_csv, rescore_to_dict,
+import latbal.evaluation
+from latbal.evaluation import (_CHUNK, RescoreMatrix, rescore_to_csv, rescore_to_dict,
                                sweep_to_csv)
 from latbal.rng import derive_seed, normals
 
@@ -159,6 +160,37 @@ class TestSweeps:
             tracemalloc.stop()
         assert peak - base < 1.5 * fit_bytes
 
+    def test_centroid_sweep_builds_no_fit_set(self, world42, dataset100k):
+        # the fit streams the drawn rows through one small buffer, so two
+        # 50k-row points stay far below the size of one fit set
+        fit_bytes = 50_000 * (dataset100k.codes[0].nbytes + dataset100k.labels[0].nbytes)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            lb.sweep_sample_size(dataset100k, world42.score, sizes=[50_000, 50_000],
+                                 policies=("uniform",), runs=1, n_eval=100, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 0.25 * fit_bytes
+
+    def test_sweep_looks_fit_directions_up_by_name(self, world42, dataset20k, monkeypatch):
+        # the benchmark's Capture rebinds latbal.evaluation.fit_directions to
+        # keep the sweep's directions; a sweep must call it through that name
+        # once per grid point and run
+        calls = []
+        fit = latbal.evaluation.fit_directions
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("rows"))
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(latbal.evaluation, "fit_directions", counting)
+        lb.sweep_sample_size(dataset20k, world42.score, sizes=[200, 400],
+                             policies=("skip", "uniform"), runs=3, n_eval=50, seed=8)
+        assert len(calls) == 2 * 2 * 3
+        assert all(rows is not None and rows.size > 0 for rows in calls)
+
     def test_regularization_shape_and_small_c_limit(self, world42, dataset20k):
         report = lb.sweep_regularization(dataset20k, world42.score, c_values=[1e-6],
                                          n0=500, runs=1, n_eval=500, seed=4)
@@ -281,6 +313,46 @@ class TestFitDirections:
             assert np.abs(u.vector - v.vector).max() <= 1e-15
             assert abs(u.meta["raw_norm"] - v.meta["raw_norm"]) <= bound
             assert (u.meta["n_pos"], u.meta["n_neg"]) == (v.meta["n_pos"], v.meta["n_neg"])
+
+    @pytest.mark.parametrize("size", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    @pytest.mark.parametrize("dim", [3, 64])
+    def test_rows_fit_is_bit_identical_across_chunks(self, size, dim):
+        # rows repeat (3000 source rows) and half of them are negative
+        ds = _random_fit_set(3000, dim, 4, 0.3, 1, seed=size * dim)
+        rows = np.random.default_rng(size).integers(-ds.n, ds.n, size=size)
+        got = _fit_or_error(lambda d: lb.fit_directions(d, "centroid", rows=rows), ds)
+        want = _fit_or_error(_split_centroids, ds.select(rows))
+        if isinstance(want, str):  # one row holds one class only
+            assert size == 1 and got == want == "both classes must be non-empty"
+            return
+        assert [(u.attribute, u.meta, u.vector.tobytes()) for u in got] == \
+            [(u.attribute, u.meta, u.vector.tobytes()) for u in want]
+
+    def test_rows_none_fits_every_row(self, dataset20k):
+        # 20k rows span ten chunks
+        got = lb.fit_directions(dataset20k, "centroid")
+        for other in (_split_centroids(dataset20k),
+                      lb.fit_directions(dataset20k, "centroid", rows=np.arange(dataset20k.n))):
+            assert [(u.meta, u.vector.tobytes()) for u in got] == \
+                [(u.meta, u.vector.tobytes()) for u in other]
+
+    @pytest.mark.parametrize("method", ["centroid", "svm"])
+    def test_rows_out_of_range_or_empty(self, dataset20k, method):
+        n = dataset20k.n
+        for bad in ([n], [0, -n - 1]):
+            with pytest.raises(IndexError):
+                lb.fit_directions(dataset20k, method, rows=bad)
+        with pytest.raises(ValueError, match="^both classes must be non-empty$"):
+            lb.fit_directions(dataset20k, method, rows=[])
+        with pytest.raises(ValueError, match="^both classes must be non-empty$"):
+            lb.fit_directions(dataset20k.select([]), method)
+
+    def test_svm_rows_fit_equals_select(self, dataset20k):
+        rows = np.arange(-150, 150)
+        got = lb.fit_directions(dataset20k, "svm", c=1e-2, max_iter=50, rows=rows)
+        want = lb.fit_directions(dataset20k.select(rows), "svm", c=1e-2, max_iter=50)
+        assert [(u.meta, u.vector.tobytes()) for u in got] == \
+            [(u.meta, u.vector.tobytes()) for u in want]
 
     def test_svm_fit_uses_the_split_classes(self, dataset20k):
         ds = dataset20k.select(np.arange(300))

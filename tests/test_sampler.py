@@ -204,6 +204,17 @@ class TestUniformSubsample:
         counts = res.per_cell_counts
         assert counts.max() / counts[counts > 0].min() >= 3.0
 
+    @pytest.mark.parametrize("n0", [0, 1, 17, 1000, 20_000])
+    def test_cell_counts_equal_the_full_array_formula(self, dataset20k, n0):
+        # only the drawn rows' cells are computed; the counts must equal
+        # indexing the cell of every source row by the draws
+        for seed in (0, 5, 42):
+            res = lb.uniform_subsample(dataset20k, n0, seed)
+            cells = cell_indices(dataset20k)[res.indices]
+            want = np.bincount(cells, minlength=1 << dataset20k.m)
+            assert res.per_cell_counts.dtype == np.int64
+            assert res.per_cell_counts.tolist() == want.tolist()
+
 
 def test_subsample_files_roundtrip(tmp_path, dataset20k):
     table = lb.build_contingency(dataset20k)
