@@ -20,9 +20,8 @@ import numpy as np
 
 from . import __version__
 from .contingency import build_contingency, imbalance_stats, write_contingency_csv
-from .core import LatentDataset
 from .dataio import (LatdFormatError, atomic_write_text, csv_text, read_dataset,
-                     write_dataset)
+                     write_dataset, write_dataset_blocks)
 from .directions import (conditional_project, edit_latent, load_direction,
                          save_direction)
 from .evaluation import (_eval_latents, fit_directions, rescore, save_rescore,
@@ -32,6 +31,7 @@ from .sampler import (POLICIES, SamplePlan, balanced_subsample, read_subsample_i
                       uniform_subsample, write_subsample)
 
 _METHODS = ("centroid", "svm")
+_EDIT_BLOCK_BYTES = 1 << 20
 _SWEEP_POLICIES = POLICIES + ("uniform",)
 
 
@@ -309,9 +309,13 @@ def _cmd_project(args) -> int:
 def _cmd_edit(args) -> int:
     dataset = read_dataset(args.data)
     direction = load_direction(args.direction)
-    edited = edit_latent(dataset.codes, direction, args.alpha)
-    write_dataset(LatentDataset(codes=edited, labels=dataset.labels, schema=dataset.schema),
-                  args.out)
+    # edit and write about 1 MB of rows at a time; an empty dataset still
+    # makes one (empty) block, so edit_latent checks the direction's dim
+    step = max(1, _EDIT_BLOCK_BYTES // (8 * dataset.dim))
+    blocks = (edit_latent(dataset.codes[i:i + step], direction, args.alpha)
+              for i in range(0, max(dataset.n, 1), step))
+    with np.errstate(over="ignore"):  # the writer names an overflowed row and writes nothing
+        write_dataset_blocks(args.out, dataset.schema, dataset.labels, dataset.dim, blocks)
     print(f"wrote {args.out}.latd")
     return 0
 

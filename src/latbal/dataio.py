@@ -27,14 +27,24 @@ row.
 All writes go through a temp file in the target directory, fsynced, then
 atomically renamed over the target, so an interrupted run never leaves a
 half-written file; the directory is then fsynced, so the rename survives a
-crash too.  A ``.latd`` write streams the header and then the codes to the
-temp file, with no assembled copy of the dataset.
+crash too.  A ``.latd`` write streams the header and then the codes, block
+by block, to the temp file, with no assembled copy of the dataset; each
+block is checked finite before it is written, so the writer leaves no file
+the reader would reject.
+
+A read maps the codes read-only instead of copying them: the dataset's
+codes are a view of the file's pages, and only the labels are held in
+memory.  Rewriting a mapped file is safe, since every write renames a new
+file over the old one and the map keeps the old one.  But if another
+process truncates a ``.latd`` file while latbal has it mapped, touching the
+lost pages kills latbal with SIGBUS.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
 import struct
 import tempfile
@@ -123,13 +133,40 @@ def _labels_payload(schema: AttributeSchema, labels: np.ndarray) -> np.ndarray:
     return payload
 
 
-def write_dataset(dataset: LatentDataset, path_base: str) -> tuple[str, str]:
+def _finite_blocks(latd_path: str, blocks):
+    """The blocks of code rows as little-endian float64, each checked finite
+    before it is handed on; raises ValueError naming the first bad row."""
+    start = 0
+    for block in blocks:
+        block = np.ascontiguousarray(block, dtype="<f8")
+        # a finite sum means finite rows, as in validate_dataset
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = block.sum()
+        if not np.isfinite(total):
+            bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+            if bad.size:
+                raise ValueError(f"{latd_path}: codes row {start + int(bad[0])}: "
+                                 "non-finite component; nothing written")
+        start += block.shape[0]
+        yield block
+
+
+def write_dataset_blocks(path_base: str, schema: AttributeSchema, labels: np.ndarray,
+                         dim: int, blocks) -> tuple[str, str]:
+    """Write a dataset whose codes arrive as consecutive row blocks (2-d
+    arrays of width dim, len(labels) rows in all).  The ``.latd`` file is
+    written first, so a bad block leaves neither file behind."""
     latd_path, labels_path = dataset_paths(path_base)
-    header = _HEADER.pack(MAGIC, VERSION, dataset.dim, dataset.n, 0)
+    header = _HEADER.pack(MAGIC, VERSION, dim, labels.shape[0], 0)
     # the header and the codes go straight to the file, with no assembled copy
-    _atomic_write(latd_path, [header, np.ascontiguousarray(dataset.codes, dtype="<f8")])
-    atomic_write_bytes(labels_path, _labels_payload(dataset.schema, dataset.labels))
+    _atomic_write(latd_path, itertools.chain([header], _finite_blocks(latd_path, blocks)))
+    atomic_write_bytes(labels_path, _labels_payload(schema, labels))
     return latd_path, labels_path
+
+
+def write_dataset(dataset: LatentDataset, path_base: str) -> tuple[str, str]:
+    return write_dataset_blocks(path_base, dataset.schema, dataset.labels, dataset.dim,
+                                [dataset.codes])
 
 
 def _decoded_lines(lines, path: str):
@@ -216,7 +253,9 @@ def read_dataset(path_base: str) -> LatentDataset:
             raise LatdFormatError(f"{latd_path}: payload length mismatch "
                                   f"(expected {expected} bytes, got {size})")
 
-        codes = np.fromfile(f, dtype="<f8", count=count * dim).reshape(count, dim)
+        # read-only pages of the file, not a copy (np.memmap cannot map 0 bytes)
+        codes = (np.memmap(f, dtype="<f8", mode="r", offset=_HEADER.size, shape=(count, dim))
+                 if count * dim else np.empty((count, dim)))
 
     dataset = LatentDataset(codes=codes, labels=labels, schema=schema)
     violations = validate_dataset(dataset)

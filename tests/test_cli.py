@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import latbal as lb
 from latbal.cli import build_parser, main
+from latbal.dataio import dataset_paths
 
 
 def run(*argv):
@@ -158,6 +160,82 @@ def test_edit_roundtrip(tmp_path, synth_base):
     original = lb.read_dataset(synth_base)
     restored = lb.read_dataset(back)
     assert np.allclose(restored.codes, original.codes, atol=1e-12)
+
+
+def _unit_direction(path, dim, axis=0):
+    vector = np.zeros(dim)
+    vector[axis] = 1.0
+    lb.save_direction(lb.SemanticDirection(attribute=0, vector=vector, method="centroid"),
+                      str(path))
+    return str(path)
+
+
+def test_edit_onto_its_own_path_matches_a_fresh_edit(tmp_path, synth_base):
+    # the output is renamed over the file the codes are mapped from; the map
+    # keeps the old file, so every block still reads the unedited codes
+    direction = _unit_direction(tmp_path / "u.json", 64, axis=3)
+    fresh = str(tmp_path / "fresh")
+    assert run("edit", "--data", synth_base, "--direction", direction,
+               "--alpha", "0.7", "--out", fresh) == 0
+    assert run("edit", "--data", synth_base, "--direction", direction,
+               "--alpha", "0.7", "--out", synth_base) == 0
+    for a, b in zip(dataset_paths(fresh), dataset_paths(synth_base)):
+        assert Path(a).read_bytes() == Path(b).read_bytes()
+    assert lb.read_dataset(synth_base).n == 4000  # blocks of 2048 and 1952 rows
+
+
+def test_edit_streams_in_bounded_memory(tmp_path, dataset100k):
+    # edit reads through a map and writes about 1 MB of rows at a time; an
+    # edited copy of the codes would peak at about their size
+    base = str(tmp_path / "big")
+    lb.write_dataset(dataset100k, base)
+    direction = _unit_direction(tmp_path / "u.json", dataset100k.dim)
+    tracemalloc.start()
+    try:
+        code = run("edit", "--data", base, "--direction", direction,
+                   "--alpha", "0.5", "--out", str(tmp_path / "edited"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 0.1 * dataset100k.codes.nbytes
+    edited = lb.read_dataset(str(tmp_path / "edited"))
+    expected = dataset100k.codes + 0.5 * lb.load_direction(direction).vector
+    assert edited.codes.tobytes() == expected.tobytes()
+
+
+def test_edit_to_non_finite_codes_is_data_error_and_writes_nothing(tmp_path, capsys):
+    # 1.5e308 + 1e308 overflows to inf.  At dim 2 a block holds 65536 rows,
+    # so the bad row sits in the second block, after one block was written
+    codes = np.zeros((70_000, 2))
+    codes[[66_000, 69_000], 0] = 1.5e308
+    codes[1, 0] = -1.5e308  # stays finite: -5e307
+    schema = lb.AttributeSchema(("a",))
+    lb.write_dataset(lb.LatentDataset(codes=codes, labels=np.zeros((70_000, 1), np.uint8),
+                                      schema=schema), str(tmp_path / "big"))
+    direction = _unit_direction(tmp_path / "u.json", 2)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert run("edit", "--data", str(tmp_path / "big"), "--direction", direction,
+               "--alpha", "1e308", "--out", str(tmp_path / "edited")) == 2
+    err = capsys.readouterr().err
+    assert "codes row 66000: non-finite component" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_edit_of_an_empty_dataset_still_checks_the_direction(tmp_path, capsys):
+    schema = lb.AttributeSchema(("a",))
+    base = str(tmp_path / "empty")
+    lb.write_dataset(lb.LatentDataset(codes=np.zeros((0, 4)), labels=np.zeros((0, 1), np.uint8),
+                                      schema=schema), base)
+    assert run("edit", "--data", base, "--direction", _unit_direction(tmp_path / "u4.json", 4),
+               "--out", str(tmp_path / "out")) == 0
+    assert lb.read_dataset(str(tmp_path / "out")).codes.shape == (0, 4)
+    capsys.readouterr()
+    assert run("edit", "--data", base, "--direction", _unit_direction(tmp_path / "u3.json", 3),
+               "--out", str(tmp_path / "bad")) == 2
+    assert "dimension mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "bad.latd").exists()
 
 
 def test_sweep_and_report(tmp_path, synth_base):

@@ -267,3 +267,39 @@ def test_write_dataset_holds_no_copy_of_the_arrays(tmp_path, dataset20k):
     assert peak < 0.1 * array_bytes
     loaded = lb.read_dataset(str(tmp_path / "big"))
     assert np.array_equal(loaded.codes, dataset20k.codes)
+
+
+def test_read_maps_the_codes_read_only(tmp_path, dataset100k):
+    # the codes are the file's pages, mapped read-only; a copy would peak at
+    # their size, and its writeable flag could be set back
+    lb.write_dataset(dataset100k, str(tmp_path / "big"))
+    tracemalloc.start()
+    try:
+        loaded = lb.read_dataset(str(tmp_path / "big"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * dataset100k.codes.nbytes
+    assert not loaded.codes.flags.writeable
+    with pytest.raises(ValueError):
+        loaded.codes.setflags(write=True)
+    assert loaded.codes.tobytes() == dataset100k.codes.tobytes()
+
+
+def test_write_refuses_non_finite_codes_and_leaves_no_file(tmp_path):
+    codes = np.zeros((5, 3))
+    codes[3, 1] = np.inf
+    codes[4, 0] = np.nan
+    ds = lb.LatentDataset(codes=codes, labels=np.zeros((5, 1), np.uint8),
+                          schema=lb.AttributeSchema(("a",)))
+    with pytest.raises(ValueError, match="codes row 3: non-finite component"):
+        lb.write_dataset(ds, str(tmp_path / "bad"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_finite_rows_whose_sum_overflows_are_written(tmp_path):
+    codes = np.full((2, 2), 1e308)
+    ds = lb.LatentDataset(codes=codes, labels=np.zeros((2, 1), np.uint8),
+                          schema=lb.AttributeSchema(("a",)))
+    lb.write_dataset(ds, str(tmp_path / "big"))
+    assert np.array_equal(lb.read_dataset(str(tmp_path / "big")).codes, codes)
