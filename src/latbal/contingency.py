@@ -1,8 +1,10 @@
 """Contingency tables over label combinations.
 
 The table is dense over all 2^m cells, indexed with attribute 0 as the
-least significant bit (see core.decode_index).  Cell membership keeps the
-dataset row order, so table construction is deterministic.
+least significant bit (see core.decode_index).  Cell membership is one row
+order, CSR-style: the row indices grouped by cell, in dataset order within a
+cell, so construction is deterministic.  Cell c's rows are
+order[start[c]:start[c] + counts[c]], where start = cumsum(counts) - counts.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .core import LatentDataset, decode_index
 class ContingencyTable:
     m: int
     counts: np.ndarray            # 2^m cell counts
-    members: list[np.ndarray]     # row indices per cell, dataset order
+    order: np.ndarray             # row indices grouped by cell, dataset order in a cell
 
     @property
     def n_cells(self) -> int:
@@ -57,9 +59,7 @@ def build_contingency(dataset: LatentDataset) -> ContingencyTable:
     counts = np.bincount(cells, minlength=n_cells).astype(np.int64)
     # stable sort groups rows by cell while preserving row order within cells
     order = np.argsort(cells.astype(cell_dtype(n_cells)), kind="stable")
-    bounds = np.cumsum(counts)
-    members = np.split(order, bounds[:-1])
-    return ContingencyTable(m=m, counts=counts, members=[np.asarray(g) for g in members])
+    return ContingencyTable(m=m, counts=counts, order=order)
 
 
 def imbalance_stats(table: ContingencyTable) -> ImbalanceStats:

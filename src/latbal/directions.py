@@ -80,14 +80,20 @@ def svm_direction(pos, neg, j: int, c: float = 1.0, tol: float = 1e-6,
     )
 
 
+def _project_out(v: np.ndarray, basis) -> np.ndarray:
+    """A float64 copy of v less its components along the orthonormal rows of basis."""
+    u = v.astype(np.float64)
+    for _ in range(2):  # second pass mops up cancellation error
+        for b in basis:
+            u -= (u @ b) * b
+    return u
+
+
 def orthonormal_basis(vectors: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt with re-orthogonalization; drops dependent rows."""
     basis: list[np.ndarray] = []
     for v in _as_matrix(vectors):
-        u = v.astype(np.float64).copy()
-        for _ in range(2):  # second pass mops up cancellation error
-            for b in basis:
-                u -= (u @ b) * b
+        u = _project_out(v, basis)
         norm = float(np.linalg.norm(u))
         if norm > 1e-12 * max(1.0, float(np.linalg.norm(v))):
             basis.append(u / norm)
@@ -102,11 +108,7 @@ def conditional_project(target: SemanticDirection,
     dims = {target.dim} | {o.dim for o in others}
     if len(dims) != 1:
         raise ValueError(f"direction dimensions disagree: {sorted(dims)}")
-    basis = orthonormal_basis(np.array([o.vector for o in others]))
-    u = target.vector.copy()
-    for _ in range(2):
-        for b in basis:
-            u -= (u @ b) * b
+    u = _project_out(target.vector, orthonormal_basis(np.array([o.vector for o in others])))
     norm = float(np.linalg.norm(u))
     if norm < 1e-10:
         raise ValueError("target direction lies in the span of the others")

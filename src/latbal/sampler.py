@@ -139,13 +139,14 @@ def balanced_subsample(dataset: LatentDataset, table: ContingencyTable,
     quotas = np.bincount(schedule, minlength=n_cells)
     by_cell = np.argsort(schedule, kind="stable")
     first = np.cumsum(quotas) - quotas
+    start = np.cumsum(table.counts) - table.counts
     picks = np.full(plan.n0, -1, dtype=np.int64)
     per_cell = np.zeros(n_cells, dtype=np.int64)
     for c in np.flatnonzero(quotas).tolist():
-        members = table.members[c]
-        size, quota = members.size, int(quotas[c])
+        size, quota = int(table.counts[c]), int(quotas[c])
         if size == 0:
             continue
+        members = table.order[start[c]:start[c] + size]
         seed = derive_seed(plan.seed, _STREAM_MEMBERS, c)
         drawn, counter = _distinct_below(seed, size, min(quota, size))
         drawn = members[drawn]

@@ -27,24 +27,24 @@ def test_empty_dataset_all_zero():
 def test_members_partition_rows():
     ds = tiny_dataset([[0, 0], [0, 1], [0, 1], [1, 1], [0, 0]])
     table = lb.build_contingency(ds)
-    seen = np.concatenate([m for m in table.members if m.size])
-    assert sorted(seen.tolist()) == list(range(5))
-    for c, cell in enumerate(table.members):
-        assert cell.size == table.counts[c]
-        # row order preserved within a cell
-        assert cell.tolist() == sorted(cell.tolist())
+    # cells 0, 2, 3 hold rows {0, 4}, {1, 2}, {3}, in row order
+    assert table.order.tolist() == [0, 4, 1, 2, 3]
 
 
-@pytest.mark.parametrize("m", [3, 17])
-def test_members_follow_the_stable_int64_order(m):
-    # the cells are sorted as uint8 at m=3 and as uint32 at m=17; mostly-zero
-    # labels put many rows in the same cell, so an unstable order would show
+@pytest.mark.parametrize("m", [3, 17, 20])
+def test_order_is_the_stable_int64_order(m):
+    # the cells are sorted as uint8 at m=3 and as uint32 at m=17 and m=20;
+    # mostly-zero labels put many rows in the same cell, so an unstable order
+    # would show
     labels = (uniforms(m, 4000 * m).reshape(4000, m) > 0.85).astype(np.uint8)
     ds = tiny_dataset(labels)
     table = lb.build_contingency(ds)
-    order = np.argsort(cell_indices(ds), kind="stable")
-    assert np.array_equal(np.concatenate(table.members), order)
-    assert [cell.size for cell in table.members] == table.counts.tolist()
+    cells = cell_indices(ds)
+    assert np.array_equal(table.order, np.argsort(cells, kind="stable"))
+    start = np.cumsum(table.counts) - table.counts
+    for c in np.flatnonzero(table.counts).tolist():
+        rows = table.order[start[c]:start[c] + table.counts[c]]
+        assert np.array_equal(rows, np.flatnonzero(cells == c))
 
 
 def test_permutation_leaves_counts_unchanged():
@@ -66,26 +66,27 @@ def test_conservation(seed, m):
 
 class TestImbalanceStats:
     def test_uniform_counts(self):
-        table = lb.ContingencyTable(m=2, counts=np.array([250] * 4), members=[np.array([])] * 4)
+        table = lb.ContingencyTable(m=2, counts=np.array([250] * 4), order=np.empty(0, np.int64))
         stats = lb.imbalance_stats(table)
         assert stats.max_min_ratio == 1.0
         assert stats.chi_square_vs_uniform == 0.0
 
     def test_small_example(self):
-        table = lb.ContingencyTable(m=2, counts=np.array([1, 0, 2, 1]), members=[np.array([])] * 4)
+        table = lb.ContingencyTable(m=2, counts=np.array([1, 0, 2, 1]),
+                                    order=np.empty(0, np.int64))
         stats = lb.imbalance_stats(table)
         assert stats.nonempty_cells == 3
         assert stats.max_min_ratio == 2.0
         assert stats.min_cell == 0 and stats.max_cell == 2
 
     def test_empty_table(self):
-        table = lb.ContingencyTable(m=1, counts=np.zeros(2, np.int64), members=[np.array([])] * 2)
+        table = lb.ContingencyTable(m=1, counts=np.zeros(2, np.int64), order=np.empty(0, np.int64))
         stats = lb.imbalance_stats(table)
         assert stats.max_min_ratio is None
         assert stats.chi_square_vs_uniform == 0.0
 
     def test_chi_square_value(self):
-        table = lb.ContingencyTable(m=1, counts=np.array([30, 10]), members=[np.array([])] * 2)
+        table = lb.ContingencyTable(m=1, counts=np.array([30, 10]), order=np.empty(0, np.int64))
         # expected 20 per cell: (10^2 + 10^2) / 20 = 10
         assert lb.imbalance_stats(table).chi_square_vs_uniform == pytest.approx(10.0)
 

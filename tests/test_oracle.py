@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import latbal as lb
-from latbal.oracle import world_from_dict, world_to_dict
+from latbal.oracle import _sigmoid, world_from_dict, world_to_dict
 from latbal.rng import normals
 
 
@@ -145,6 +145,21 @@ def test_logit_shift_is_exactly_linear(world42):
     s0, s1 = world42.score(z), world42.score(z + alpha * u)
     logit = lambda s: np.log(s / (1.0 - s))
     assert np.abs((logit(s1) - logit(s0)) - expected).max() <= 1e-9
+
+
+def test_sigmoid_equals_the_masked_formula_bit_for_bit():
+    # the masked formula takes exp(-x) where x >= 0 and exp(x) elsewhere
+    special = [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e-300, -1e-300]
+    x = np.concatenate([normals(57, 2000 * 4), special]).reshape(-1, 4)
+    pos = x >= 0
+    masked = np.empty_like(x)
+    masked[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    masked[~pos] = ex / (1.0 + ex)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        out = _sigmoid(x)
+    assert out.shape == x.shape
+    assert np.array_equal(out.view(np.uint64), masked.view(np.uint64))
 
 
 def test_world_json_roundtrip_bit_exact(tmp_path, world42):

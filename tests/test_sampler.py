@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import latbal as lb
 import latbal.sampler
 from latbal.contingency import cell_indices
-from latbal.rng import derive_seed, u64_block
+from latbal.rng import derive_seed, u64_block, uniforms
 from latbal.sampler import (_STREAM_CELLS, _STREAM_MEMBERS, _STREAM_UNIFORM,
                             _distinct_below, read_subsample_indices, write_subsample)
 from conftest import tiny_dataset
@@ -62,7 +62,7 @@ class TestBalancedSubsample:
         ds, table = _prepared({(0, 0): 1000, (1, 0): 1000, (0, 1): 1000, (1, 1): 3})
         res = lb.balanced_subsample(ds, table, lb.SamplePlan(1000, "oversample", 42))
         assert res.size == 1000
-        rare_rows = set(table.members[3].tolist())
+        rare_rows = set(np.flatnonzero(cell_indices(ds) == 3).tolist())
         drawn_rare = [i for i in res.indices.tolist() if i in rare_rows]
         assert len(drawn_rare) > len(rare_rows)  # pigeonhole: duplicates exist
 
@@ -242,9 +242,11 @@ def _reference_distinct_below(rng, n, k):
     return out
 
 
-def _reference_balanced(table, plan, key_block=u64_block):
-    n_cells = table.n_cells
-    pools = [cell.tolist() for cell in table.members]
+def _reference_balanced(ds, plan, key_block=u64_block):
+    n_cells = 1 << ds.m
+    pools = [[] for _ in range(n_cells)]  # each cell's rows, in row order
+    for row, c in enumerate(cell_indices(ds).tolist()):
+        pools[c].append(row)
     used = [0] * n_cells
     cell_rng = SplitMix64(derive_seed(plan.seed, _STREAM_CELLS))
     member_rngs = {}
@@ -312,7 +314,7 @@ class TestMatchesScalarReference:
         ds, table = prepared
         plan = lb.SamplePlan(n0, policy, seed)
         res = lb.balanced_subsample(ds, table, plan)
-        indices, per_cell, skipped = _reference_balanced(table, plan)
+        indices, per_cell, skipped = _reference_balanced(ds, plan)
         assert res.indices.dtype == np.int64
         assert res.indices.tolist() == indices
         assert res.per_cell_counts.tolist() == per_cell
@@ -334,25 +336,30 @@ class TestMatchesScalarReference:
         for policy in ("skip", "oversample"):
             plan = lb.SamplePlan(1000, policy, 42)
             res = lb.balanced_subsample(ds, table, plan)
-            indices, per_cell, skipped = _reference_balanced(table, plan, coarse_keys)
+            indices, per_cell, skipped = _reference_balanced(ds, plan, coarse_keys)
             assert res.indices.tolist() == indices
             assert res.per_cell_counts.tolist() == per_cell
             assert res.skipped_iterations == skipped
 
-    @pytest.mark.parametrize("n0", [1, 15, 16, 17, 1000])
+    # m=3: cells 5 and 7 are empty, cell 6 holds 2 rows
+    NARROW = [[0, 0, 0]] * 900 + [[1, 0, 0]] * 700 + [[0, 1, 0]] * 60 + \
+             [[1, 1, 0]] * 30 + [[0, 0, 1]] * 500 + [[0, 1, 1]] * 2
+    # m=12: 4096 cells over 20000 rows with each bit set at rate 0.3, from
+    # ~280 rows in cell 0 down to many empty cells; n0 = 20000 gives every
+    # cell a quota of 4 or 5, so thousands of cells are sliced and many run dry
+    WIDE = (uniforms(12, 20_000 * 12).reshape(20_000, 12) > 0.7).astype(np.uint8)
+
+    @pytest.mark.parametrize("n0", [1, 15, 16, 17, 1000, 20_000])
     @pytest.mark.parametrize("policy", ["skip", "oversample"])
     def test_balanced_with_empty_cells(self, n0, policy):
-        # m=3: cells 5 and 7 are empty, cell 6 holds 2 rows
-        rows = [[0, 0, 0]] * 900 + [[1, 0, 0]] * 700 + [[0, 1, 0]] * 60 + \
-               [[1, 1, 0]] * 30 + [[0, 0, 1]] * 500 + [[0, 1, 1]] * 2
-        ds = tiny_dataset(rows)
-        table = lb.build_contingency(ds)
         plan = lb.SamplePlan(n0, policy, 9)
-        res = lb.balanced_subsample(ds, table, plan)
-        indices, per_cell, skipped = _reference_balanced(table, plan)
-        assert res.indices.tolist() == indices
-        assert res.per_cell_counts.tolist() == per_cell
-        assert res.skipped_iterations == skipped
+        for rows in (self.NARROW, self.WIDE):
+            ds = tiny_dataset(rows)
+            res = lb.balanced_subsample(ds, lb.build_contingency(ds), plan)
+            indices, per_cell, skipped = _reference_balanced(ds, plan)
+            assert res.indices.tolist() == indices
+            assert res.per_cell_counts.tolist() == per_cell
+            assert res.skipped_iterations == skipped
 
     @pytest.mark.parametrize("n0", [0, 1, 15, 16, 17, 1000, 100_000])
     def test_uniform(self, dataset100k, n0):
