@@ -16,7 +16,7 @@ from . import rng
 from .contingency import (ContingencyTable, ImbalanceStats, build_contingency,
                           imbalance_stats)
 from .core import (AttributeSchema, LatentDataset, SemanticDirection,
-                   decode_index, split_by_attribute, validate_dataset)
+                   split_by_attribute, validate_dataset)
 from .dataio import LatdFormatError, read_dataset, write_dataset
 from .directions import (centroid_direction, conditional_project, edit_latent,
                          load_direction, save_direction, svm_direction)
@@ -32,7 +32,7 @@ from .svm import SvmModel, train_svm
 __all__ = [
     "__version__",
     "AttributeSchema", "LatentDataset", "SemanticDirection",
-    "validate_dataset", "split_by_attribute", "decode_index",
+    "validate_dataset", "split_by_attribute",
     "ContingencyTable", "ImbalanceStats", "build_contingency", "imbalance_stats",
     "SamplePlan", "SubsampleResult", "balanced_subsample", "uniform_subsample",
     "SvmModel", "train_svm",

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .contingency import build_contingency, imbalance_stats, write_contingency_csv
 from .dataio import (LatdFormatError, atomic_write_text, csv_text, read_dataset,
-                     write_dataset, write_dataset_blocks)
+                     write_dataset, write_dataset_blocks, write_json)
 from .directions import (conditional_project, edit_latent, load_direction,
                          save_direction)
 from .evaluation import (_eval_latents, fit_directions, rescore, save_rescore,
@@ -252,7 +252,7 @@ def _cmd_contingency(args) -> int:
     write_contingency_csv(table, args.out)
     payload = dataclasses.asdict(imbalance_stats(table))
     if args.stats:
-        atomic_write_text(args.stats, json.dumps(payload, indent=2) + "\n")
+        write_json(args.stats, payload)
     print(json.dumps(payload))
     return 0
 
@@ -339,6 +339,9 @@ def _cmd_sweep(args) -> int:
             raise _UsageError(f"--{name} does not apply to a {kind} sweep")
     dataset = read_dataset(args.data)
     world = load_world(args.world)
+    if (world.dim, world.m) != (dataset.dim, dataset.m):
+        raise ValueError(f"{args.world}: world has dim {world.dim} and {world.m} attributes, "
+                         f"but {args.data} has dim {dataset.dim} and {dataset.m} attributes")
     if args.sizes is not None:
         report = sweep_sample_size(
             dataset, world.score, args.sizes, methods=tuple(args.methods or ["centroid"]),
@@ -371,8 +374,7 @@ def _cmd_report(args) -> int:
     if args.format == "csv":
         atomic_write_text(args.out, csv_text([header] + rows))
     else:
-        payload = [dict(zip(header, r)) for r in rows]
-        atomic_write_text(args.out, json.dumps(payload, indent=2) + "\n")
+        write_json(args.out, [dict(zip(header, r)) for r in rows])
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
@@ -398,8 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"latbal {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    except (LatdFormatError, ValueError, IndexError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, IndexError, OSError) as exc:  # LatdFormatError is a ValueError
         print(f"latbal {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,7 @@
 """Contingency tables over label combinations.
 
 The table is dense over all 2^m cells, indexed with attribute 0 as the
-least significant bit (see core.decode_index).  Cell membership is one row
+least significant bit (see bits_string).  Cell membership is one row
 order, CSR-style: the row indices grouped by cell, in dataset order within a
 cell, so construction is deterministic.  Cell c's rows are
 order[start[c]:start[c] + counts[c]], where start = cumsum(counts) - counts.
@@ -9,12 +9,14 @@ order[start[c]:start[c] + counts[c]], where start = cumsum(counts) - counts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import LatentDataset, decode_index
+from .core import LatentDataset
+from .dataio import atomic_write_text, csv_text
 
 
 @dataclass
@@ -81,13 +83,9 @@ def imbalance_stats(table: ContingencyTable) -> ImbalanceStats:
 
 def bits_string(index: int, m: int) -> str:
     """Render a cell index as a 0/1 string, attribute 0 first."""
-    return "".join(str(b) for b in decode_index(index, m))
+    return format(index, f"0{m}b")[::-1]
 
 
 def write_contingency_csv(table: ContingencyTable, path: str) -> None:
-    from .dataio import atomic_write_text
-
-    lines = ["cell_index,bits,count"]
-    for c in range(table.n_cells):
-        lines.append(f"{c},{bits_string(c, table.m)},{int(table.counts[c])}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = ((c, bits_string(c, table.m), n) for c, n in enumerate(table.counts.tolist()))
+    atomic_write_text(path, csv_text(itertools.chain([("cell_index", "bits", "count")], rows)))

@@ -39,13 +39,6 @@ class AttributeSchema:
         return len(self.names)
 
 
-def decode_index(index: int, m: int) -> tuple[int, ...]:
-    """Bits of cell index for m attributes; attribute 0 is the least significant bit."""
-    if not 0 <= index < (1 << m):
-        raise ValueError(f"index {index} out of range for m={m}")
-    return tuple((index >> j) & 1 for j in range(m))
-
-
 @dataclass
 class LatentDataset:
     """N latent codes with per-code binary labels."""
@@ -106,6 +99,17 @@ class SemanticDirection:
         return self.vector.shape[0]
 
 
+def nonfinite_rows(codes: np.ndarray) -> np.ndarray:
+    """Indices of the rows of a 2-d float array that hold a NaN or an infinity."""
+    # a finite sum means finite components, so only a non-finite sum needs
+    # the row scan (finite rows can overflow it, and then the scan finds none)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = codes.sum()
+    if np.isfinite(total):
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(~np.isfinite(codes).all(axis=1))
+
+
 def validate_dataset(dataset: LatentDataset) -> list[str]:
     """Check every dataset invariant; returns the violations instead of raising."""
     v: list[str] = []
@@ -120,14 +124,9 @@ def validate_dataset(dataset: LatentDataset) -> list[str]:
         v.append(f"dim must be positive, got {dataset.dim}")
 
     # Each check reduces its whole array to one value and scans the rows, to
-    # name them, only when that value shows a violation.  If the sum is
-    # finite, so is every component (finite rows can still overflow it, and
-    # then the scan names none); min and max carry a NaN through.
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = codes.sum()
-    if not np.isfinite(total):
-        for row in np.flatnonzero(~np.isfinite(codes).all(axis=1)):
-            v.append(f"codes row {row}: non-finite component")
+    # name them, only when that value shows a violation.
+    for row in nonfinite_rows(codes):
+        v.append(f"codes row {row}: non-finite component")
 
     if labels.ndim != 2 or labels.shape[1] != m:
         v.append(f"labels must have shape (N, {m}), got {labels.shape}")

@@ -45,13 +45,14 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import os
 import struct
 import tempfile
 
 import numpy as np
 
-from .core import AttributeSchema, LatentDataset, validate_dataset
+from .core import AttributeSchema, LatentDataset, nonfinite_rows, validate_dataset
 
 MAGIC = b"LATD"
 VERSION = 1
@@ -62,7 +63,7 @@ _ZERO, _COMMA, _LF, _CR = b"0,\n\r"
 
 
 class LatdFormatError(ValueError):
-    """Malformed or unsupported dataset file."""
+    """Malformed or unsupported dataset or JSON artifact file."""
 
 
 def _umask() -> int:
@@ -118,6 +119,23 @@ def csv_text(rows) -> str:
     return out.getvalue()
 
 
+def write_json(path: str, obj) -> None:
+    """The JSON artifact format: obj indented by two spaces, then a newline."""
+    atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+
+
+def read_json(path: str, parse):
+    """parse(the JSON value in path).  A file that is not JSON, lacks a field
+    parse reads, or holds a value parse rejects raises LatdFormatError."""
+    try:
+        with open(path, "rb") as f:
+            return parse(json.load(f))
+    except KeyError as exc:
+        raise LatdFormatError(f"{path}: missing field {exc}") from None
+    except (ValueError, TypeError, IndexError) as exc:  # JSONDecodeError is a ValueError
+        raise LatdFormatError(f"{path}: {exc}") from None
+
+
 def dataset_paths(path_base: str) -> tuple[str, str]:
     return path_base + ".latd", path_base + ".labels.csv"
 
@@ -139,14 +157,10 @@ def _finite_blocks(latd_path: str, blocks):
     start = 0
     for block in blocks:
         block = np.ascontiguousarray(block, dtype="<f8")
-        # a finite sum means finite rows, as in validate_dataset
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = block.sum()
-        if not np.isfinite(total):
-            bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
-            if bad.size:
-                raise ValueError(f"{latd_path}: codes row {start + int(bad[0])}: "
-                                 "non-finite component; nothing written")
+        bad = nonfinite_rows(block)
+        if bad.size:
+            raise ValueError(f"{latd_path}: codes row {start + int(bad[0])}: "
+                             "non-finite component; nothing written")
         start += block.shape[0]
         yield block
 

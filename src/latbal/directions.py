@@ -13,11 +13,10 @@ order.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .core import SemanticDirection
+from .dataio import read_json, write_json
 from .svm import train_svm
 
 DIRECTION_SCHEMA_VERSION = 1
@@ -141,8 +140,8 @@ def direction_to_dict(direction: SemanticDirection) -> dict:
 
 
 def direction_from_dict(obj: dict) -> SemanticDirection:
-    if obj.get("schema_version") != DIRECTION_SCHEMA_VERSION:
-        raise ValueError(f"unsupported direction schema_version {obj.get('schema_version')!r}")
+    if obj["schema_version"] != DIRECTION_SCHEMA_VERSION:
+        raise ValueError(f"unsupported direction schema_version {obj['schema_version']!r}")
     vec = np.asarray(obj["vector"], dtype=np.float64)
     if vec.shape[0] != obj["dim"]:
         raise ValueError(f"vector length {vec.shape[0]} disagrees with dim {obj['dim']}")
@@ -155,11 +154,8 @@ def direction_from_dict(obj: dict) -> SemanticDirection:
 
 
 def save_direction(direction: SemanticDirection, path: str) -> None:
-    from .dataio import atomic_write_text
-
-    atomic_write_text(path, json.dumps(direction_to_dict(direction), indent=2) + "\n")
+    write_json(path, direction_to_dict(direction))
 
 
 def load_direction(path: str) -> SemanticDirection:
-    with open(path) as f:
-        return direction_from_dict(json.load(f))
+    return read_json(path, direction_from_dict)

@@ -30,7 +30,6 @@ NaN and the point's first error.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -38,7 +37,7 @@ import numpy as np
 
 from .contingency import build_contingency
 from .core import LatentDataset, SemanticDirection
-from .dataio import csv_text
+from .dataio import atomic_write_text, csv_text, write_json
 from .directions import _centroid_from_sums, svm_direction
 # Nothing here calls these two; they stay bound in this module because
 # perfbench/tracing.py wraps them here by name.
@@ -211,7 +210,7 @@ def _eval_latents(dim: int, n_eval: int, seed: int, run: int) -> np.ndarray:
 
 def _subsample(dataset, table, policy: str, n0: int, seed: int):
     if policy == "uniform":
-        return uniform_subsample(dataset, min(n0, dataset.n), seed)
+        return uniform_subsample(dataset, n0, seed)
     return balanced_subsample(dataset, table, SamplePlan(n0=n0, policy=policy, seed=seed))
 
 
@@ -331,9 +330,7 @@ def sweep_to_csv(report: SweepReport) -> str:
 
 def save_rescore(matrix: RescoreMatrix, path_base: str,
                  names: Sequence[str]) -> tuple[str, str]:
-    from .dataio import atomic_write_text
-
     csv_path, json_path = path_base + ".csv", path_base + ".json"
     atomic_write_text(csv_path, rescore_to_csv(matrix, names))
-    atomic_write_text(json_path, json.dumps(rescore_to_dict(matrix, names), indent=2) + "\n")
+    write_json(json_path, rescore_to_dict(matrix, names))
     return csv_path, json_path

@@ -22,12 +22,12 @@ pipeline in rng, so a given (world, n, seed) reproduces bit-identically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import AttributeSchema, LatentDataset
+from .dataio import read_json, write_json
 from .directions import orthonormal_basis
 from .rng import derive_seed, norm_ppf, normals
 
@@ -155,8 +155,8 @@ def world_to_dict(world: LinearAttributeWorld) -> dict:
 
 
 def world_from_dict(obj: dict) -> LinearAttributeWorld:
-    if obj.get("schema_version") != WORLD_SCHEMA_VERSION:
-        raise ValueError(f"unsupported world schema_version {obj.get('schema_version')!r}")
+    if obj["schema_version"] != WORLD_SCHEMA_VERSION:
+        raise ValueError(f"unsupported world schema_version {obj['schema_version']!r}")
     return LinearAttributeWorld(
         dim=int(obj["dim"]),
         vectors=np.asarray(obj["vectors"], dtype=np.float64),
@@ -170,11 +170,8 @@ def world_from_dict(obj: dict) -> LinearAttributeWorld:
 
 
 def save_world(world: LinearAttributeWorld, path: str) -> None:
-    from .dataio import atomic_write_text
-
-    atomic_write_text(path, json.dumps(world_to_dict(world), indent=2) + "\n")
+    write_json(path, world_to_dict(world))
 
 
 def load_world(path: str) -> LinearAttributeWorld:
-    with open(path) as f:
-        return world_from_dict(json.load(f))
+    return read_json(path, world_from_dict)

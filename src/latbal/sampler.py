@@ -36,13 +36,13 @@ tests/test_sampler.py draw for draw.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .contingency import ContingencyTable, cell_dtype, cell_indices
 from .core import LatentDataset
+from .dataio import atomic_write_text, csv_text, write_json
 from .rng import ALGORITHM, below_block, derive_seed, u64_block
 
 POLICIES = ("skip", "oversample")
@@ -186,18 +186,15 @@ def uniform_subsample(dataset: LatentDataset, n0: int, seed: int) -> SubsampleRe
 
 def write_subsample(result: SubsampleResult, path_base: str) -> tuple[str, str]:
     """CSV of draws plus a JSON sidecar with plan and per-cell counts."""
-    from .dataio import atomic_write_text
-
     csv_path = path_base + ".csv"
     json_path = path_base + ".json"
-    lines = ["position,row_index"]
-    lines += [f"{t},{int(ix)}" for t, ix in enumerate(result.indices)]
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
+    atomic_write_text(csv_path, csv_text([("position", "row_index"),
+                                          *enumerate(result.indices.tolist())]))
     sidecar = dict(result.meta)
     sidecar["per_cell_counts"] = [int(c) for c in result.per_cell_counts]
     sidecar["skipped_iterations"] = result.skipped_iterations
     sidecar["size"] = result.size
-    atomic_write_text(json_path, json.dumps(sidecar, indent=2) + "\n")
+    write_json(json_path, sidecar)
     return csv_path, json_path
 
 

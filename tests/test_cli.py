@@ -455,6 +455,51 @@ class TestExitCodes:
         assert code == 2
         assert "magic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["not-json", "list", "missing-field", "schema-version"])
+    @pytest.mark.parametrize("slot", ["project-target", "eval-directions", "eval-world",
+                                      "sweep-world"])
+    def test_malformed_json_artifact_is_data_error(self, tmp_path, synth_base, capsys,
+                                                   slot, bad):
+        direction, world = str(tmp_path / "good.json"), synth_base + ".world.json"
+        lb.save_direction(lb.fit_directions(lb.read_dataset(synth_base), "centroid")[0],
+                          direction)
+        is_world = slot.endswith("world")
+        good = json.loads(Path(world if is_world else direction).read_text())
+        missing = "dim" if is_world else "vector"
+        path = tmp_path / "bad.json"
+        path.write_text({"not-json": '{"schema_version": 1,',
+                         "list": json.dumps([good]),
+                         "missing-field": json.dumps({k: v for k, v in good.items()
+                                                      if k != missing}),
+                         "schema-version": json.dumps({**good, "schema_version": 99})}[bad])
+        out = str(tmp_path / "out")
+        argv = {"project-target": ["project", "--target", str(path), "--others", direction],
+                "eval-directions": ["eval", "--world", world, "--directions", str(path)],
+                "eval-world": ["eval", "--world", str(path), "--directions", direction],
+                "sweep-world": ["sweep", "--data", synth_base, "--world", str(path),
+                                "--sizes", "100", "--runs", "1"]}[slot]
+        if slot != "project-target":
+            argv += ["--seed", "1"]
+        assert run(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bad.json", "data.labels.csv", "data.latd", "data.world.json", "good.json"]
+
+    @pytest.mark.parametrize("flags", [["--dim", "8"], ["--names", "a,b"]],
+                             ids=["dim", "attributes"])
+    def test_sweep_world_that_does_not_match_its_data_is_data_error(
+            self, tmp_path, synth_base, capsys, flags):
+        other = str(tmp_path / "other")
+        assert run("synth", "--out", other, "--n", "10", *flags, "--seed", "1") == 0
+        out = tmp_path / "sweep.csv"
+        code = run("sweep", "--data", synth_base, "--world", other + ".world.json",
+                   "--sizes", "100", "--runs", "1", "--seed", "1", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert other + ".world.json" in err and synth_base in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec", ["-1,0,0.5", "9,0,0.5", "1,1,0.5", "0,x,0.5"])
     def test_bad_corr_index_is_usage_error(self, tmp_path, capsys, spec):
         code = run("synth", "--out", str(tmp_path / "w"), "--n", "100",

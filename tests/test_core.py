@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latbal as lb
+from latbal.contingency import bits_string, cell_indices
 from latbal.rng import uniforms
 from conftest import tiny_dataset
 
@@ -28,21 +29,16 @@ class TestAttributeSchema:
 class TestLabelCombination:
     def test_lsb_first_indexing(self):
         # attribute 0 is the least significant bit: 1 -> "10", 2 -> "01"
-        assert lb.decode_index(0, 2) == (0, 0)
-        assert lb.decode_index(1, 2) == (1, 0)
-        assert lb.decode_index(2, 2) == (0, 1)
-        assert lb.decode_index(3, 2) == (1, 1)
-
-    def test_decode(self):
-        assert lb.decode_index(2, 2) == (0, 1)
-        with pytest.raises(ValueError):
-            lb.decode_index(4, 2)
+        assert [bits_string(c, 2) for c in range(4)] == ["00", "10", "01", "11"]
+        ds = tiny_dataset([[0, 0], [1, 0], [0, 1], [1, 1]])
+        assert cell_indices(ds).tolist() == [0, 1, 2, 3]
 
     @given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=20))
     @settings(max_examples=200, deadline=None)
     def test_encode_decode_bijection(self, bits):
-        bits = tuple(bits)
-        assert lb.decode_index(sum(b << j for j, b in enumerate(bits)), len(bits)) == bits
+        index = int(cell_indices(tiny_dataset([bits]))[0])
+        assert index == sum(b << j for j, b in enumerate(bits))
+        assert bits_string(index, len(bits)) == "".join(map(str, bits))
 
 
 class TestValidateDataset:

@@ -24,3 +24,31 @@ def test_package_imports_only_stdlib_and_numpy():
     assert "numpy" in imported
     stray = {top: where for top, where in imported.items() if top not in ALLOWED}
     assert not stray, f"undeclared dependencies (module: first importing file): {stray}"
+
+
+def test_only_dataio_writes_files_or_imports_in_a_function():
+    # dataio owns the on-disk formats (the JSON artifact layout included) and
+    # the atomic write; and an import inside a function hides a module's
+    # dependencies from its header
+    found = []
+    for path in sorted(Path(latbal.__file__).parent.glob("*.py")):
+        if path.name == "dataio.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [(path.name, node.lineno, "import in a function")
+                          for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if (isinstance(node.func, ast.Attribute) and node.func.attr == "dumps"
+                    and any(kw.arg == "indent" for kw in node.keywords)):
+                found.append((path.name, node.lineno, "json.dumps(indent=)"))
+            if isinstance(node.func, ast.Name) and node.func.id == "open":
+                modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+                if any(not isinstance(mode, ast.Constant) or set(mode.value) & set("wax+")
+                       for mode in modes):
+                    found.append((path.name, node.lineno, "open for writing"))
+    assert found == []

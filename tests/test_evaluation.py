@@ -234,6 +234,18 @@ class TestSweeps:
         other = lb.sweep_sample_size(dataset20k, world42.score, sizes=[3000, 1000], **kwargs)
         assert other.rows[8:] == ok
 
+    def test_uniform_point_past_the_dataset_fails_naming_its_n0(self, world42):
+        # 5000 > 3000 rows: a balanced skip point still fits; a uniform one
+        # fails as uniform_subsample does rather than fit every row
+        ds = lb.sample_world(world42, 3000, seed=3)
+        report = lb.sweep_sample_size(ds, world42.score, sizes=[5000],
+                                      policies=("skip", "uniform"), runs=1, n_eval=50, seed=1)
+        balanced, uniform = report.rows[:4], report.rows[4:]
+        assert all(r.error is None and np.isfinite(r.effect) for r in balanced)
+        assert all(r.policy == "uniform" and r.parameter == 5000.0 and np.isnan(r.effect)
+                   for r in uniform)
+        assert all(r.error == "run 0: n0 must be in [0, 3000], got 5000" for r in uniform)
+
 
 def _random_fit_set(n, dim, m, rate, repeats, seed):
     """n Gaussian rows with Bernoulli(rate) labels, oversampled to n * repeats rows."""
