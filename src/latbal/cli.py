@@ -283,6 +283,10 @@ def _cmd_fit(args) -> int:
         if bad.size:  # the header is line 1, row k is line k + 2
             raise ValueError(f"{args.subsample}:{bad[0] + 2}: row index {indices[bad[0]]} "
                              f"is outside 0..{dataset.n - 1}")
+    for name in dataset.schema.names:  # a name becomes a file name in --out-dir
+        if name in (".", "..") or any(ch in name for ch in ("/", os.sep, "\0")):
+            raise ValueError(f"{args.data}.labels.csv: attribute name {name!r} cannot "
+                             "name a file in --out-dir")
     dirs = fit_directions(dataset, args.method, c=args.c, tol=args.tol,
                           max_iter=args.max_iter, rows=indices)
     for direction in dirs:
@@ -324,6 +328,10 @@ def _cmd_eval(args) -> int:
     seed = _resolve_seed(args)
     world = load_world(args.world)
     dirs = [load_direction(p) for p in args.directions]
+    for path, u in zip(args.directions, dirs):
+        if u.dim != world.dim or not 0 <= u.attribute < world.m:
+            raise ValueError(f"{path}: direction has dim {u.dim} and attribute {u.attribute}, "
+                             f"but {args.world} has dim {world.dim} and {world.m} attributes")
     latents = _eval_latents(world.dim, args.n, seed, 0)
     matrix = rescore(world.score, dirs, latents, args.alpha)
     save_rescore(matrix, args.out, names=world.names)
@@ -360,17 +368,19 @@ def _cmd_report(args) -> int:
     header = None
     rows = []
     for path in args.inputs:
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
+        with open(path, newline="", encoding="utf-8") as f:
             try:
-                head = next(reader)
-            except StopIteration:
-                raise LatdFormatError(f"{path}: empty CSV") from None
-            if header is None:
-                header = head
-            elif head != header:
-                raise LatdFormatError(f"{path}: header {head} does not match {header}")
-            rows.extend(list(reader))
+                table = list(csv.reader(f))
+            except UnicodeDecodeError:
+                raise LatdFormatError(f"{path}: not UTF-8 text") from None
+        if not table:
+            raise LatdFormatError(f"{path}: empty CSV")
+        head, *body = table
+        if header is None:
+            header = head
+        elif head != header:
+            raise LatdFormatError(f"{path}: header {head} does not match {header}")
+        rows.extend(body)
     if args.format == "csv":
         atomic_write_text(args.out, csv_text([header] + rows))
     else:

@@ -125,11 +125,14 @@ def write_json(path: str, obj) -> None:
 
 
 def read_json(path: str, parse):
-    """parse(the JSON value in path).  A file that is not JSON, lacks a field
-    parse reads, or holds a value parse rejects raises LatdFormatError."""
+    """parse(the JSON object in path).  A file that is not a JSON object, lacks
+    a field parse reads, or holds a value parse rejects raises LatdFormatError."""
     try:
         with open(path, "rb") as f:
-            return parse(json.load(f))
+            obj = json.load(f)
+        if not isinstance(obj, dict):
+            raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+        return parse(obj)
     except KeyError as exc:
         raise LatdFormatError(f"{path}: missing field {exc}") from None
     except (ValueError, TypeError, IndexError) as exc:  # JSONDecodeError is a ValueError

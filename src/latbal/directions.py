@@ -57,17 +57,18 @@ def _centroid_from_sums(pos_sum: np.ndarray, n_pos, neg_sum: np.ndarray, n_neg,
     )
 
 
-def svm_direction(pos, neg, j: int, c: float = 1.0, tol: float = 1e-6,
+def svm_direction(x, y, j: int, c: float = 1.0, tol: float = 1e-6,
                   max_iter: int = 1000) -> SemanticDirection:
-    """Unit normal of the SVM decision boundary, positive class on the + side."""
-    pos = _as_matrix(pos)
-    neg = _as_matrix(neg)
-    model = train_svm(pos, neg, c=c, tol=tol, max_iter=max_iter)
+    """Unit normal of the SVM boundary on (x, y), the y = +1 class on its + side."""
+    x = _as_matrix(x)
+    y = np.asarray(y)
+    model = train_svm(x, y, c=c, tol=tol, max_iter=max_iter)
     norm = float(np.linalg.norm(model.weights))
     if norm < 1e-12:
         raise ValueError("SVM weight vector is numerically zero; no direction defined")
     u = model.weights / norm
-    if (pos.mean(axis=0) - neg.mean(axis=0)) @ u < 0:
+    side, pos = x @ u, y > 0
+    if side[pos].mean() < side[~pos].mean():
         u = -u
     return SemanticDirection(
         attribute=j,
@@ -75,7 +76,7 @@ def svm_direction(pos, neg, j: int, c: float = 1.0, tol: float = 1e-6,
         method="svm",
         meta={"c": c, "duality_gap": model.duality_gap, "iterations": model.iterations,
               "converged": model.converged,
-              "n_pos": int(pos.shape[0]), "n_neg": int(neg.shape[0])},
+              "n_pos": int(pos.sum()), "n_neg": int((~pos).sum())},
     )
 
 
@@ -143,8 +144,8 @@ def direction_from_dict(obj: dict) -> SemanticDirection:
     if obj["schema_version"] != DIRECTION_SCHEMA_VERSION:
         raise ValueError(f"unsupported direction schema_version {obj['schema_version']!r}")
     vec = np.asarray(obj["vector"], dtype=np.float64)
-    if vec.shape[0] != obj["dim"]:
-        raise ValueError(f"vector length {vec.shape[0]} disagrees with dim {obj['dim']}")
+    if vec.shape != (obj["dim"],):
+        raise ValueError(f"field 'vector' has shape {vec.shape}, expected ({obj['dim']},)")
     return SemanticDirection(
         attribute=int(obj["attribute"]),
         vector=vec,

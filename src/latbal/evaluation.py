@@ -10,8 +10,8 @@ fit_directions fits one direction per attribute on rows of a dataset: every
 row, or the row indices a subsample drew.  A centroid fit streams those
 rows through one small gathered buffer, summing every attribute's two
 classes in one pass, and copies neither a fit set nor class rows; an SVM
-fit gathers the rows once and hands each attribute's two classes to
-svm_direction as plain arrays.
+fit gathers the rows once, orders them once by content, and hands them to
+svm_direction with each attribute's +1/-1 labels.
 
 Both sweeps run on one engine, _sweep, over grid points (parameter,
 method, policy, n0, C, seed key).  Each run draws its evaluation codes once
@@ -155,8 +155,9 @@ def fit_directions(dataset: LatentDataset, method: str, c: float = 1.0,
     from the previous chunk, in the order the einsum over every row at once
     adds, and ends with the same bits.
 
-    An SVM fit gathers the rows' codes once and hands each attribute's two
-    classes to svm_direction.
+    An SVM fit gathers the rows once and sorts them once by content, so it
+    ignores row order (equal codes repeat one row, with equal labels); fit j
+    labels them +1 where label j is 1 and -1 elsewhere.
 
     ``seed`` is accepted and unused: neither fit draws random numbers.
     """
@@ -174,9 +175,10 @@ def fit_directions(dataset: LatentDataset, method: str, c: float = 1.0,
         return [_centroid_from_sums(sums[j], counts[j], sums[m + j], counts[m + j], j)
                 for j in range(m)]
     if method == "svm":
-        if rows is not None:
-            codes = codes[rows]
-        return [svm_direction(codes[pos[:, j]], codes[~pos[:, j]], j, c=c, tol=tol,
+        x = codes if rows is None else codes[rows]
+        order = np.lexsort(x.T[::-1])
+        x, pos = x[order], pos[order]
+        return [svm_direction(x, np.where(pos[:, j], 1.0, -1.0), j, c=c, tol=tol,
                               max_iter=max_iter)
                 for j in range(m)]
     raise ValueError(f"unknown fit method {method!r}")

@@ -157,16 +157,25 @@ def world_to_dict(world: LinearAttributeWorld) -> dict:
 def world_from_dict(obj: dict) -> LinearAttributeWorld:
     if obj["schema_version"] != WORLD_SCHEMA_VERSION:
         raise ValueError(f"unsupported world schema_version {obj['schema_version']!r}")
-    return LinearAttributeWorld(
-        dim=int(obj["dim"]),
-        vectors=np.asarray(obj["vectors"], dtype=np.float64),
-        biases=np.asarray(obj["biases"], dtype=np.float64),
-        sharpness=float(obj["sharpness"]),
-        seed=int(obj["seed"]),
-        gram=np.asarray(obj["gram"], dtype=np.float64),
-        rates=np.asarray(obj["rates"], dtype=np.float64),
-        names=tuple(obj["names"]),
-    )
+    dim, names = int(obj["dim"]), tuple(obj["names"])
+    m = len(names)
+    arrays = {key: _array_field(obj, key, shape) for key, shape in (
+        ("vectors", (m, dim)), ("biases", (m,)), ("gram", (m, m)), ("rates", (m,)))}
+    return LinearAttributeWorld(dim=dim, sharpness=float(obj["sharpness"]),
+                                seed=int(obj["seed"]), names=names, **arrays)
+
+
+def _array_field(obj: dict, key: str, shape: tuple) -> np.ndarray:
+    """obj[key] as a finite float64 array, which must have the given shape."""
+    try:
+        arr = np.asarray(obj[key], dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        raise ValueError(f"field {key!r} is not an array of numbers") from None
+    if arr.shape != shape:
+        raise ValueError(f"field {key!r} has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"field {key!r} holds a non-finite value")
+    return arr
 
 
 def save_world(world: LinearAttributeWorld, path: str) -> None:

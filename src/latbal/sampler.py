@@ -200,16 +200,20 @@ def write_subsample(result: SubsampleResult, path_base: str) -> tuple[str, str]:
 
 def read_subsample_indices(csv_path: str) -> np.ndarray:
     """Row indices of a subsample CSV; every line after the header is POSITION,ROW_INDEX."""
-    with open(csv_path) as f:
-        header = f.readline().strip()
-        if header != "position,row_index":
-            raise ValueError(f"{csv_path}: unexpected header {header!r}")
-        indices = []
-        for lineno, line in enumerate(f, start=2):
-            try:
-                _, row_index = (int(t) for t in line.split(","))
-            except ValueError:
-                raise ValueError(f"{csv_path}:{lineno}: expected POSITION,ROW_INDEX, "
-                                 f"got {line.rstrip()!r}") from None
-            indices.append(row_index)
+    with open(csv_path, encoding="utf-8") as f:
+        try:
+            lines = f.readlines()
+        except UnicodeDecodeError:
+            raise ValueError(f"{csv_path}: not UTF-8 text") from None
+    header = lines[0].strip() if lines else ""
+    if header != "position,row_index":
+        raise ValueError(f"{csv_path}: unexpected header {header!r}")
+    indices = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            _, row_index = (int(t) for t in line.split(","))
+        except ValueError:
+            raise ValueError(f"{csv_path}:{lineno}: expected POSITION,ROW_INDEX, "
+                             f"got {line.rstrip()!r}") from None
+        indices.append(row_index)
     return np.array(indices, dtype=np.int64)

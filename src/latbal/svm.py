@@ -18,9 +18,9 @@ F the solution of Z_F Z_F^T a = 1 - Z_F w_B clipped to [0, C].  The gap is
 exact: the primal at w = Z^T alpha minus sum(alpha) - 1/2 ||w||^2.  The model
 is the (w, alpha) of smallest gap seen, converged when that gap is <= tol;
 ``iterations`` counts Newton steps, one or more per stage, so an unreachable
-tol stops after exactly max_iter.  Examples are sorted by content and F is
-solved through its Gram matrix, so swapping the two point sets negates weights
-and bias bit for bit.
+tol stops after exactly max_iter.  Examples are used in the order given; F is
+solved through its Gram matrix, so negating the labels (train_svm(x, -y))
+negates weights and bias bit for bit.
 """
 
 from __future__ import annotations
@@ -41,15 +41,10 @@ class SvmModel:
     iterations: int              # Newton steps over all stages
     converged: bool              # duality_gap <= tol
     hinge_loss: float            # total hinge at the returned weights
-    alphas: np.ndarray           # dual variables, canonical example order
+    alphas: np.ndarray           # dual variables, in the order of x
     objective_history: list[float] = field(default_factory=list)  # primal per certificate
     dual_history: list[float] = field(default_factory=list)       # dual per certificate
     smoothed_history: list[list[float]] = field(default_factory=list)  # per stage and step
-
-
-def canonical_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Content-based example order: by coordinates, label as tie-break."""
-    return np.lexsort(np.vstack([y, x.T[::-1]]))
 
 
 def _smoothed(margin, vv, c, h):
@@ -104,23 +99,23 @@ def _certificate(z, v, c, h):
     return min((_dual_gap(z, alpha, c) for alpha in points), key=lambda g: g[0])
 
 
-def train_svm(pos: np.ndarray, neg: np.ndarray, c: float = 1.0, tol: float = 1e-6,
+def train_svm(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 1e-6,
               max_iter: int = 1000) -> SvmModel:
-    pos = np.atleast_2d(np.asarray(pos, dtype=np.float64))
-    neg = np.atleast_2d(np.asarray(neg, dtype=np.float64))
-    if pos.shape[0] == 0 or neg.shape[0] == 0:
+    """Fit on the rows of x (n, d) with labels y (n,) in {+1, -1}, in the order given."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (x.shape[0],) or not np.all((y == 1.0) | (y == -1.0)):
+        raise ValueError(f"labels must be a ({x.shape[0]},) array of +1 and -1")
+    if not (np.any(y > 0) and np.any(y < 0)):
         raise ValueError("both classes must be non-empty")
-    if pos.shape[1] != neg.shape[1]:
-        raise ValueError(f"dimension mismatch: pos d={pos.shape[1]}, neg d={neg.shape[1]}")
     if not (np.isfinite(c) and c > 0):
         raise ValueError(f"C must be a finite positive number, got {c}")
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
 
-    x = np.vstack([pos, neg])
-    y = np.concatenate([np.ones(pos.shape[0]), -np.ones(neg.shape[0])])
-    order = canonical_order(x, y)
-    z = y[order, None] * np.hstack([x[order], np.ones((x.shape[0], 1))])
+    z = np.empty((x.shape[0], x.shape[1] + 1))  # z_i = y_i [x_i, 1]
+    np.multiply(x, y[:, None], out=z[:, :-1])
+    z[:, -1] = y
 
     v, h, steps = np.zeros(z.shape[1]), _H_START, 0
     best = _certificate(z, v, c, h)

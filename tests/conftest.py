@@ -26,3 +26,9 @@ def tiny_dataset(labels, dim=2, names=None):
     schema = lb.AttributeSchema(tuple(names) if names else tuple(f"a{k}" for k in range(m)))
     return lb.LatentDataset(codes=np.zeros((labels.shape[0], dim)), labels=labels,
                             schema=schema)
+
+
+def stacked(pos, neg):
+    """The fit set [pos; neg] and its labels: +1 for the pos rows, -1 for the neg rows."""
+    pos, neg = np.atleast_2d(pos), np.atleast_2d(neg)
+    return np.vstack([pos, neg]), np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])

@@ -17,6 +17,8 @@ from latbal.evaluation import RescoreMatrix, _eval_latents
 from latbal.rng import derive_seed, normals
 from latbal.svm import train_svm
 
+from conftest import stacked
+
 
 def _report(num: int, name: str, ok: bool, detail: str) -> bool:
     print(f"[criterion {num:02d}] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -115,7 +117,7 @@ def test_criterion_04_small_c_svm_matches_centroid(dataset100k, table100k):
         pos, neg = lb.split_by_attribute(sub, j)
         k = min(pos.n, neg.n)  # balanced classes
         centroid = lb.centroid_direction(pos.codes[:k], neg.codes[:k], j)
-        svm_u = lb.svm_direction(pos.codes[:k], neg.codes[:k], j,
+        svm_u = lb.svm_direction(*stacked(pos.codes[:k], neg.codes[:k]), j,
                                  c=1e-6, tol=1e-9, max_iter=50)
         worst = min(worst, float(centroid.vector @ svm_u.vector))
     elapsed = time.time() - t0
@@ -235,15 +237,15 @@ def test_criterion_09_logit_rescore_identity(world42):
 def test_criterion_10_svm_solver_correctness():
     pos = np.array([[1.0, 0.0], [1.0, 1.0]])
     neg = np.array([[-1.0, 0.0], [-1.0, 1.0]])
-    sep = lb.svm_direction(pos, neg, 0, tol=1e-8, max_iter=2000)
+    sep = lb.svm_direction(*stacked(pos, neg), 0, tol=1e-8, max_iter=2000)
     sep_err = float(np.abs(sep.vector - np.array([1.0, 0.0])).max())
 
     mu = np.full(64, 2.0 / 8.0)
     z = normals(derive_seed(7, 103), 300 * 64).reshape(300, 64)
-    blob_pos, blob_neg = z[:150] + mu, z[150:] - mu
-    model = train_svm(blob_pos, blob_neg, c=1.0, tol=1e-6, max_iter=4000)
+    x, y = stacked(z[:150] + mu, z[150:] - mu)
+    model = train_svm(x, y, c=1.0, tol=1e-6, max_iter=4000)
 
-    swapped = train_svm(blob_neg, blob_pos, c=1.0, tol=1e-6, max_iter=4000)
+    swapped = train_svm(x, -y, c=1.0, tol=1e-6, max_iter=4000)
     antisym = bool(np.array_equal(model.weights, -swapped.weights)
                    and model.bias == -swapped.bias)
 

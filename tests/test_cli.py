@@ -2,6 +2,9 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -455,7 +458,8 @@ class TestExitCodes:
         assert code == 2
         assert "magic" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ["not-json", "list", "missing-field", "schema-version"])
+    @pytest.mark.parametrize("bad", ["not-json", "list", "missing-field", "schema-version",
+                                     "vectors-shape", "non-finite"])
     @pytest.mark.parametrize("slot", ["project-target", "eval-directions", "eval-world",
                                       "sweep-world"])
     def test_malformed_json_artifact_is_data_error(self, tmp_path, synth_base, capsys,
@@ -466,12 +470,18 @@ class TestExitCodes:
         is_world = slot.endswith("world")
         good = json.loads(Path(world if is_world else direction).read_text())
         missing = "dim" if is_world else "vector"
+        vectors = "vectors" if is_world else "vector"
         path = tmp_path / "bad.json"
         path.write_text({"not-json": '{"schema_version": 1,',
                          "list": json.dumps([good]),
                          "missing-field": json.dumps({k: v for k, v in good.items()
                                                       if k != missing}),
-                         "schema-version": json.dumps({**good, "schema_version": 99})}[bad])
+                         "schema-version": json.dumps({**good, "schema_version": 99}),
+                         # one level too deep: each entry in a list of its own
+                         "vectors-shape": json.dumps({**good, vectors: [
+                             [row] for row in good[vectors]]}),
+                         "non-finite": json.dumps({**good, vectors: (
+                             np.array(good[vectors]) * np.nan).tolist()})}[bad])
         out = str(tmp_path / "out")
         argv = {"project-target": ["project", "--target", str(path), "--others", direction],
                 "eval-directions": ["eval", "--world", world, "--directions", str(path)],
@@ -483,6 +493,11 @@ class TestExitCodes:
         assert run(*argv, "--out", out) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(path) in err and "Traceback" not in err
+        named = {"list": "expected a JSON object, got list",
+                 "vectors-shape": f"field '{vectors}' has shape",
+                 "non-finite": "field 'vectors' holds a non-finite value" if is_world
+                 else "must be unit-norm"}.get(bad, "")
+        assert named in err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "bad.json", "data.labels.csv", "data.latd", "data.world.json", "good.json"]
 
@@ -499,6 +514,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert other + ".world.json" in err and synth_base in err
         assert not out.exists()
+        # eval checks the same world against directions fit on the data:
+        # attribute 3 has dim 64, past both the dim-8 world's dim and a,b's count
+        direction = str(tmp_path / "attr3.json")
+        lb.save_direction(lb.fit_directions(lb.read_dataset(synth_base), "centroid")[3],
+                          direction)
+        code = run("eval", "--world", other + ".world.json", "--directions", direction,
+                   "--n", "10", "--seed", "1", "--out", str(tmp_path / "rescore"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert other + ".world.json" in err and direction in err
+        assert not list(tmp_path.glob("rescore*"))
 
     @pytest.mark.parametrize("spec", ["-1,0,0.5", "9,0,0.5", "1,1,0.5", "0,x,0.5"])
     def test_bad_corr_index_is_usage_error(self, tmp_path, capsys, spec):
@@ -614,6 +640,21 @@ class TestExitCodes:
         assert f"{sub}{named}" in capsys.readouterr().err
         assert not (tmp_path / "dirs").exists()
 
+    @pytest.mark.parametrize("name", ["../escaped", "sub/dir", ".", "..", "a\0b"],
+                             ids=["parent", "subdir", "dot", "dotdot", "nul"])
+    def test_attribute_name_that_is_no_file_name_is_data_error(self, tmp_path, monkeypatch,
+                                                                capsys, name):
+        # fit writes <out-dir>/<name>.json; a name must not reach outside --out-dir
+        monkeypatch.chdir(tmp_path)
+        schema = lb.AttributeSchema(("ok", name))
+        lb.write_dataset(lb.LatentDataset(codes=np.eye(4, 3), labels=[[1, 0], [0, 1], [1, 1],
+                                                                      [0, 0]], schema=schema),
+                         "data")
+        code = run("fit", "--data", "data", "--out-dir", "out")
+        assert code == 2
+        assert f"attribute name {name!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.labels.csv", "data.latd"]
+
     # checked before any data is read: the input paths do not even exist
     @pytest.mark.parametrize("argv,named", [
         (["edit", "--data", "nope", "--direction", "nope.json", "--alpha", "nan",
@@ -667,3 +708,27 @@ def test_no_flag_has_a_bare_numeric_type():
             if action.type in (int, float) and action.dest != "seed"
             and (command, action.dest) != ("synth", "n")]
     assert bare == []
+
+
+def test_csv_inputs_are_utf8_whatever_the_locale(tmp_path, synth_base):
+    # under the C locale with UTF-8 mode off, Python's default text encoding is ASCII
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHON"))}
+    env.update(PYTHONUTF8="0", LC_ALL="C", PYTHONPATH=str(Path(lb.__file__).parents[1]))
+
+    def cli(*argv):
+        done = subprocess.run([sys.executable, "-m", "latbal.cli", *argv], env=env,
+                              capture_output=True, text=True, errors="replace", cwd=tmp_path)
+        return done.returncode, done.stderr
+
+    table = "attribute,effect\nlächeln,0.5\n".encode("utf-8")
+    (tmp_path / "a.csv").write_bytes(table)
+    assert cli("report", "--inputs", "a.csv", "a.csv", "--out", "m.csv") == (0, "")
+    assert (tmp_path / "m.csv").read_bytes() == table + "lächeln,0.5\n".encode("utf-8")
+
+    (tmp_path / "latin1.csv").write_bytes("attribute\nlächeln\n".encode("latin-1"))
+    code, err = cli("report", "--inputs", "latin1.csv", "--out", "n.csv")
+    assert code == 2 and "latin1.csv: not UTF-8 text" in err
+    (tmp_path / "sub.csv").write_bytes("position,row_index\n0,5 # zurück\n".encode("latin-1"))
+    code, err = cli("fit", "--data", synth_base, "--subsample", "sub.csv", "--out-dir", "d")
+    assert code == 2 and "sub.csv: not UTF-8 text" in err
+    assert not (tmp_path / "n.csv").exists() and not (tmp_path / "d").exists()

@@ -52,3 +52,20 @@ def test_only_dataio_writes_files_or_imports_in_a_function():
                        for mode in modes):
                     found.append((path.name, node.lineno, "open for writing"))
     assert found == []
+
+
+def test_every_text_mode_open_names_its_encoding():
+    # without encoding= a text file is decoded in the locale's encoding, which
+    # differs between machines; every text file latbal reads or writes is UTF-8
+    found = []
+    for path in sorted(Path(latbal.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) == "open"
+                    or getattr(node.func, "attr", None) == "fdopen")):
+                continue
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            binary = any(isinstance(m, ast.Constant) and "b" in m.value for m in modes)
+            if not binary and not any(kw.arg == "encoding" for kw in node.keywords):
+                found.append((path.name, node.lineno))
+    assert found == []

@@ -11,6 +11,8 @@ from latbal.directions import (direction_from_dict, direction_to_dict,
 from latbal.rng import derive_seed, normals
 from latbal.svm import train_svm
 
+from conftest import stacked
+
 
 def _unit(v):
     v = np.asarray(v, dtype=np.float64)
@@ -84,7 +86,7 @@ class TestSvmDirection:
     def test_symmetric_separable(self):
         pos = [[1.0, 0.0], [1.0, 1.0]]
         neg = [[-1.0, 0.0], [-1.0, 1.0]]
-        u = lb.svm_direction(pos, neg, 0, tol=1e-8, max_iter=2000)
+        u = lb.svm_direction(*stacked(pos, neg), 0, tol=1e-8, max_iter=2000)
         assert np.allclose(u.vector, [1.0, 0.0], atol=1e-6)
         assert u.meta["converged"]
 
@@ -93,8 +95,9 @@ class TestSvmDirection:
         # class centroid restores the identical direction
         pos = normals(8, 120).reshape(30, 4) + np.array([1.0, 0, 0, 0])
         neg = normals(9, 120).reshape(30, 4) - np.array([1.0, 0, 0, 0])
-        w_fwd = train_svm(pos, neg, c=1.0, tol=1e-8, max_iter=500).weights
-        w_rev = train_svm(neg, pos, c=1.0, tol=1e-8, max_iter=500).weights
+        x, y = stacked(pos, neg)
+        w_fwd = train_svm(x, y, c=1.0, tol=1e-8, max_iter=500).weights
+        w_rev = train_svm(x, -y, c=1.0, tol=1e-8, max_iter=500).weights
         assert np.array_equal(w_rev, -w_fwd)
         diff = pos.mean(axis=0) - neg.mean(axis=0)
 
@@ -103,13 +106,13 @@ class TestSvmDirection:
             return u if diff @ u >= 0 else -u
 
         assert np.array_equal(orient(w_fwd), orient(w_rev))
-        assert np.array_equal(lb.svm_direction(pos, neg, 0, tol=1e-8, max_iter=500).vector,
+        assert np.array_equal(lb.svm_direction(x, y, 0, tol=1e-8, max_iter=500).vector,
                               orient(w_fwd))
 
     def test_positive_class_is_on_positive_side(self):
         pos = normals(10, 80).reshape(20, 4) + 2.0
         neg = normals(11, 80).reshape(20, 4) - 2.0
-        u = lb.svm_direction(pos, neg, 0)
+        u = lb.svm_direction(*stacked(pos, neg), 0)
         assert (pos.mean(axis=0) - neg.mean(axis=0)) @ u.vector > 0
 
     def test_small_c_approaches_centroid(self, world42):
@@ -117,7 +120,8 @@ class TestSvmDirection:
         pos, neg = lb.split_by_attribute(ds, 0)
         k = min(pos.n, neg.n)
         centroid = lb.centroid_direction(pos.codes[:k], neg.codes[:k], 0)
-        svm_u = lb.svm_direction(pos.codes[:k], neg.codes[:k], 0, c=1e-6, tol=1e-9, max_iter=50)
+        svm_u = lb.svm_direction(*stacked(pos.codes[:k], neg.codes[:k]), 0,
+                                 c=1e-6, tol=1e-9, max_iter=50)
         assert float(centroid.vector @ svm_u.vector) >= 0.999
 
 

@@ -11,6 +11,8 @@ from latbal.evaluation import (_CHUNK, RescoreMatrix, rescore_to_csv, rescore_to
                                sweep_to_csv)
 from latbal.rng import derive_seed, normals
 
+from conftest import stacked
+
 
 def _row_matrix(row):
     return RescoreMatrix(values=np.array([row]), alpha=0.2, n=2000,
@@ -354,12 +356,24 @@ class TestFitDirections:
             [(u.meta, u.vector.tobytes()) for u in want]
 
     def test_svm_fit_uses_the_split_classes(self, dataset20k):
+        # fit j sees both classes of attribute j's split, rows in content order
         ds = dataset20k.select(np.arange(300))
         got = lb.fit_directions(ds, "svm", c=1e-2, max_iter=50)
         for j, u in enumerate(got):
-            pos, neg = lb.split_by_attribute(ds, j)
-            v = lb.svm_direction(pos.codes, neg.codes, j, c=1e-2, max_iter=50)
+            x, y = stacked(*(part.codes for part in lb.split_by_attribute(ds, j)))
+            order = np.lexsort(x.T[::-1])
+            v = lb.svm_direction(x[order], y[order], j, c=1e-2, max_iter=50)
             assert u.vector.tobytes() == v.vector.tobytes() and u.meta == v.meta
+
+    def test_fit_is_order_independent(self, dataset20k):
+        # repeated rows included: equal codes carry equal labels, so any order
+        # among them gives the same fit
+        rows = np.r_[np.arange(200), np.arange(0, 200, 2)]
+        shuffled = np.random.default_rng(3).permutation(rows)
+        a, b = (lb.fit_directions(dataset20k, "svm", c=1.0, tol=1e-8, max_iter=300, rows=r)
+                for r in (rows, shuffled))
+        assert [(u.meta, u.vector.tobytes()) for u in a] == \
+            [(u.meta, u.vector.tobytes()) for u in b]
 
     def test_unknown_method_rejected(self, dataset20k):
         with pytest.raises(ValueError, match="unknown fit method 'lda'"):

@@ -3,7 +3,9 @@ import pytest
 
 import latbal as lb
 from latbal.rng import derive_seed, normals
-from latbal.svm import canonical_order, train_svm
+from latbal.svm import train_svm
+
+from conftest import stacked
 
 
 def _blobs(n_per_side=500, d=64, half_gap=2.0, seed=7):
@@ -16,13 +18,13 @@ def _blobs(n_per_side=500, d=64, half_gap=2.0, seed=7):
 @pytest.fixture(scope="module")
 def blobs_model():
     pos, neg = _blobs()
-    return pos, neg, train_svm(pos, neg, c=1.0, tol=1e-4, max_iter=1000)
+    return pos, neg, train_svm(*stacked(pos, neg), c=1.0, tol=1e-4, max_iter=1000)
 
 
 def test_symmetric_separable_case():
     pos = np.array([[1.0, 0.0], [1.0, 1.0]])
     neg = np.array([[-1.0, 0.0], [-1.0, 1.0]])
-    model = train_svm(pos, neg, c=1.0, tol=1e-8, max_iter=2000)
+    model = train_svm(*stacked(pos, neg), c=1.0, tol=1e-8, max_iter=2000)
     w = model.weights / np.linalg.norm(model.weights)
     assert np.allclose(w, [1.0, 0.0], atol=1e-6)
     assert abs(model.bias) < 1e-6
@@ -32,7 +34,7 @@ def test_symmetric_separable_case():
 
 def test_degenerate_identical_point_both_classes():
     point = np.array([[1.0, 2.0]])
-    model = train_svm(point, point, c=1.0, tol=1e-8, max_iter=100)
+    model = train_svm(*stacked(point, point), c=1.0, tol=1e-8, max_iter=100)
     assert np.linalg.norm(model.weights) < 1e-9
     assert model.hinge_loss >= 1.0  # non-separable shows up as residual hinge loss
     assert model.converged
@@ -41,19 +43,14 @@ def test_degenerate_identical_point_both_classes():
 def test_blob_training_accuracy(blobs_model):
     # means +-mu with ||2 mu|| = 4: Bayes accuracy Phi(2) ~ 0.977
     pos, neg, model = blobs_model
-    x = np.vstack([pos, neg])
-    y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
+    x, y = stacked(pos, neg)
     accuracy = (np.sign(x @ model.weights + model.bias) == y).mean()
     assert accuracy >= 0.97
 
 
 def _slackness_residual(pos, neg, model):
-    x_raw = np.vstack([pos, neg])
-    y_raw = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
-    order = canonical_order(x_raw, y_raw)
-    f = x_raw[order] @ model.weights + model.bias
-    y = y_raw[order]
-    s = y * f - 1.0
+    x, y = stacked(pos, neg)
+    s = y * (x @ model.weights + model.bias) - 1.0
     # complementary slackness: alpha * max(0, yf-1) and (C-alpha) * max(0, 1-yf)
     r1 = model.alphas * np.clip(s, 0.0, None)
     r2 = (model.c - model.alphas) * np.clip(-s, 0.0, None)
@@ -69,7 +66,7 @@ def test_alpha_bounds_and_slackness_identity(blobs_model):
 
 def test_kkt_residual_below_tol_at_convergence():
     pos, neg = _blobs(n_per_side=150)
-    model = train_svm(pos, neg, c=1.0, tol=1e-6, max_iter=4000)
+    model = train_svm(*stacked(pos, neg), c=1.0, tol=1e-6, max_iter=4000)
     assert model.converged
     assert np.all(model.alphas >= 0.0) and np.all(model.alphas <= model.c)
     assert _slackness_residual(pos, neg, model) <= 1e-6 + 1e-9
@@ -77,7 +74,7 @@ def test_kkt_residual_below_tol_at_convergence():
 
 def test_duality_gap_certifies_convergence():
     pos, neg = _blobs(n_per_side=150)
-    model = train_svm(pos, neg, c=1.0, tol=1e-6, max_iter=4000)
+    model = train_svm(*stacked(pos, neg), c=1.0, tol=1e-6, max_iter=4000)
     assert model.converged
     assert model.duality_gap <= 1e-6
     # weak duality throughout
@@ -101,8 +98,8 @@ def test_stage_iterates_obey_weak_duality_and_descent(blobs_model):
 
 def _reference_dual_cd(pos, neg, c, tol, max_iter):
     """Plain dual coordinate descent: every example, in index order, every epoch."""
-    x = np.hstack([np.vstack([pos, neg]), np.ones((len(pos) + len(neg), 1))])
-    y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
+    x, y = stacked(pos, neg)
+    x = np.hstack([x, np.ones((len(y), 1))])
     q = (x * x).sum(axis=1)
     alpha = np.zeros(len(y))
     w = np.zeros(x.shape[1])
@@ -124,7 +121,7 @@ def test_newton_reaches_the_reference_optimum(c):
     # the primal is 1-strongly convex in [w, b], so any iterate with duality
     # gap g lies within sqrt(2 g) of the unique optimum
     pos, neg = _blobs(n_per_side=100)
-    model = train_svm(pos, neg, c=c, tol=1e-9, max_iter=2000)
+    model = train_svm(*stacked(pos, neg), c=c, tol=1e-9, max_iter=2000)
     w_ref, gap_ref = _reference_dual_cd(pos, neg, c, tol=1e-9, max_iter=2000)
     dist = np.linalg.norm(np.append(model.weights, model.bias) - w_ref)
     assert dist <= np.sqrt(2.0 * model.duality_gap) + np.sqrt(2.0 * gap_ref)
@@ -132,8 +129,8 @@ def test_newton_reaches_the_reference_optimum(c):
 
 def test_repeat_fit_is_bit_identical():
     pos, neg = _blobs(n_per_side=100)
-    a = train_svm(pos, neg, c=1.0, tol=1e-6, max_iter=200)
-    b = train_svm(pos, neg, c=1.0, tol=1e-6, max_iter=200)
+    a = train_svm(*stacked(pos, neg), c=1.0, tol=1e-6, max_iter=200)
+    b = train_svm(*stacked(pos, neg), c=1.0, tol=1e-6, max_iter=200)
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
     assert np.array_equal(a.alphas, b.alphas)
     assert a.iterations == b.iterations
@@ -141,32 +138,24 @@ def test_repeat_fit_is_bit_identical():
 
 def test_stop_at_max_iter_reports_full_set_gap():
     pos, neg = _blobs(n_per_side=100)
-    model = train_svm(pos, neg, c=1.0, tol=1e-6, max_iter=3)
+    model = train_svm(*stacked(pos, neg), c=1.0, tol=1e-6, max_iter=3)
     assert not model.converged
     assert model.iterations == 3
     assert model.duality_gap == pytest.approx(_slackness_residual(pos, neg, model), abs=1e-8)
 
 
 def test_label_swap_negates_exactly():
-    pos, neg = _blobs(n_per_side=60)
-    a = train_svm(pos, neg, c=0.5, tol=1e-8, max_iter=300)
-    b = train_svm(neg, pos, c=0.5, tol=1e-8, max_iter=300)
+    x, y = stacked(*_blobs(n_per_side=60))
+    a = train_svm(x, y, c=0.5, tol=1e-8, max_iter=300)
+    b = train_svm(x, -y, c=0.5, tol=1e-8, max_iter=300)
     assert np.array_equal(a.weights, -b.weights)
     assert a.bias == -b.bias
     assert a.duality_gap == b.duality_gap
 
 
-def test_fit_is_order_independent():
-    pos, neg = _blobs(n_per_side=40)
-    a = train_svm(pos, neg, c=1.0, tol=1e-8, max_iter=300)
-    b = train_svm(pos[::-1], neg[::-1], c=1.0, tol=1e-8, max_iter=300)
-    assert np.array_equal(a.weights, b.weights)
-    assert a.bias == b.bias
-
-
 def test_separable_large_c_drives_hinge_to_zero():
     pos, neg = _blobs(n_per_side=50, half_gap=4.0)  # wide gap: cleanly separable
-    model = train_svm(pos, neg, c=100.0, tol=1e-6, max_iter=3000)
+    model = train_svm(*stacked(pos, neg), c=100.0, tol=1e-6, max_iter=3000)
     assert model.hinge_loss < 1e-8
 
 
@@ -182,7 +171,7 @@ def test_small_c_limit_matches_centroid_direction(world42):
         pos, neg = lb.split_by_attribute(sub, j)
         k = min(pos.n, neg.n)
         centroid = lb.centroid_direction(pos.codes[:k], neg.codes[:k], j)
-        svm_dir = lb.svm_direction(pos.codes[:k], neg.codes[:k], j,
+        svm_dir = lb.svm_direction(*stacked(pos.codes[:k], neg.codes[:k]), j,
                                    c=1e-6, tol=1e-9, max_iter=50)
         assert float(centroid.vector @ svm_dir.vector) >= 0.999
 
@@ -194,7 +183,7 @@ def test_unbalanced_small_c_fit_certifies_within_fifty_steps(world42):
     ds = lb.sample_world(world42, 4000, seed=13)
     for j in range(ds.m):
         pos, neg = lb.split_by_attribute(ds, j)
-        model = train_svm(pos.codes, neg.codes, c=0.01, tol=1e-3, max_iter=50)
+        model = train_svm(*stacked(pos.codes, neg.codes), c=0.01, tol=1e-3, max_iter=50)
         assert model.converged and model.duality_gap <= 1e-3
         assert model.iterations <= 50
 
@@ -205,7 +194,7 @@ def test_zero_tol_stops_at_exactly_max_iter():
     # still takes a step, so the loop ends on the step cap with no overflow
     pos, neg = _blobs(n_per_side=60)
     with np.errstate(all="raise"):
-        model = train_svm(pos, neg, c=1.0, tol=0.0, max_iter=120)
+        model = train_svm(*stacked(pos, neg), c=1.0, tol=0.0, max_iter=120)
     assert model.iterations == 120
     assert not model.converged
     assert 0.0 < model.duality_gap < 1e-9 and np.isfinite(model.duality_gap)
@@ -213,7 +202,7 @@ def test_zero_tol_stops_at_exactly_max_iter():
 
 def test_returned_gap_is_the_smallest_certificate_gap():
     pos, neg = _blobs(n_per_side=60)
-    model = train_svm(pos, neg, c=1.0, tol=0.0, max_iter=120)
+    model = train_svm(*stacked(pos, neg), c=1.0, tol=0.0, max_iter=120)
     gaps = [max(p - d, 0.0) for p, d in zip(model.objective_history, model.dual_history)]
     assert model.duality_gap == min(gaps)
     # here the last stage, cut short by max_iter, certifies far worse than the best
@@ -224,7 +213,7 @@ def test_max_iter_zero_returns_the_start_certificate():
     # no Newton step: the start point v = 0 gives alpha = C everywhere, so
     # w = C * (sum of positives - sum of negatives), bias included
     pos, neg = _blobs(n_per_side=50)
-    model = train_svm(pos, neg, c=0.5, tol=1e-6, max_iter=0)
+    model = train_svm(*stacked(pos, neg), c=0.5, tol=1e-6, max_iter=0)
     assert model.iterations == 0 and not model.converged
     assert np.all(model.alphas == 0.5)
     assert np.allclose(model.weights, 0.5 * (pos.sum(axis=0) - neg.sum(axis=0)))
@@ -235,8 +224,8 @@ def test_max_iter_zero_returns_the_start_certificate():
 
 def test_max_iter_one_takes_one_step():
     pos, neg = _blobs(n_per_side=50)
-    start = train_svm(pos, neg, c=0.5, tol=1e-6, max_iter=0)
-    model = train_svm(pos, neg, c=0.5, tol=1e-6, max_iter=1)
+    start = train_svm(*stacked(pos, neg), c=0.5, tol=1e-6, max_iter=0)
+    model = train_svm(*stacked(pos, neg), c=0.5, tol=1e-6, max_iter=1)
     assert model.iterations == 1 and not model.converged
     assert [len(stage) for stage in model.smoothed_history] == [2]
     assert model.duality_gap < start.duality_gap
@@ -246,17 +235,24 @@ def test_max_iter_one_takes_one_step():
 @pytest.mark.parametrize("pos,neg,err", [
     (np.empty((0, 2)), np.array([[1.0, 2.0]]), "non-empty"),
     (np.array([[1.0, 2.0]]), np.empty((0, 2)), "non-empty"),
-    (np.array([[1.0, 2.0]]), np.array([[1.0, 2.0, 3.0]]), "dimension"),
 ])
 def test_input_validation(pos, neg, err):
     with pytest.raises(ValueError, match=err):
-        train_svm(pos, neg)
+        train_svm(*stacked(pos, neg))
+
+
+@pytest.mark.parametrize("y", [[1.0, -1.0], [[1.0], [-1.0], [1.0]], [1.0, 0.0, -1.0],
+                               [1.0, -1.0, np.nan], [2.0, -1.0, -1.0]],
+                         ids=["short", "column", "zero", "nan", "two"])
+def test_labels_must_be_plus_or_minus_one_per_row(y):
+    with pytest.raises(ValueError, match=r"^labels must be a \(3,\) array of \+1 and -1$"):
+        train_svm(np.eye(3), y)
 
 
 def test_c_must_be_positive():
     x = np.array([[1.0]])
     with pytest.raises(ValueError, match="positive"):
-        train_svm(x, -x, c=0.0)
+        train_svm(*stacked(x, -x), c=0.0)
 
 
 @pytest.mark.parametrize("kwargs,err", [
@@ -267,4 +263,4 @@ def test_c_must_be_positive():
 def test_non_finite_c_or_tol_rejected(kwargs, err):
     x = np.array([[1.0]])
     with pytest.raises(ValueError, match=err):
-        train_svm(x, -x, **kwargs)
+        train_svm(*stacked(x, -x), **kwargs)
