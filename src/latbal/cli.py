@@ -10,7 +10,6 @@ usage error.  Identical invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .contingency import build_contingency, imbalance_stats, write_contingency_csv
-from .dataio import (LatdFormatError, atomic_write_text, csv_text, read_dataset,
+from .dataio import (LatdFormatError, atomic_write_text, csv_text, read_csv, read_dataset,
                      write_dataset, write_dataset_blocks, write_json)
 from .directions import (conditional_project, edit_latent, load_direction,
                          save_direction)
@@ -368,14 +367,7 @@ def _cmd_report(args) -> int:
     header = None
     rows = []
     for path in args.inputs:
-        with open(path, newline="", encoding="utf-8") as f:
-            try:
-                table = list(csv.reader(f))
-            except UnicodeDecodeError:
-                raise LatdFormatError(f"{path}: not UTF-8 text") from None
-        if not table:
-            raise LatdFormatError(f"{path}: empty CSV")
-        head, *body = table
+        head, *body = read_csv(path)
         if header is None:
             header = head
         elif head != header:

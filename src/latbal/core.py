@@ -24,6 +24,9 @@ class AttributeSchema:
     names: tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.names, str):  # a bare string would split into one-letter names
+            raise ValueError(f"attribute names must be a sequence of names, "
+                             f"got the string {self.names!r}")
         names = tuple(str(n) for n in self.names)
         object.__setattr__(self, "names", names)
         if not 1 <= len(names) <= MAX_ATTRIBUTES:

@@ -28,9 +28,10 @@ All writes go through a temp file in the target directory, fsynced, then
 atomically renamed over the target, so an interrupted run never leaves a
 half-written file; the directory is then fsynced, so the rename survives a
 crash too.  A ``.latd`` write streams the header and then the codes, block
-by block, to the temp file, with no assembled copy of the dataset; each
-block is checked finite before it is written, so the writer leaves no file
-the reader would reject.
+by block, to the temp file, with no assembled copy of the dataset.  The
+labels (one 0/1 column per attribute) are checked before anything is
+written, and each block's width, row count and finiteness before it is
+written, so the writer leaves no file the reader would reject.
 
 A read maps the codes read-only instead of copying them: the dataset's
 codes are a view of the file's pages, and only the labels are held in
@@ -63,7 +64,7 @@ _ZERO, _COMMA, _LF, _CR = b"0,\n\r"
 
 
 class LatdFormatError(ValueError):
-    """Malformed or unsupported dataset or JSON artifact file."""
+    """Malformed or unsupported dataset, JSON artifact or CSV input file."""
 
 
 def _umask() -> int:
@@ -139,6 +140,23 @@ def read_json(path: str, parse):
         raise LatdFormatError(f"{path}: {exc}") from None
 
 
+def read_csv(path: str) -> list[list[str]]:
+    """The rows of the UTF-8 CSV file at path, header row first.  A file that
+    is not UTF-8, that the csv module rejects or that is empty raises
+    LatdFormatError naming the path."""
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError:
+            raise LatdFormatError(f"{path}: not UTF-8 text") from None
+        except csv.Error as exc:
+            raise LatdFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise LatdFormatError(f"{path}: empty CSV")
+    return rows
+
+
 def dataset_paths(path_base: str) -> tuple[str, str]:
     return path_base + ".latd", path_base + ".labels.csv"
 
@@ -154,29 +172,48 @@ def _labels_payload(schema: AttributeSchema, labels: np.ndarray) -> np.ndarray:
     return payload
 
 
-def _finite_blocks(latd_path: str, blocks):
-    """The blocks of code rows as little-endian float64, each checked finite
-    before it is handed on; raises ValueError naming the first bad row."""
+def _checked_blocks(latd_path: str, blocks, dim: int, count: int):
+    """The blocks of code rows as little-endian float64, each checked before it
+    is handed on: (rows, dim) in shape, finite, and count rows in all.  Raises
+    ValueError naming the first bad block or row."""
     start = 0
-    for block in blocks:
+    for k, block in enumerate(blocks):
         block = np.ascontiguousarray(block, dtype="<f8")
+        if block.ndim != 2 or block.shape[1] != dim or start + block.shape[0] > count:
+            raise ValueError(f"{latd_path}: codes block {k} has shape {block.shape} at row "
+                             f"{start}, expected (rows, {dim}) within {count} rows; "
+                             "nothing written")
         bad = nonfinite_rows(block)
         if bad.size:
             raise ValueError(f"{latd_path}: codes row {start + int(bad[0])}: "
                              "non-finite component; nothing written")
         start += block.shape[0]
         yield block
+    if start != count:
+        raise ValueError(f"{latd_path}: codes blocks hold {start} rows for {count} "
+                         "label rows; nothing written")
 
 
 def write_dataset_blocks(path_base: str, schema: AttributeSchema, labels: np.ndarray,
                          dim: int, blocks) -> tuple[str, str]:
     """Write a dataset whose codes arrive as consecutive row blocks (2-d
-    arrays of width dim, len(labels) rows in all).  The ``.latd`` file is
-    written first, so a bad block leaves neither file behind."""
+    arrays of width dim, len(labels) rows in all).  The labels are checked
+    first and the ``.latd`` file is written next, so a bad label or block
+    leaves neither file behind."""
     latd_path, labels_path = dataset_paths(path_base)
-    header = _HEADER.pack(MAGIC, VERSION, dim, labels.shape[0], 0)
+    labels = np.asarray(labels)
+    if labels.ndim != 2 or labels.shape[1] != schema.m:
+        raise ValueError(f"{labels_path}: labels have shape {labels.shape}, expected "
+                         f"(rows, {schema.m}); nothing written")
+    bad = np.flatnonzero(np.any((labels != 0) & (labels != 1), axis=1))
+    if bad.size:
+        raise ValueError(f"{labels_path}: label row {int(bad[0])} holds a value that is "
+                         "not 0 or 1; nothing written")
+    count = labels.shape[0]
+    header = _HEADER.pack(MAGIC, VERSION, dim, count, 0)
     # the header and the codes go straight to the file, with no assembled copy
-    _atomic_write(latd_path, itertools.chain([header], _finite_blocks(latd_path, blocks)))
+    _atomic_write(latd_path, itertools.chain([header],
+                                             _checked_blocks(latd_path, blocks, dim, count)))
     atomic_write_bytes(labels_path, _labels_payload(schema, labels))
     return latd_path, labels_path
 

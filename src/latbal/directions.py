@@ -34,14 +34,19 @@ def centroid_direction(pos, neg, j: int) -> SemanticDirection:
     return _centroid_from_sums(pos.sum(axis=0), pos.shape[0], neg.sum(axis=0), neg.shape[0], j)
 
 
+def _check_classes(j: int, n_pos, n_neg) -> None:
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError(f"attribute {j}: both classes must be non-empty, "
+                         f"got {n_pos} positive and {n_neg} negative rows")
+
+
 def _centroid_from_sums(pos_sum: np.ndarray, n_pos, neg_sum: np.ndarray, n_neg,
                         j: int) -> SemanticDirection:
     """Centroid direction from each class's row sum and row count.
 
     sum / count is bit for bit what mean(axis=0) returns on the class rows.
     """
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("both classes must be non-empty")
+    _check_classes(j, n_pos, n_neg)
     if pos_sum.shape != neg_sum.shape:
         raise ValueError(f"dimension mismatch: pos d={pos_sum.shape[0]}, "
                          f"neg d={neg_sum.shape[0]}")
@@ -62,12 +67,16 @@ def svm_direction(x, y, j: int, c: float = 1.0, tol: float = 1e-6,
     """Unit normal of the SVM boundary on (x, y), the y = +1 class on its + side."""
     x = _as_matrix(x)
     y = np.asarray(y)
+    pos = y > 0
+    n_pos = int(pos.sum())
+    n_neg = pos.size - n_pos
+    _check_classes(j, n_pos, n_neg)
     model = train_svm(x, y, c=c, tol=tol, max_iter=max_iter)
     norm = float(np.linalg.norm(model.weights))
     if norm < 1e-12:
         raise ValueError("SVM weight vector is numerically zero; no direction defined")
     u = model.weights / norm
-    side, pos = x @ u, y > 0
+    side = x @ u
     if side[pos].mean() < side[~pos].mean():
         u = -u
     return SemanticDirection(
@@ -76,7 +85,7 @@ def svm_direction(x, y, j: int, c: float = 1.0, tol: float = 1e-6,
         method="svm",
         meta={"c": c, "duality_gap": model.duality_gap, "iterations": model.iterations,
               "converged": model.converged,
-              "n_pos": int(pos.sum()), "n_neg": int((~pos).sum())},
+              "n_pos": n_pos, "n_neg": n_neg},
     )
 
 

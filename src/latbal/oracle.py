@@ -22,7 +22,7 @@ pipeline in rng, so a given (world, n, seed) reproduces bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,12 @@ class LinearAttributeWorld:
     seed: int
     gram: np.ndarray             # m x m, as requested
     rates: np.ndarray            # m marginal positive rates
-    names: tuple[str, ...] = field(default_factory=tuple)
+    names: tuple[str, ...]
+
+    def __post_init__(self):
+        self.names = AttributeSchema(self.names).names
+        if not (np.isfinite(self.sharpness) and self.sharpness > 0):
+            raise ValueError(f"sharpness must be a finite positive number, got {self.sharpness}")
 
     @property
     def m(self) -> int:
@@ -97,8 +102,6 @@ def make_world(dim: int, m: int, gram: np.ndarray, positive_rates,
         raise ValueError(f"dim ({dim}) must be >= m ({m})")
     if rates.shape != (m,) or not np.all((rates > 0.0) & (rates < 1.0)):
         raise ValueError("positive_rates must be m values strictly inside (0, 1)")
-    if not (np.isfinite(sharpness) and sharpness > 0):
-        raise ValueError(f"sharpness must be a finite positive number, got {sharpness}")
     if names is None:
         names = tuple(f"attr{k}" for k in range(m))
     if len(names) != m:
@@ -114,7 +117,7 @@ def make_world(dim: int, m: int, gram: np.ndarray, positive_rates,
     biases = np.array([norm_ppf(1.0 - r) for r in rates])
     return LinearAttributeWorld(dim=dim, vectors=vectors, biases=biases,
                                 sharpness=float(sharpness), seed=seed,
-                                gram=gram, rates=rates, names=tuple(names))
+                                gram=gram, rates=rates, names=names)
 
 
 def sample_world(world: LinearAttributeWorld, n: int, seed: int) -> LatentDataset:
@@ -157,7 +160,7 @@ def world_to_dict(world: LinearAttributeWorld) -> dict:
 def world_from_dict(obj: dict) -> LinearAttributeWorld:
     if obj["schema_version"] != WORLD_SCHEMA_VERSION:
         raise ValueError(f"unsupported world schema_version {obj['schema_version']!r}")
-    dim, names = int(obj["dim"]), tuple(obj["names"])
+    dim, names = int(obj["dim"]), AttributeSchema(obj["names"]).names
     m = len(names)
     arrays = {key: _array_field(obj, key, shape) for key, shape in (
         ("vectors", (m, dim)), ("biases", (m,)), ("gram", (m, m)), ("rates", (m,)))}

@@ -42,7 +42,7 @@ import numpy as np
 
 from .contingency import ContingencyTable, cell_dtype, cell_indices
 from .core import LatentDataset
-from .dataio import atomic_write_text, csv_text, write_json
+from .dataio import atomic_write_text, csv_text, read_csv, write_json
 from .rng import ALGORITHM, below_block, derive_seed, u64_block
 
 POLICIES = ("skip", "oversample")
@@ -199,21 +199,16 @@ def write_subsample(result: SubsampleResult, path_base: str) -> tuple[str, str]:
 
 
 def read_subsample_indices(csv_path: str) -> np.ndarray:
-    """Row indices of a subsample CSV; every line after the header is POSITION,ROW_INDEX."""
-    with open(csv_path, encoding="utf-8") as f:
-        try:
-            lines = f.readlines()
-        except UnicodeDecodeError:
-            raise ValueError(f"{csv_path}: not UTF-8 text") from None
-    header = lines[0].strip() if lines else ""
-    if header != "position,row_index":
-        raise ValueError(f"{csv_path}: unexpected header {header!r}")
+    """Row indices of a subsample CSV; every row after the header is POSITION,ROW_INDEX."""
+    header, *rows = read_csv(csv_path)
+    if header != ["position", "row_index"]:
+        raise ValueError(f"{csv_path}: unexpected header {','.join(header)!r}")
     indices = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, row in enumerate(rows, start=2):
         try:
-            _, row_index = (int(t) for t in line.split(","))
+            _, row_index = (int(t) for t in row)
         except ValueError:
             raise ValueError(f"{csv_path}:{lineno}: expected POSITION,ROW_INDEX, "
-                             f"got {line.rstrip()!r}") from None
+                             f"got {','.join(row)!r}") from None
         indices.append(row_index)
     return np.array(indices, dtype=np.int64)

@@ -50,6 +50,23 @@ def test_synth_custom_world(tmp_path):
     assert lb.read_dataset(base).m == 2
 
 
+def test_any_custom_world_flag_starts_from_an_uncorrelated_world(tmp_path):
+    # one flag is enough to leave the demo world: every other value comes from
+    # the custom-world baseline (dim 64, four attributes, identity Gram, rates
+    # 0.5, sharpness 1), not from the demo world (cosine 0.6, skewed rates)
+    base, world_out = str(tmp_path / "s"), tmp_path / "worlds" / "w.json"
+    assert run("synth", "--out", base, "--n", "100", "--sharpness", "2",
+               "--world-out", str(world_out), "--seed", "42") == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.labels.csv", "s.latd", "worlds"]
+    world = lb.load_world(str(world_out))
+    assert (world.dim, world.names, world.sharpness) == (
+        64, ("attr0", "attr1", "attr2", "attr3"), 2.0)
+    assert np.array_equal(world.gram, np.eye(4))
+    assert world.rates.tolist() == [0.5] * 4
+    assert lb.default_world(seed=42).gram[0, 1] == 0.6
+    assert lb.read_dataset(base).schema.names == world.names
+
+
 def test_contingency_command(tmp_path, synth_base, capsys):
     out = str(tmp_path / "table.csv")
     stats = str(tmp_path / "stats.json")
@@ -501,6 +518,29 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "bad.json", "data.labels.csv", "data.latd", "data.world.json", "good.json"]
 
+    @pytest.mark.parametrize("field,value,named", [
+        ("names", "abcd", "attribute names must be a sequence of names, got the string 'abcd'"),
+        ("names", ["a", "a", "b", "c"], "attribute names must be unique"),
+        ("sharpness", -1, "sharpness must be a finite positive number, got -1.0"),
+        ("sharpness", float("nan"), "sharpness must be a finite positive number, got nan"),
+    ], ids=["names-string", "names-repeated", "sharpness-negative", "sharpness-nan"])
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_world_file_gets_the_checks_of_a_built_world(self, tmp_path, synth_base, capsys,
+                                                         command, field, value, named):
+        direction = str(tmp_path / "good.json")
+        lb.save_direction(lb.fit_directions(lb.read_dataset(synth_base), "centroid")[0],
+                          direction)
+        path = tmp_path / "bad.json"
+        good = json.loads(Path(synth_base + ".world.json").read_text())
+        path.write_text(json.dumps({**good, field: value}))
+        argv = {"eval": ["eval", "--world", str(path), "--directions", direction],
+                "sweep": ["sweep", "--data", synth_base, "--world", str(path),
+                          "--sizes", "100", "--runs", "1"]}[command]
+        assert run(*argv, "--seed", "1", "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"latbal {command}: {path}: {named}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bad.json", "data.labels.csv", "data.latd", "data.world.json", "good.json"]
+
     @pytest.mark.parametrize("flags", [["--dim", "8"], ["--names", "a,b"]],
                              ids=["dim", "attributes"])
     def test_sweep_world_that_does_not_match_its_data_is_data_error(
@@ -732,3 +772,26 @@ def test_csv_inputs_are_utf8_whatever_the_locale(tmp_path, synth_base):
     code, err = cli("fit", "--data", synth_base, "--subsample", "sub.csv", "--out-dir", "d")
     assert code == 2 and "sub.csv: not UTF-8 text" in err
     assert not (tmp_path / "n.csv").exists() and not (tmp_path / "d").exists()
+
+
+def test_report_reads_standard_csv_and_names_a_bad_file(tmp_path, capsys):
+    # CR-only line ends and quoted fields merge like any CSV
+    (tmp_path / "cr.csv").write_bytes(b'attribute,effect\r"a,b",0.5\r')
+    merged = tmp_path / "m.csv"
+    assert run("report", "--inputs", str(tmp_path / "cr.csv"), str(tmp_path / "cr.csv"),
+               "--out", str(merged)) == 0
+    assert merged.read_bytes() == b'attribute,effect\n"a,b",0.5\n"a,b",0.5\n'
+    capsys.readouterr()
+    # a field past the csv module's 128 KiB limit is a data error naming file and line
+    big = tmp_path / "big.csv"
+    big.write_bytes(b"attribute,effect\na,0.5\n" + b"x" * (200 << 10) + b",1\n")
+    assert run("report", "--inputs", str(tmp_path / "cr.csv"), str(big),
+               "--out", str(tmp_path / "n.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"latbal report: {big}:3: field larger than field limit")
+    assert err.count("\n") == 1
+    (tmp_path / "empty.csv").write_bytes(b"")
+    assert run("report", "--inputs", str(tmp_path / "empty.csv"),
+               "--out", str(tmp_path / "n.csv")) == 2
+    assert capsys.readouterr().err == f"latbal report: {tmp_path / 'empty.csv'}: empty CSV\n"
+    assert not (tmp_path / "n.csv").exists()

@@ -22,6 +22,11 @@ class TestAttributeSchema:
         with pytest.raises(ValueError):
             lb.AttributeSchema(names)
 
+    def test_bare_string_rejected(self):
+        # tuple("ab") would be two one-letter names
+        with pytest.raises(ValueError, match="got the string 'ab'"):
+            lb.AttributeSchema("ab")
+
     def test_twenty_attributes_allowed(self):
         assert lb.AttributeSchema(tuple(f"a{k}" for k in range(20))).m == 20
 

@@ -11,7 +11,7 @@ import pytest
 
 import latbal as lb
 from latbal.dataio import (FLAG_CONFIDENCES, MAGIC, VERSION, LatdFormatError,
-                           atomic_write_bytes)
+                           atomic_write_bytes, read_csv, write_dataset_blocks)
 
 
 @pytest.fixture()
@@ -303,3 +303,52 @@ def test_finite_rows_whose_sum_overflows_are_written(tmp_path):
                           schema=lb.AttributeSchema(("a",)))
     lb.write_dataset(ds, str(tmp_path / "big"))
     assert np.array_equal(lb.read_dataset(str(tmp_path / "big")).codes, codes)
+
+
+@pytest.mark.parametrize("text", ['a,b\n"x,\ny",2\n', 'a,b\r\n"x,\ny",2\r\n',
+                                  'a,b\r"x,\ny",2'], ids=["lf", "crlf", "cr-only"])
+def test_read_csv_reads_standard_csv(tmp_path, text):
+    (tmp_path / "t.csv").write_bytes(text.encode("utf-8"))
+    assert read_csv(str(tmp_path / "t.csv")) == [["a", "b"], ["x,\ny", "2"]]
+
+
+@pytest.mark.parametrize("payload,message", [
+    (b"", ": empty CSV"),
+    ("a\nl\u00e4cheln\n".encode("latin-1"), ": not UTF-8 text"),
+    (b"a\n" + b"x" * (200 << 10) + b"\n", ":2: field larger than field limit"),
+], ids=["empty", "latin-1", "long-field"])
+def test_read_csv_faults_name_the_path(tmp_path, payload, message):
+    path = tmp_path / "t.csv"
+    path.write_bytes(payload)
+    with pytest.raises(LatdFormatError) as exc:
+        read_csv(str(path))
+    assert str(exc.value).startswith(f"{path}{message}")
+
+
+@pytest.mark.parametrize("blocks,labels,message", [
+    ([np.zeros((2, 3)), np.zeros((2, 2))], np.zeros((4, 1)),
+     "bad.latd: codes block 1 has shape (2, 2) at row 2, expected (rows, 3)"),
+    ([np.zeros((3, 3)), np.zeros((2, 3))], np.zeros((4, 1)),
+     "bad.latd: codes block 1 has shape (2, 3) at row 3, expected (rows, 3) within 4 rows"),
+    ([np.zeros((2, 3))], np.zeros((4, 1)),
+     "bad.latd: codes blocks hold 2 rows for 4 label rows"),
+    ([np.zeros((4, 3))], np.array([[0], [1], [2], [1]]),
+     "bad.labels.csv: label row 2 holds a value that is not 0 or 1"),
+    ([np.zeros((4, 3))], np.zeros((4, 2)),
+     "bad.labels.csv: labels have shape (4, 2), expected (rows, 1)"),
+], ids=["width", "too-many-rows", "too-few-rows", "label-2", "label-columns"])
+def test_write_refuses_what_the_reader_rejects_and_leaves_no_file(tmp_path, blocks, labels,
+                                                                   message):
+    with pytest.raises(ValueError) as exc:
+        write_dataset_blocks(str(tmp_path / "bad"), lb.AttributeSchema(("a",)), labels, 3,
+                             iter(blocks))
+    assert message in str(exc.value) and str(exc.value).endswith("; nothing written")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_dataset_refuses_a_label_of_two(tmp_path):
+    ds = lb.LatentDataset(codes=np.zeros((3, 2)), labels=[[0, 1], [1, 0], [1, 2]],
+                          schema=lb.AttributeSchema(("a", "b")))
+    with pytest.raises(ValueError, match="label row 2 holds a value that is not 0 or 1"):
+        lb.write_dataset(ds, str(tmp_path / "bad"))
+    assert list(tmp_path.iterdir()) == []

@@ -225,9 +225,11 @@ class TestSweeps:
         kwargs = dict(policies=("skip", "uniform"), runs=2, n_eval=200, seed=5)
         report = lb.sweep_sample_size(dataset20k, world42.score, sizes=[1, 1000], **kwargs)
         assert len(report.rows) == 16
+        one_row = {f"run 0: attribute 0: both classes must be non-empty, got {p} positive "
+                   f"and {1 - p} negative rows" for p in (0, 1)}
         for row in report.rows[:8]:
             assert row.parameter == 1.0 and np.isnan(row.effect)
-            assert row.error == "run 0: both classes must be non-empty"
+            assert row.error in one_row
         ok = report.rows[8:]
         assert all(r.parameter == 1000.0 and r.error is None for r in ok)
         assert all(np.isfinite([r.effect, r.effect_std, r.entanglement,
@@ -324,7 +326,10 @@ class TestFitDirections:
         got = _fit_or_error(lambda d: lb.fit_directions(d, "centroid", rows=rows), ds)
         want = _fit_or_error(_split_centroids, ds.select(rows))
         if isinstance(want, str):  # one row holds one class only
-            assert size == 1 and got == want == "both classes must be non-empty"
+            p = int(ds.labels[rows[0], 0])
+            assert size == 1 and got == want == (
+                f"attribute 0: both classes must be non-empty, got {p} positive "
+                f"and {1 - p} negative rows")
             return
         assert [(u.attribute, u.meta, u.vector.tobytes()) for u in got] == \
             [(u.attribute, u.meta, u.vector.tobytes()) for u in want]
@@ -343,9 +348,10 @@ class TestFitDirections:
         for bad in ([n], [0, -n - 1]):
             with pytest.raises(IndexError):
                 lb.fit_directions(dataset20k, method, rows=bad)
-        with pytest.raises(ValueError, match="^both classes must be non-empty$"):
+        empty = "^attribute 0: both classes must be non-empty, got 0 positive and 0 negative rows$"
+        with pytest.raises(ValueError, match=empty):
             lb.fit_directions(dataset20k, method, rows=[])
-        with pytest.raises(ValueError, match="^both classes must be non-empty$"):
+        with pytest.raises(ValueError, match=empty):
             lb.fit_directions(dataset20k.select([]), method)
 
     def test_svm_rows_fit_equals_select(self, dataset20k):

@@ -61,6 +61,14 @@ class TestMakeWorld:
                           sharpness=sharpness, seed=0)
 
 
+    @pytest.mark.parametrize("names,message", [("ab", "got the string 'ab'"),
+                                               (("a", "a"), "unique")])
+    def test_names_must_be_a_sequence_of_unique_names(self, names, message):
+        with pytest.raises(ValueError, match=message):
+            lb.make_world(dim=4, m=2, gram=np.eye(2), positive_rates=(0.5, 0.5),
+                          seed=0, names=names)
+
+
 class TestSampleWorld:
     def test_empty_sample(self, world42):
         ds = lb.sample_world(world42, 0, seed=1)

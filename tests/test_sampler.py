@@ -216,6 +216,15 @@ class TestUniformSubsample:
             assert res.per_cell_counts.tolist() == want.tolist()
 
 
+@pytest.mark.parametrize("text", ["position,row_index\r\n0,7\r\n1,3\r\n",
+                                  "position,row_index\r0,7\r1,3",
+                                  '"position","row_index"\n"0","7"\n1,"3"\n'],
+                         ids=["crlf", "cr-only", "quoted"])
+def test_subsample_reader_reads_standard_csv(tmp_path, text):
+    (tmp_path / "sub.csv").write_bytes(text.encode("utf-8"))
+    assert read_subsample_indices(str(tmp_path / "sub.csv")).tolist() == [7, 3]
+
+
 def test_subsample_files_roundtrip(tmp_path, dataset20k):
     table = lb.build_contingency(dataset20k)
     res = lb.balanced_subsample(dataset20k, table, lb.SamplePlan(200, "skip", 9))
