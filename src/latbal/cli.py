@@ -275,13 +275,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_fit(args) -> int:
     dataset = read_dataset(args.data)
-    indices = None
-    if args.subsample:
-        indices = read_subsample_indices(args.subsample)
-        bad = np.flatnonzero((indices < 0) | (indices >= dataset.n))
-        if bad.size:  # the header is line 1, row k is line k + 2
-            raise ValueError(f"{args.subsample}:{bad[0] + 2}: row index {indices[bad[0]]} "
-                             f"is outside 0..{dataset.n - 1}")
+    indices = read_subsample_indices(args.subsample, dataset.n) if args.subsample else None
     for name in dataset.schema.names:  # a name becomes a file name in --out-dir
         if name in (".", "..") or any(ch in name for ch in ("/", os.sep, "\0")):
             raise ValueError(f"{args.data}.labels.csv: attribute name {name!r} cannot "
@@ -367,7 +361,7 @@ def _cmd_report(args) -> int:
     header = None
     rows = []
     for path in args.inputs:
-        head, *body = read_csv(path)
+        head, body = read_csv(path)
         if header is None:
             header = head
         elif head != header:

@@ -27,7 +27,10 @@ class AttributeSchema:
         if isinstance(self.names, str):  # a bare string would split into one-letter names
             raise ValueError(f"attribute names must be a sequence of names, "
                              f"got the string {self.names!r}")
-        names = tuple(str(n) for n in self.names)
+        names = tuple(self.names)
+        bad = [n for n in names if not isinstance(n, str)]
+        if bad:
+            raise ValueError(f"attribute names must be strings, got {bad[0]!r}")
         object.__setattr__(self, "names", names)
         if not 1 <= len(names) <= MAX_ATTRIBUTES:
             raise ValueError(

@@ -24,14 +24,15 @@ file is UTF-8.  Rows are written and checked as one fixed-width byte array;
 a malformed file is rejected with the path and line number of its first bad
 row.
 
-All writes go through a temp file in the target directory, fsynced, then
-atomically renamed over the target, so an interrupted run never leaves a
-half-written file; the directory is then fsynced, so the rename survives a
-crash too.  A ``.latd`` write streams the header and then the codes, block
-by block, to the temp file, with no assembled copy of the dataset.  The
-labels (one 0/1 column per attribute) are checked before anything is
-written, and each block's width, row count and finiteness before it is
-written, so the writer leaves no file the reader would reject.
+All writes go through a temp file in the target directory, created 0666
+less the umask (the mode open() gives), fsynced, then atomically renamed
+over the target, so an interrupted run never leaves a half-written file;
+the directory is then fsynced, so the rename survives a crash too.  A
+``.latd`` write streams the header and then the codes, block by block, to
+the temp file, with no assembled copy of the dataset.  The labels (one 0/1
+column per attribute) are checked before anything is written, and each
+block's width, row count and finiteness before it is written, so the
+writer leaves no file the reader would reject.
 
 A read maps the codes read-only instead of copying them: the dataset's
 codes are a view of the file's pages, and only the labels are held in
@@ -49,7 +50,6 @@ import itertools
 import json
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -67,24 +67,16 @@ class LatdFormatError(ValueError):
     """Malformed or unsupported dataset, JSON artifact or CSV input file."""
 
 
-def _umask() -> int:
-    # os.umask can only be read by setting it; the CLI is single-threaded
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def _atomic_write(path: str, chunks) -> None:
     """Write the chunks (bytes or C-contiguous arrays), one after another, to
-    path durably and atomically, creating a missing parent directory first."""
+    path durably and atomically, creating a missing parent directory first.
+    The temp file is created 0666 less the umask, as open() would make it."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
-            # mkstemp creates the file 0600 and os.replace keeps that mode;
-            # give it the mode open() would have: 0666 less the umask
-            os.fchmod(f.fileno(), 0o666 & ~_umask())
             for chunk in chunks:
                 f.write(chunk)
             f.flush()
@@ -140,21 +132,29 @@ def read_json(path: str, parse):
         raise LatdFormatError(f"{path}: {exc}") from None
 
 
-def read_csv(path: str) -> list[list[str]]:
-    """The rows of the UTF-8 CSV file at path, header row first.  A file that
-    is not UTF-8, that the csv module rejects or that is empty raises
-    LatdFormatError naming the path."""
+def read_csv(path: str, parse=list):
+    """(header, [parse(row) for each later row]) of the UTF-8 CSV file at path, read
+    strictly.  A file that is not UTF-8, that the csv module rejects or that is empty,
+    and a row that parse rejects (ValueError) or whose field count is not the
+    header's raise LatdFormatError naming path and the record's first line."""
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
+        reader = csv.reader(f, strict=True)
+        line = 1  # where the record being read starts
         try:
-            rows = list(reader)
+            header = next(reader)
+            line, records = reader.line_num + 1, []
+            for row in reader:
+                records.append(parse(row))
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields where the header has {len(header)}")
+                line = reader.line_num + 1
+        except StopIteration:
+            raise LatdFormatError(f"{path}: empty CSV") from None
         except UnicodeDecodeError:
             raise LatdFormatError(f"{path}: not UTF-8 text") from None
-        except csv.Error as exc:
-            raise LatdFormatError(f"{path}:{reader.line_num}: {exc}") from None
-    if not rows:
-        raise LatdFormatError(f"{path}: empty CSV")
-    return rows
+        except (csv.Error, ValueError) as exc:
+            raise LatdFormatError(f"{path}:{line}: {exc}") from None
+    return header, records
 
 
 def dataset_paths(path_base: str) -> tuple[str, str]:
@@ -257,7 +257,10 @@ def _read_labels_csv(path: str) -> tuple[AttributeSchema, np.ndarray]:
         raise LatdFormatError(f"{path}: missing header row") from None
     except csv.Error as exc:
         raise LatdFormatError(f"{path}: header row: {exc}") from None
-    schema = AttributeSchema(tuple(header))
+    try:
+        schema = AttributeSchema(tuple(header))
+    except ValueError as exc:
+        raise LatdFormatError(f"{path}:1: {exc}") from None
     body_start = lines.tell()
     first_lineno = raw.count(b"\n", 0, body_start) + 1
 

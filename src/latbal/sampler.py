@@ -198,17 +198,18 @@ def write_subsample(result: SubsampleResult, path_base: str) -> tuple[str, str]:
     return csv_path, json_path
 
 
-def read_subsample_indices(csv_path: str) -> np.ndarray:
-    """Row indices of a subsample CSV; every row after the header is POSITION,ROW_INDEX."""
-    header, *rows = read_csv(csv_path)
+def read_subsample_indices(csv_path: str, n: int) -> np.ndarray:
+    """Row indices of a subsample CSV for a dataset of n rows; every row after
+    the header is POSITION,ROW_INDEX with 0 <= ROW_INDEX < n."""
+    def row_index(row):
+        try:
+            _, index = (int(t) for t in row)
+        except ValueError:
+            raise ValueError(f"expected POSITION,ROW_INDEX, got {','.join(row)!r}") from None
+        if not 0 <= index < n:
+            raise ValueError(f"row index {index} is outside 0..{n - 1}")
+        return index
+    header, indices = read_csv(csv_path, row_index)
     if header != ["position", "row_index"]:
         raise ValueError(f"{csv_path}: unexpected header {','.join(header)!r}")
-    indices = []
-    for lineno, row in enumerate(rows, start=2):
-        try:
-            _, row_index = (int(t) for t in row)
-        except ValueError:
-            raise ValueError(f"{csv_path}:{lineno}: expected POSITION,ROW_INDEX, "
-                             f"got {','.join(row)!r}") from None
-        indices.append(row_index)
     return np.array(indices, dtype=np.int64)

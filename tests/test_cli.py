@@ -475,6 +475,20 @@ class TestExitCodes:
         assert code == 2
         assert "magic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header,named", [
+        ("a,a,b,c", "attribute names must be unique"),
+        ("a,,b,c", "attribute names must be non-empty"),
+        (",".join(f"a{k}" for k in range(21)), "attribute count must be in [1, 20], got 21"),
+    ], ids=["repeated", "empty", "21-names"])
+    def test_bad_labels_header_names_the_file(self, tmp_path, synth_base, capsys, header,
+                                              named):
+        labels = Path(synth_base + ".labels.csv")
+        labels.write_text(header + "\n" + labels.read_text().split("\n", 1)[1])
+        code = run("contingency", "--data", synth_base, "--out", str(tmp_path / "t.csv"))
+        assert code == 2
+        assert capsys.readouterr().err == f"latbal contingency: {labels}:1: {named}\n"
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("bad", ["not-json", "list", "missing-field", "schema-version",
                                      "vectors-shape", "non-finite"])
     @pytest.mark.parametrize("slot", ["project-target", "eval-directions", "eval-world",
@@ -521,9 +535,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("field,value,named", [
         ("names", "abcd", "attribute names must be a sequence of names, got the string 'abcd'"),
         ("names", ["a", "a", "b", "c"], "attribute names must be unique"),
+        ("names", [1, 2, 3, 4], "attribute names must be strings, got 1"),
         ("sharpness", -1, "sharpness must be a finite positive number, got -1.0"),
         ("sharpness", float("nan"), "sharpness must be a finite positive number, got nan"),
-    ], ids=["names-string", "names-repeated", "sharpness-negative", "sharpness-nan"])
+    ], ids=["names-string", "names-repeated", "names-numbers", "sharpness-negative",
+            "sharpness-nan"])
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     def test_world_file_gets_the_checks_of_a_built_world(self, tmp_path, synth_base, capsys,
                                                          command, field, value, named):
@@ -670,7 +686,11 @@ class TestExitCodes:
         (["0,5", "1,4000"], ":3: row index 4000"),
         (["0,5", "1 7"], ":3: expected POSITION,ROW_INDEX, got '1 7'"),
         (["0,5", "1,x"], ":3: expected POSITION,ROW_INDEX, got '1,x'"),
-    ], ids=["negative", "past-the-end", "no-comma", "not-an-integer"])
+        # a quoted record spans lines 2 and 3, so the bad row is line 4
+        (['"0\n",5', "1,x"], ":4: expected POSITION,ROW_INDEX, got '1,x'"),
+        (['"0\n",5', "1,4000"], ":4: row index 4000 is outside 0..3999"),
+    ], ids=["negative", "past-the-end", "no-comma", "not-an-integer", "after-multiline-bad",
+            "after-multiline-out-of-range"])
     def test_bad_subsample_row_is_data_error(self, tmp_path, synth_base, capsys, rows, named):
         sub = tmp_path / "sub.csv"
         sub.write_text("\n".join(["position,row_index"] + rows) + "\n")
@@ -794,4 +814,12 @@ def test_report_reads_standard_csv_and_names_a_bad_file(tmp_path, capsys):
     assert run("report", "--inputs", str(tmp_path / "empty.csv"),
                "--out", str(tmp_path / "n.csv")) == 2
     assert capsys.readouterr().err == f"latbal report: {tmp_path / 'empty.csv'}: empty CSV\n"
+    # an unterminated quote and a short row are data errors, not merged rows
+    for name, text, named in [("b.csv", b'attribute,effect\n"trunc,2\n', "unexpected end of data"),
+                              ("c.csv", b"attribute,effect\na\n",
+                               "1 fields where the header has 2")]:
+        (tmp_path / name).write_bytes(text)
+        assert run("report", "--inputs", str(tmp_path / "cr.csv"), str(tmp_path / name),
+                   "--out", str(tmp_path / "n.csv")) == 2
+        assert capsys.readouterr().err == f"latbal report: {tmp_path / name}:2: {named}\n"
     assert not (tmp_path / "n.csv").exists()

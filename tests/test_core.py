@@ -26,6 +26,9 @@ class TestAttributeSchema:
         # tuple("ab") would be two one-letter names
         with pytest.raises(ValueError, match="got the string 'ab'"):
             lb.AttributeSchema("ab")
+        # nor may a name that is not a string become one
+        with pytest.raises(ValueError, match="attribute names must be strings, got 1"):
+            lb.AttributeSchema(["a", 1])
 
     def test_twenty_attributes_allowed(self):
         assert lb.AttributeSchema(tuple(f"a{k}" for k in range(20))).m == 20

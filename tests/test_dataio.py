@@ -11,7 +11,8 @@ import pytest
 
 import latbal as lb
 from latbal.dataio import (FLAG_CONFIDENCES, MAGIC, VERSION, LatdFormatError,
-                           atomic_write_bytes, read_csv, write_dataset_blocks)
+                           atomic_write_bytes, read_csv, write_dataset_blocks,
+                           write_json)
 
 
 @pytest.fixture()
@@ -155,6 +156,21 @@ def test_written_files_get_umask_mode(tmp_path, oracle_dataset, umask, mode):
     finally:
         os.umask(old)
     assert [stat.S_IMODE(os.stat(p).st_mode) for p in paths] == [mode, mode]
+
+
+def test_writes_leave_the_process_umask_alone(tmp_path, oracle_dataset, monkeypatch):
+    # reading the umask means setting it, a process-wide change another thread
+    # can see; the kernel applies it when the temp file is created
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    paths = lb.write_dataset(oracle_dataset, str(tmp_path / "d"))
+    write_json(str(tmp_path / "a.json"), {"k": 1})
+    assert lb.read_dataset(str(tmp_path / "d")).n == oracle_dataset.n
+    assert (tmp_path / "a.json").read_text() == '{\n  "k": 1\n}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [Path(p).name for p in paths] + ["a.json"])
 
 
 def _labels_dataset(labels, names):
@@ -309,20 +325,42 @@ def test_finite_rows_whose_sum_overflows_are_written(tmp_path):
                                   'a,b\r"x,\ny",2'], ids=["lf", "crlf", "cr-only"])
 def test_read_csv_reads_standard_csv(tmp_path, text):
     (tmp_path / "t.csv").write_bytes(text.encode("utf-8"))
-    assert read_csv(str(tmp_path / "t.csv")) == [["a", "b"], ["x,\ny", "2"]]
+    assert read_csv(str(tmp_path / "t.csv")) == (["a", "b"], [["x,\ny", "2"]])
 
 
 @pytest.mark.parametrize("payload,message", [
     (b"", ": empty CSV"),
     ("a\nl\u00e4cheln\n".encode("latin-1"), ": not UTF-8 text"),
     (b"a\n" + b"x" * (200 << 10) + b"\n", ":2: field larger than field limit"),
-], ids=["empty", "latin-1", "long-field"])
+    (b'a,b\n"x,\ny",2\n"trunc,2\n', ":4: unexpected end of data"),
+    (b'a,b\n"x,\ny",2\n1\n', ":4: 1 fields where the header has 2"),
+], ids=["empty", "latin-1", "long-field", "unterminated-quote", "short-row"])
 def test_read_csv_faults_name_the_path(tmp_path, payload, message):
     path = tmp_path / "t.csv"
     path.write_bytes(payload)
     with pytest.raises(LatdFormatError) as exc:
         read_csv(str(path))
     assert str(exc.value).startswith(f"{path}{message}")
+
+
+def test_read_csv_parses_each_row_and_names_its_first_line(tmp_path):
+    def parse(row):
+        if row[0] == "bad":
+            raise ValueError(f"cannot parse {row[1]!r}")
+        return row[1]
+
+    path = tmp_path / "t.csv"
+    path.write_bytes(b'a,b\n"x\ny",1\nz,2\n')
+    assert read_csv(str(path), parse) == (["a", "b"], ["1", "2"])
+    # parse runs before the field count check, so its own message wins
+    path.write_bytes(b'a,b\n"x\ny",1\nbad,"3\n"\nbad,4,5\n')
+    with pytest.raises(LatdFormatError) as exc:
+        read_csv(str(path), parse)
+    assert str(exc.value) == f"{path}:4: cannot parse '3\\n'"
+    path.write_bytes(b'a,b\n"x\ny",1\nz,"3\n"\nbad,4,5\n')
+    with pytest.raises(LatdFormatError) as exc:
+        read_csv(str(path), parse)
+    assert str(exc.value) == f"{path}:6: cannot parse '4'"
 
 
 @pytest.mark.parametrize("blocks,labels,message", [

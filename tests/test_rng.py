@@ -9,20 +9,33 @@ from hypothesis import strategies as st
 from latbal import rng
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _finalize(z: int) -> int:
+    """The published SplitMix64 output function, one 64-bit integer at a time."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 class SplitMix64:
     """Scalar reference stream for one seed: output n is finalize(state_n),
     state_n = (seed + (n + 1) * GOLDEN) mod 2^64, one counter step at a time.
 
-    The block generators in latbal.rng must reproduce it exactly; the sampler
-    tests use it too.
+    It shares no code with latbal.rng, whose block generators must reproduce
+    it exactly; the sampler tests use it too.
     """
 
+    GOLDEN = 0x9E3779B97F4A7C15
+
     def __init__(self, seed: int):
-        self.seed = seed & rng.MASK64
+        self.seed = seed & _MASK64
         self.counter = 0
 
     def next_u64(self) -> int:
-        out = rng._finalize(self.seed + (self.counter + 1) * rng.GOLDEN)
+        out = _finalize(self.seed + (self.counter + 1) * self.GOLDEN)
         self.counter += 1
         return out
 

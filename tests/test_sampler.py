@@ -222,7 +222,7 @@ class TestUniformSubsample:
                          ids=["crlf", "cr-only", "quoted"])
 def test_subsample_reader_reads_standard_csv(tmp_path, text):
     (tmp_path / "sub.csv").write_bytes(text.encode("utf-8"))
-    assert read_subsample_indices(str(tmp_path / "sub.csv")).tolist() == [7, 3]
+    assert read_subsample_indices(str(tmp_path / "sub.csv"), 8).tolist() == [7, 3]
 
 
 def test_subsample_files_roundtrip(tmp_path, dataset20k):
@@ -230,7 +230,7 @@ def test_subsample_files_roundtrip(tmp_path, dataset20k):
     res = lb.balanced_subsample(dataset20k, table, lb.SamplePlan(200, "skip", 9))
     base = str(tmp_path / "sub")
     csv_path, json_path = write_subsample(res, base)
-    assert np.array_equal(read_subsample_indices(csv_path), res.indices)
+    assert np.array_equal(read_subsample_indices(csv_path, dataset20k.n), res.indices)
     import json
     sidecar = json.loads((tmp_path / "sub.json").read_text())
     assert sidecar["policy"] == "skip"
