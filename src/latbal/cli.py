@@ -312,7 +312,7 @@ def _cmd_edit(args) -> int:
     blocks = (edit_latent(dataset.codes[i:i + step], direction, args.alpha)
               for i in range(0, max(dataset.n, 1), step))
     with np.errstate(over="ignore"):  # the writer names an overflowed row and writes nothing
-        write_dataset_blocks(args.out, dataset.schema, dataset.labels, dataset.dim, blocks)
+        write_dataset_blocks(args.out, dataset, blocks)
     print(f"wrote {args.out}.latd")
     return 0
 

@@ -1,9 +1,11 @@
 """Domain types: attribute schemas, labeled latent datasets, directions.
 
 A dataset is N latent codes in R^d plus an N x m binary label matrix (one
-column per attribute).  Datasets are treated as immutable after
-construction: the arrays are flagged read-only and every operation returns
-a new dataset, so concurrent readers are safe.
+column per attribute).  It is valid once built: the constructor refuses
+codes that are not 2-d with d > 0 and labels that are not an N x m matrix
+of 0s and 1s.  Datasets are frozen: the fields cannot be reassigned, the
+arrays are flagged read-only and every operation returns a new dataset, so
+concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class AttributeSchema:
         return len(self.names)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatentDataset:
     """N latent codes with per-code binary labels."""
 
@@ -58,10 +60,23 @@ class LatentDataset:
     confidences = None
 
     def __post_init__(self):
-        self.codes = np.ascontiguousarray(self.codes, dtype=np.float64)
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.uint8)
-        self.codes.setflags(write=False)
-        self.labels.setflags(write=False)
+        codes, labels = np.ascontiguousarray(self.codes, dtype=np.float64), np.asarray(self.labels)
+        if codes.ndim != 2 or codes.shape[1] == 0:
+            raise ValueError(f"codes must be 2-d with dim > 0, got shape {codes.shape}")
+        if labels.shape != (codes.shape[0], self.schema.m):
+            raise ValueError(f"labels have shape {labels.shape}, expected "
+                             f"({codes.shape[0]}, {self.schema.m})")
+        # checked before the cast, so 0.5, -1, NaN and 2 are refused; an
+        # unsigned or bool matrix is scanned only when its max shows a bad row
+        if labels.size and (labels.dtype.kind not in "bu" or labels.max() > 1):
+            bad = np.flatnonzero(((labels != 0) & (labels != 1)).any(axis=1))
+            if bad.size:
+                raise ValueError(f"label row {bad[0]} holds a value that is not 0 or 1")
+        labels = np.ascontiguousarray(labels, dtype=np.uint8)
+        codes.setflags(write=False)
+        labels.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
@@ -117,32 +132,8 @@ def nonfinite_rows(codes: np.ndarray) -> np.ndarray:
 
 
 def validate_dataset(dataset: LatentDataset) -> list[str]:
-    """Check every dataset invariant; returns the violations instead of raising."""
-    v: list[str] = []
-    codes, labels = dataset.codes, dataset.labels
-    m = dataset.m
-
-    if codes.ndim != 2:
-        v.append(f"codes must be 2-d, got ndim={codes.ndim}")
-        return v
-    n = codes.shape[0]
-    if dataset.dim <= 0:
-        v.append(f"dim must be positive, got {dataset.dim}")
-
-    # Each check reduces its whole array to one value and scans the rows, to
-    # name them, only when that value shows a violation.
-    for row in nonfinite_rows(codes):
-        v.append(f"codes row {row}: non-finite component")
-
-    if labels.ndim != 2 or labels.shape[1] != m:
-        v.append(f"labels must have shape (N, {m}), got {labels.shape}")
-    elif labels.shape[0] != n:
-        v.append(f"row-count mismatch: {n} codes vs {labels.shape[0]} label rows")
-    elif labels.size and labels.max() > 1:
-        for row in np.flatnonzero((labels > 1).any(axis=1)):
-            v.append(f"labels row {row}: value outside {{0, 1}}")
-
-    return v
+    """One message per codes row that holds a NaN or an infinity, [] when none does."""
+    return [f"codes row {row}: non-finite component" for row in nonfinite_rows(dataset.codes)]
 
 
 def split_by_attribute(dataset: LatentDataset, j: int) -> tuple[LatentDataset, LatentDataset]:

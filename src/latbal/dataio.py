@@ -29,10 +29,10 @@ less the umask (the mode open() gives), fsynced, then atomically renamed
 over the target, so an interrupted run never leaves a half-written file;
 the directory is then fsynced, so the rename survives a crash too.  A
 ``.latd`` write streams the header and then the codes, block by block, to
-the temp file, with no assembled copy of the dataset.  The labels (one 0/1
-column per attribute) are checked before anything is written, and each
-block's width, row count and finiteness before it is written, so the
-writer leaves no file the reader would reject.
+the temp file, with no assembled copy of the dataset.  The writer takes a
+LatentDataset, whose labels are valid once built, and checks only its code
+blocks: each block's width, row count and finiteness before it is written,
+so it leaves no file the reader would reject.
 
 A read maps the codes read-only instead of copying them: the dataset's
 codes are a view of the file's pages, and only the labels are held in
@@ -132,6 +132,22 @@ def read_json(path: str, parse):
         raise LatdFormatError(f"{path}: {exc}") from None
 
 
+def json_int(obj: dict, key: str) -> int:
+    """obj[key], which must be a JSON integer: not a bool, a float or a string."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def json_number(obj: dict, key: str) -> float:
+    """obj[key] as a float; it must be a JSON integer or float, not a bool or a string."""
+    value = obj[key]
+    if type(value) not in (int, float):
+        raise ValueError(f"field {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def read_csv(path: str, parse=list):
     """(header, [parse(row) for each later row]) of the UTF-8 CSV file at path, read
     strictly.  A file that is not UTF-8, that the csv module rejects or that is empty,
@@ -194,33 +210,21 @@ def _checked_blocks(latd_path: str, blocks, dim: int, count: int):
                          "label rows; nothing written")
 
 
-def write_dataset_blocks(path_base: str, schema: AttributeSchema, labels: np.ndarray,
-                         dim: int, blocks) -> tuple[str, str]:
-    """Write a dataset whose codes arrive as consecutive row blocks (2-d
-    arrays of width dim, len(labels) rows in all).  The labels are checked
-    first and the ``.latd`` file is written next, so a bad label or block
-    leaves neither file behind."""
+def write_dataset_blocks(path_base: str, dataset: LatentDataset, blocks) -> tuple[str, str]:
+    """Write dataset's schema and labels with codes that arrive as consecutive
+    row blocks (2-d arrays of width dataset.dim, dataset.n rows in all).  The
+    ``.latd`` file is written first, so a bad block leaves neither file behind."""
     latd_path, labels_path = dataset_paths(path_base)
-    labels = np.asarray(labels)
-    if labels.ndim != 2 or labels.shape[1] != schema.m:
-        raise ValueError(f"{labels_path}: labels have shape {labels.shape}, expected "
-                         f"(rows, {schema.m}); nothing written")
-    bad = np.flatnonzero(np.any((labels != 0) & (labels != 1), axis=1))
-    if bad.size:
-        raise ValueError(f"{labels_path}: label row {int(bad[0])} holds a value that is "
-                         "not 0 or 1; nothing written")
-    count = labels.shape[0]
-    header = _HEADER.pack(MAGIC, VERSION, dim, count, 0)
+    header = _HEADER.pack(MAGIC, VERSION, dataset.dim, dataset.n, 0)
     # the header and the codes go straight to the file, with no assembled copy
-    _atomic_write(latd_path, itertools.chain([header],
-                                             _checked_blocks(latd_path, blocks, dim, count)))
-    atomic_write_bytes(labels_path, _labels_payload(schema, labels))
+    _atomic_write(latd_path, itertools.chain(
+        [header], _checked_blocks(latd_path, blocks, dataset.dim, dataset.n)))
+    atomic_write_bytes(labels_path, _labels_payload(dataset.schema, dataset.labels))
     return latd_path, labels_path
 
 
 def write_dataset(dataset: LatentDataset, path_base: str) -> tuple[str, str]:
-    return write_dataset_blocks(path_base, dataset.schema, dataset.labels, dataset.dim,
-                                [dataset.codes])
+    return write_dataset_blocks(path_base, dataset, [dataset.codes])
 
 
 def _decoded_lines(lines, path: str):
@@ -252,11 +256,11 @@ def _read_labels_csv(path: str) -> tuple[AttributeSchema, np.ndarray]:
         raw = f.read()
     lines = io.BytesIO(raw)
     try:
-        header = next(csv.reader(_decoded_lines(lines, path)))
+        header = next(csv.reader(_decoded_lines(lines, path), strict=True))
     except StopIteration:
         raise LatdFormatError(f"{path}: missing header row") from None
     except csv.Error as exc:
-        raise LatdFormatError(f"{path}: header row: {exc}") from None
+        raise LatdFormatError(f"{path}:1: {exc}") from None
     try:
         schema = AttributeSchema(tuple(header))
     except ValueError as exc:
@@ -314,8 +318,11 @@ def read_dataset(path_base: str) -> LatentDataset:
         codes = (np.memmap(f, dtype="<f8", mode="r", offset=_HEADER.size, shape=(count, dim))
                  if count * dim else np.empty((count, dim)))
 
-    dataset = LatentDataset(codes=codes, labels=labels, schema=schema)
-    violations = validate_dataset(dataset)
-    if violations:
-        raise LatdFormatError(f"{path_base}: invalid dataset: " + "; ".join(violations[:5]))
+    try:
+        dataset = LatentDataset(codes=codes, labels=labels, schema=schema)
+        violations = validate_dataset(dataset)
+        if violations:
+            raise ValueError("; ".join(violations[:5]))
+    except ValueError as exc:
+        raise LatdFormatError(f"{path_base}: invalid dataset: {exc}") from None
     return dataset

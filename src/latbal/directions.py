@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import SemanticDirection
-from .dataio import read_json, write_json
+from .dataio import json_int, read_json, write_json
 from .svm import train_svm
 
 DIRECTION_SCHEMA_VERSION = 1
@@ -150,13 +150,13 @@ def direction_to_dict(direction: SemanticDirection) -> dict:
 
 
 def direction_from_dict(obj: dict) -> SemanticDirection:
-    if obj["schema_version"] != DIRECTION_SCHEMA_VERSION:
+    if json_int(obj, "schema_version") != DIRECTION_SCHEMA_VERSION:
         raise ValueError(f"unsupported direction schema_version {obj['schema_version']!r}")
     vec = np.asarray(obj["vector"], dtype=np.float64)
-    if vec.shape != (obj["dim"],):
+    if vec.shape != (json_int(obj, "dim"),):
         raise ValueError(f"field 'vector' has shape {vec.shape}, expected ({obj['dim']},)")
     return SemanticDirection(
-        attribute=int(obj["attribute"]),
+        attribute=json_int(obj, "attribute"),
         vector=vec,
         method=obj["method"],
         meta=dict(obj.get("meta", {})),

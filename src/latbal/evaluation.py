@@ -3,8 +3,10 @@
 rescore measures, per direction, the mean change in each attribute's score
 after pushing evaluation codes a step alpha along the direction.  The sign
 convention is edited-minus-original (recorded in the JSON), so a direction
-that works shows a positive diagonal.  effect is the diagonal entry;
-overall_entanglement averages |delta| over the non-target attributes.
+that works shows a positive diagonal.  A row's target is the attribute its
+direction was fit for (direction_attributes), so rows may come in any order:
+effect is the row's entry for its target, and overall_entanglement averages
+|delta| over the row's other attributes.
 
 fit_directions fits one direction per attribute on rows of a dataset: every
 row, or the row indices a subsample drew.  A centroid fit streams those
@@ -63,7 +65,7 @@ class RescoreMatrix:
     values: np.ndarray                 # rows: applied direction, cols: measured attribute
     alpha: float
     n: int
-    direction_attributes: tuple[int, ...] = ()
+    direction_attributes: tuple[int, ...]  # the target attribute of each row
 
     @property
     def m(self) -> int:
@@ -97,11 +99,13 @@ def rescore(scorer: Scorer, directions: Sequence[SemanticDirection],
     if not directions:
         raise ValueError("need at least one direction")
     d = latents.shape[1]
+    base = np.asarray(scorer(latents), dtype=np.float64)
     for u in directions:
         if u.dim != d:
             raise ValueError(f"dimension mismatch: latents d={d}, direction d={u.dim}")
-
-    base = np.asarray(scorer(latents), dtype=np.float64)
+        if not 0 <= u.attribute < base.shape[1]:
+            raise ValueError(f"direction attribute {u.attribute} is outside the scorer's "
+                             f"{base.shape[1]} attributes")
     values = np.empty((len(directions), base.shape[1]))
     for row, u in enumerate(directions):
         edited = np.asarray(scorer(latents + alpha * u.vector), dtype=np.float64)
@@ -110,21 +114,25 @@ def rescore(scorer: Scorer, directions: Sequence[SemanticDirection],
                          direction_attributes=tuple(u.attribute for u in directions))
 
 
-def effect(matrix: RescoreMatrix, j: int) -> float:
-    """Score change on the target attribute for the direction in row j."""
-    if not 0 <= j < matrix.values.shape[0] or j >= matrix.m:
-        raise IndexError(f"attribute index {j} out of range")
-    return float(matrix.values[j, j])
+def _row(matrix: RescoreMatrix, row: int) -> tuple[np.ndarray, int]:
+    """The score changes of the direction in the given row, and its target attribute."""
+    if not 0 <= row < len(matrix.direction_attributes):
+        raise IndexError(f"direction row {row} out of range")
+    return matrix.values[row], matrix.direction_attributes[row]
 
 
-def overall_entanglement(matrix: RescoreMatrix, j: int) -> float:
-    """Mean |score change| over non-target attributes for the direction in row j."""
+def effect(matrix: RescoreMatrix, row: int) -> float:
+    """Score change on the target attribute of the direction in the given row."""
+    values, j = _row(matrix, row)
+    return float(values[j])
+
+
+def overall_entanglement(matrix: RescoreMatrix, row: int) -> float:
+    """Mean |score change| over the other attributes for the direction in the given row."""
     if matrix.m < 2:
         raise ValueError("overall entanglement needs at least two attributes")
-    if not 0 <= j < matrix.values.shape[0] or j >= matrix.m:
-        raise IndexError(f"direction row {j} out of range")
-    off = np.delete(matrix.values[j], j)
-    return float(np.abs(off).mean())
+    values, j = _row(matrix, row)
+    return float(np.abs(np.delete(values, j)).mean())
 
 
 def fit_directions(dataset: LatentDataset, method: str, c: float = 1.0,
@@ -297,12 +305,10 @@ def sweep_regularization(dataset: LatentDataset, scorer: Scorer,
 
 def rescore_to_csv(matrix: RescoreMatrix, names: Sequence[str]) -> str:
     """Long format: direction,attribute,value."""
-    m = matrix.m
     rows = [("direction", "attribute", "value")]
-    for row, j in enumerate(matrix.direction_attributes or range(matrix.values.shape[0])):
-        dir_name = names[j] if 0 <= j < m else str(j)
-        for k in range(m):
-            rows.append((dir_name, names[k], repr(float(matrix.values[row, k]))))
+    for row, j in enumerate(matrix.direction_attributes):
+        rows += [(names[j], names[k], repr(float(matrix.values[row, k])))
+                 for k in range(matrix.m)]
     return csv_text(rows)
 
 

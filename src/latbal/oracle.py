@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AttributeSchema, LatentDataset
-from .dataio import read_json, write_json
+from .dataio import json_int, json_number, read_json, write_json
 from .directions import orthonormal_basis
 from .rng import derive_seed, norm_ppf, normals
 
@@ -49,9 +49,17 @@ class LinearAttributeWorld:
     names: tuple[str, ...]
 
     def __post_init__(self):
+        """Refuse a world make_world would not build, so a loaded world gets its checks."""
         self.names = AttributeSchema(self.names).names
         if not (np.isfinite(self.sharpness) and self.sharpness > 0):
             raise ValueError(f"sharpness must be a finite positive number, got {self.sharpness}")
+        m = len(self.names)
+        _check_spec(self.dim, m, self.gram, self.rates)
+        if self.vectors.shape != (m, self.dim) or not np.all(
+                np.abs(np.linalg.norm(self.vectors, axis=1) - 1.0) <= 1e-12):
+            raise ValueError(f"vectors must be {m} unit-norm rows of dim {self.dim}")
+        if not np.all(np.abs(self.vectors @ self.vectors.T - self.gram) <= 1e-9):
+            raise ValueError("vectors @ vectors.T does not match gram within 1e-9")
 
     @property
     def m(self) -> int:
@@ -87,21 +95,28 @@ def _sym_sqrt(gram: np.ndarray) -> np.ndarray:
     return (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
 
 
+def _check_spec(dim: int, m: int, gram: np.ndarray, rates: np.ndarray) -> None:
+    """The checks on a world's dim, gram and rates that make_world runs before it
+    builds the vectors and every world, built or loaded, runs again."""
+    if gram.shape != (m, m):
+        raise ValueError(f"gram must be {m}x{m}, got {gram.shape}")
+    if not np.allclose(gram, gram.T, rtol=0.0, atol=1e-12):
+        raise ValueError("gram matrix must be symmetric")
+    if not np.allclose(np.diag(gram), 1.0, rtol=0.0, atol=1e-12):
+        raise ValueError("gram matrix must have unit diagonal")
+    if dim < m:
+        raise ValueError(f"dim ({dim}) must be >= m ({m})")
+    if rates.shape != (m,) or not np.all((rates > 0.0) & (rates < 1.0)):
+        raise ValueError(f"positive rates must be {m} values strictly inside (0, 1), "
+                         f"got {rates.tolist()}")
+
+
 def make_world(dim: int, m: int, gram: np.ndarray, positive_rates,
                sharpness: float = 1.0, seed: int = 0,
                names: tuple[str, ...] | None = None) -> LinearAttributeWorld:
     gram = np.asarray(gram, dtype=np.float64)
     rates = np.asarray(positive_rates, dtype=np.float64)
-    if gram.shape != (m, m):
-        raise ValueError(f"gram must be {m}x{m}, got {gram.shape}")
-    if not np.allclose(gram, gram.T, atol=1e-12):
-        raise ValueError("gram matrix must be symmetric")
-    if not np.allclose(np.diag(gram), 1.0, atol=1e-12):
-        raise ValueError("gram matrix must have unit diagonal")
-    if dim < m:
-        raise ValueError(f"dim ({dim}) must be >= m ({m})")
-    if rates.shape != (m,) or not np.all((rates > 0.0) & (rates < 1.0)):
-        raise ValueError("positive_rates must be m values strictly inside (0, 1)")
+    _check_spec(dim, m, gram, rates)
     if names is None:
         names = tuple(f"attr{k}" for k in range(m))
     if len(names) != m:
@@ -158,14 +173,14 @@ def world_to_dict(world: LinearAttributeWorld) -> dict:
 
 
 def world_from_dict(obj: dict) -> LinearAttributeWorld:
-    if obj["schema_version"] != WORLD_SCHEMA_VERSION:
+    if json_int(obj, "schema_version") != WORLD_SCHEMA_VERSION:
         raise ValueError(f"unsupported world schema_version {obj['schema_version']!r}")
-    dim, names = int(obj["dim"]), AttributeSchema(obj["names"]).names
+    dim, names = json_int(obj, "dim"), AttributeSchema(obj["names"]).names
     m = len(names)
     arrays = {key: _array_field(obj, key, shape) for key, shape in (
         ("vectors", (m, dim)), ("biases", (m,)), ("gram", (m, m)), ("rates", (m,)))}
-    return LinearAttributeWorld(dim=dim, sharpness=float(obj["sharpness"]),
-                                seed=int(obj["seed"]), names=names, **arrays)
+    return LinearAttributeWorld(dim=dim, sharpness=json_number(obj, "sharpness"),
+                                seed=json_int(obj, "seed"), names=names, **arrays)
 
 
 def _array_field(obj: dict, key: str, shape: tuple) -> np.ndarray:

@@ -479,7 +479,9 @@ class TestExitCodes:
         ("a,a,b,c", "attribute names must be unique"),
         ("a,,b,c", "attribute names must be non-empty"),
         (",".join(f"a{k}" for k in range(21)), "attribute count must be in [1, 20], got 21"),
-    ], ids=["repeated", "empty", "21-names"])
+        ('attr0,"attr1"x,attr2,attr3', "',' expected after '\"'"),
+        ('"attr0,attr1,attr2,attr3', "unexpected end of data"),
+    ], ids=["repeated", "empty", "21-names", "text-after-quote", "unterminated-quote"])
     def test_bad_labels_header_names_the_file(self, tmp_path, synth_base, capsys, header,
                                               named):
         labels = Path(synth_base + ".labels.csv")
@@ -490,7 +492,9 @@ class TestExitCodes:
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("bad", ["not-json", "list", "missing-field", "schema-version",
-                                     "vectors-shape", "non-finite"])
+                                     "vectors-shape", "non-finite", "version-bool",
+                                     "dim-float", "int-float", "int-bool", "number-string",
+                                     "number-bool"])
     @pytest.mark.parametrize("slot", ["project-target", "eval-directions", "eval-world",
                                       "sweep-world"])
     def test_malformed_json_artifact_is_data_error(self, tmp_path, synth_base, capsys,
@@ -502,6 +506,12 @@ class TestExitCodes:
         good = json.loads(Path(world if is_world else direction).read_text())
         missing = "dim" if is_world else "vector"
         vectors = "vectors" if is_world else "vector"
+        # integer fields must be JSON integers, and sharpness a JSON number
+        typed = {"version-bool": ("schema_version", True), "dim-float": ("dim", 64.0),
+                 "int-float": ("seed", 1.5) if is_world else ("attribute", 1.9),
+                 "int-bool": ("seed", True) if is_world else ("attribute", True),
+                 "number-string": ("sharpness", "2") if is_world else ("dim", "64"),
+                 "number-bool": ("sharpness", True) if is_world else ("dim", True)}
         path = tmp_path / "bad.json"
         path.write_text({"not-json": '{"schema_version": 1,',
                          "list": json.dumps([good]),
@@ -512,7 +522,9 @@ class TestExitCodes:
                          "vectors-shape": json.dumps({**good, vectors: [
                              [row] for row in good[vectors]]}),
                          "non-finite": json.dumps({**good, vectors: (
-                             np.array(good[vectors]) * np.nan).tolist()})}[bad])
+                             np.array(good[vectors]) * np.nan).tolist()}),
+                         **{k: json.dumps({**good, key: value})
+                            for k, (key, value) in typed.items()}}[bad])
         out = str(tmp_path / "out")
         argv = {"project-target": ["project", "--target", str(path), "--others", direction],
                 "eval-directions": ["eval", "--world", world, "--directions", str(path)],
@@ -528,6 +540,11 @@ class TestExitCodes:
                  "vectors-shape": f"field '{vectors}' has shape",
                  "non-finite": "field 'vectors' holds a non-finite value" if is_world
                  else "must be unit-norm"}.get(bad, "")
+        if bad in typed:
+            key, value = typed[bad]
+            kind = "a number" if key == "sharpness" else "an integer"
+            named = f"{path}: field '{key}' must be {kind}, got {value!r}\n"
+            assert err.endswith(named)
         assert named in err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "bad.json", "data.labels.csv", "data.latd", "data.world.json", "good.json"]
@@ -538,8 +555,19 @@ class TestExitCodes:
         ("names", [1, 2, 3, 4], "attribute names must be strings, got 1"),
         ("sharpness", -1, "sharpness must be a finite positive number, got -1.0"),
         ("sharpness", float("nan"), "sharpness must be a finite positive number, got nan"),
+        ("rates", [1.5, -2, 0.5, 0.5],
+         "positive rates must be 4 values strictly inside (0, 1), got [1.5, -2.0, 0.5, 0.5]"),
+        ("gram", [[1, 0.6, 0, 0], [0.5, 1, 0, 0], [0, 0, 1, 0.6], [0, 0, 0.6, 1]],
+         "gram matrix must be symmetric"),
+        ("gram", [[2, 0.6, 0, 0], [0.6, 1, 0, 0], [0, 0, 1, 0.6], [0, 0, 0.6, 1]],
+         "gram matrix must have unit diagonal"),
+        ("gram", np.eye(4).tolist(), "vectors @ vectors.T does not match gram within 1e-9"),
+        ("vectors", lambda good: (2 * np.array(good["vectors"])).tolist(),
+         "vectors must be 4 unit-norm rows of dim 64"),
+        ("biases", ["x", 0, 0, 0], "field 'biases' is not an array of numbers"),
     ], ids=["names-string", "names-repeated", "names-numbers", "sharpness-negative",
-            "sharpness-nan"])
+            "sharpness-nan", "rates-outside", "gram-asymmetric", "gram-diagonal",
+            "gram-not-the-vectors", "vectors-doubled", "biases-text"])
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     def test_world_file_gets_the_checks_of_a_built_world(self, tmp_path, synth_base, capsys,
                                                          command, field, value, named):
@@ -548,7 +576,7 @@ class TestExitCodes:
                           direction)
         path = tmp_path / "bad.json"
         good = json.loads(Path(synth_base + ".world.json").read_text())
-        path.write_text(json.dumps({**good, field: value}))
+        path.write_text(json.dumps({**good, field: value(good) if callable(value) else value}))
         argv = {"eval": ["eval", "--world", str(path), "--directions", direction],
                 "sweep": ["sweep", "--data", synth_base, "--world", str(path),
                           "--sizes", "100", "--runs", "1"]}[command]
@@ -700,6 +728,26 @@ class TestExitCodes:
         assert f"{sub}{named}" in capsys.readouterr().err
         assert not (tmp_path / "dirs").exists()
 
+    def test_subsample_with_another_header_is_data_error(self, tmp_path, synth_base, capsys):
+        sub = tmp_path / "sub.csv"
+        sub.write_text("index,row\n0,5\n")
+        code = run("fit", "--data", synth_base, "--subsample", str(sub),
+                   "--out-dir", str(tmp_path / "dirs"))
+        assert code == 2
+        assert capsys.readouterr().err == f"latbal fit: {sub}: unexpected header 'index,row'\n"
+        assert not (tmp_path / "dirs").exists()
+
+    def test_project_on_directions_of_other_dims_is_data_error(self, tmp_path, synth_base,
+                                                               capsys):
+        target, other = str(tmp_path / "target.json"), str(tmp_path / "other.json")
+        lb.save_direction(lb.fit_directions(lb.read_dataset(synth_base), "centroid")[0], target)
+        lb.save_direction(lb.SemanticDirection(1, np.eye(8)[0], "centroid"), other)
+        out = tmp_path / "out.json"
+        assert run("project", "--target", target, "--others", other, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "latbal project: direction dimensions disagree: [8, 64]\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["../escaped", "sub/dir", ".", "..", "a\0b"],
                              ids=["parent", "subdir", "dot", "dotdot", "nul"])
     def test_attribute_name_that_is_no_file_name_is_data_error(self, tmp_path, monkeypatch,
@@ -792,6 +840,16 @@ def test_csv_inputs_are_utf8_whatever_the_locale(tmp_path, synth_base):
     code, err = cli("fit", "--data", synth_base, "--subsample", "sub.csv", "--out-dir", "d")
     assert code == 2 and "sub.csv: not UTF-8 text" in err
     assert not (tmp_path / "n.csv").exists() and not (tmp_path / "d").exists()
+
+
+def test_report_inputs_with_other_headers_are_data_error(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_bytes(b"attribute,effect\na,0.5\n")
+    b.write_bytes(b"attribute,value\na,0.5\n")
+    assert run("report", "--inputs", str(a), str(b), "--out", str(tmp_path / "m.csv")) == 2
+    assert capsys.readouterr().err == (f"latbal report: {b}: header ['attribute', 'value'] "
+                                       "does not match ['attribute', 'effect']\n")
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_report_reads_standard_csv_and_names_a_bad_file(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -73,11 +74,12 @@ class TestValidateDataset:
             assert lb.validate_dataset(ds) == expected
 
     def test_bad_labels_named_by_row(self):
-        ds = tiny_dataset([[0, 1], [1, 1], [2, 0], [0, 0], [1, 7], [0, 0]])
+        # the constructor names the first bad row; no dataset holds one
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert lb.validate_dataset(ds) == [
-                "labels row 2: value outside {0, 1}", "labels row 4: value outside {0, 1}"]
+            with pytest.raises(ValueError) as exc:
+                tiny_dataset([[0, 1], [1, 1], [2, 0], [0, 0], [1, 7], [0, 0]])
+        assert str(exc.value) == "label row 2 holds a value that is not 0 or 1"
 
     def test_empty_dataset_is_ok(self):
         schema = lb.AttributeSchema(tuple(f"a{k}" for k in range(4)))
@@ -88,16 +90,51 @@ class TestValidateDataset:
 
     def test_row_count_mismatch(self):
         schema = lb.AttributeSchema(("a", "b"))
-        ds = lb.LatentDataset(codes=np.zeros((3, 2)),
-                              labels=np.zeros((2, 2), np.uint8), schema=schema)
-        assert any("row-count mismatch" in v for v in lb.validate_dataset(ds))
+        with pytest.raises(ValueError, match=r"labels have shape \(2, 2\), expected \(3, 2\)"):
+            lb.LatentDataset(codes=np.zeros((3, 2)),
+                             labels=np.zeros((2, 2), np.uint8), schema=schema)
 
     def test_label_values_checked(self):
         ds = tiny_dataset([[0, 1]])
         labels = ds.labels.copy()
         labels[0, 0] = 3
-        bad = lb.LatentDataset(codes=ds.codes, labels=labels, schema=ds.schema)
-        assert lb.validate_dataset(bad)
+        with pytest.raises(ValueError, match="label row 0 holds a value that is not 0 or 1"):
+            lb.LatentDataset(codes=ds.codes, labels=labels, schema=ds.schema)
+
+    @pytest.mark.parametrize("labels,message", [
+        ([[0.9]], "label row 0 holds a value that is not 0 or 1"),
+        ([[-1]], "label row 0 holds a value that is not 0 or 1"),
+        ([[2]], "label row 0 holds a value that is not 0 or 1"),
+        ([[1.0], [math.nan]], "label row 1 holds a value that is not 0 or 1"),
+        ([[1, 0]], r"labels have shape \(1, 2\), expected \(1, 1\)"),
+        ([1], r"labels have shape \(1,\), expected \(1, 1\)"),
+    ], ids=["0.9", "-1", "2", "nan", "columns", "1-d"])
+    def test_constructor_refuses_bad_labels(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            lb.LatentDataset(codes=np.zeros((len(labels), 2)), labels=labels,
+                             schema=lb.AttributeSchema(("a",)))
+
+    @pytest.mark.parametrize("codes,message", [
+        (np.zeros(3), r"codes must be 2-d with dim > 0, got shape \(3,\)"),
+        (np.zeros((3, 0)), r"codes must be 2-d with dim > 0, got shape \(3, 0\)"),
+    ], ids=["1-d", "dim-0"])
+    def test_constructor_refuses_bad_codes(self, codes, message):
+        with pytest.raises(ValueError, match=message):
+            lb.LatentDataset(codes=codes, labels=np.zeros((3, 1), np.uint8),
+                             schema=lb.AttributeSchema(("a",)))
+
+    def test_float_and_bool_labels_of_0_and_1_are_kept_as_uint8(self):
+        for labels in ([[1.0], [0.0]], [[True], [False]]):
+            ds = lb.LatentDataset(codes=np.zeros((2, 2)), labels=labels,
+                                  schema=lb.AttributeSchema(("a",)))
+            assert ds.labels.dtype == np.uint8 and ds.labels.tolist() == [[1], [0]]
+
+    def test_dataset_is_frozen(self):
+        ds = tiny_dataset([[0, 1]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.labels = np.array([[2, 2]], np.uint8)
+        with pytest.raises(ValueError):
+            ds.labels[0, 0] = 2
 
     def test_valid_oracle_sample(self, dataset20k):
         assert lb.validate_dataset(dataset20k) == []

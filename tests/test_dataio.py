@@ -139,6 +139,14 @@ def test_nan_codes_fail_validation_on_read(tmp_path):
         lb.read_dataset(base)
 
 
+def test_dim_zero_header_is_an_invalid_dataset(tmp_path):
+    base = _write_raw(tmp_path, "dim0", struct.pack("<4sIIQI", MAGIC, VERSION, 0, 1, 0), "a\n0\n")
+    with pytest.raises(LatdFormatError) as exc:
+        lb.read_dataset(base)
+    assert str(exc.value) == (f"{base}: invalid dataset: codes must be 2-d with dim > 0, "
+                              "got shape (1, 0)")
+
+
 def test_write_is_atomic_no_temp_left_behind(tmp_path, oracle_dataset):
     base = str(tmp_path / "atomic")
     lb.write_dataset(oracle_dataset, base)
@@ -365,28 +373,32 @@ def test_read_csv_parses_each_row_and_names_its_first_line(tmp_path):
 
 @pytest.mark.parametrize("blocks,labels,message", [
     ([np.zeros((2, 3)), np.zeros((2, 2))], np.zeros((4, 1)),
-     "bad.latd: codes block 1 has shape (2, 2) at row 2, expected (rows, 3)"),
+     "bad.latd: codes block 1 has shape (2, 2) at row 2, expected (rows, 3) within 4 rows; "
+     "nothing written"),
     ([np.zeros((3, 3)), np.zeros((2, 3))], np.zeros((4, 1)),
-     "bad.latd: codes block 1 has shape (2, 3) at row 3, expected (rows, 3) within 4 rows"),
+     "bad.latd: codes block 1 has shape (2, 3) at row 3, expected (rows, 3) within 4 rows; "
+     "nothing written"),
     ([np.zeros((2, 3))], np.zeros((4, 1)),
-     "bad.latd: codes blocks hold 2 rows for 4 label rows"),
+     "bad.latd: codes blocks hold 2 rows for 4 label rows; nothing written"),
     ([np.zeros((4, 3))], np.array([[0], [1], [2], [1]]),
-     "bad.labels.csv: label row 2 holds a value that is not 0 or 1"),
+     "label row 2 holds a value that is not 0 or 1"),
     ([np.zeros((4, 3))], np.zeros((4, 2)),
-     "bad.labels.csv: labels have shape (4, 2), expected (rows, 1)"),
+     "labels have shape (4, 2), expected (4, 1)"),
 ], ids=["width", "too-many-rows", "too-few-rows", "label-2", "label-columns"])
 def test_write_refuses_what_the_reader_rejects_and_leaves_no_file(tmp_path, blocks, labels,
                                                                    message):
+    # bad labels are refused when the dataset is built, bad blocks by the writer
     with pytest.raises(ValueError) as exc:
-        write_dataset_blocks(str(tmp_path / "bad"), lb.AttributeSchema(("a",)), labels, 3,
-                             iter(blocks))
-    assert message in str(exc.value) and str(exc.value).endswith("; nothing written")
+        ds = lb.LatentDataset(codes=np.zeros((4, 3)), labels=labels,
+                              schema=lb.AttributeSchema(("a",)))
+        write_dataset_blocks(str(tmp_path / "bad"), ds, iter(blocks))
+    assert str(exc.value).endswith(message)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_write_dataset_refuses_a_label_of_two(tmp_path):
-    ds = lb.LatentDataset(codes=np.zeros((3, 2)), labels=[[0, 1], [1, 0], [1, 2]],
-                          schema=lb.AttributeSchema(("a", "b")))
     with pytest.raises(ValueError, match="label row 2 holds a value that is not 0 or 1"):
+        ds = lb.LatentDataset(codes=np.zeros((3, 2)), labels=[[0, 1], [1, 0], [1, 2]],
+                              schema=lb.AttributeSchema(("a", "b")))
         lb.write_dataset(ds, str(tmp_path / "bad"))
     assert list(tmp_path.iterdir()) == []

@@ -78,6 +78,32 @@ class TestRescore:
         with pytest.raises(ValueError, match="dimension"):
             lb.rescore(world42.score, dirs, np.zeros((5, 64)), 0.2)
 
+    def test_no_directions_rejected(self, world42):
+        with pytest.raises(ValueError, match="need at least one direction"):
+            lb.rescore(world42.score, [], np.zeros((5, 64)), 0.2)
+
+    def test_attribute_outside_the_scorer_rejected(self, world42):
+        dirs = [lb.SemanticDirection(4, _unit(normals(68, 64)), "centroid")]
+        with pytest.raises(ValueError,
+                           match="direction attribute 4 is outside the scorer's 4 attributes"):
+            lb.rescore(world42.score, dirs, np.zeros((5, 64)), 0.2)
+
+    def test_reordered_rows_score_against_their_own_targets(self, world42, dataset20k):
+        dirs = lb.fit_directions(dataset20k, "centroid")
+        latents = normals(derive_seed(42, 31, 0), 2000 * 64).reshape(2000, 64)
+        in_order = lb.rescore(world42.score, dirs, latents, alpha=0.2)
+        reordered = lb.rescore(world42.score, [dirs[2], dirs[0]], latents, alpha=0.2)
+        assert reordered.direction_attributes == (2, 0)
+        for row, j in enumerate((2, 0)):
+            assert lb.effect(reordered, row) == lb.effect(in_order, j) == in_order.values[j, j]
+            assert (lb.overall_entanglement(reordered, row)
+                    == lb.overall_entanglement(in_order, j))
+        # the attr0 direction moves attr0 most; row 1 of the reordered matrix is its row
+        assert lb.effect(reordered, 1) == max(reordered.values[1])
+        lines = rescore_to_csv(reordered, world42.names).splitlines()
+        assert [line.split(",")[:2] for line in lines[1:6:4]] == [["attr2", "attr0"],
+                                                                ["attr0", "attr0"]]
+
 
 def test_logit_domain_rescore_is_exact(world42):
     # with logit scores the matrix entry (j, k) equals kappa * alpha * <v_k, u_j>
@@ -112,7 +138,8 @@ class TestEffectAndEntanglement:
         assert lb.overall_entanglement(_row_matrix([0.7, 0.0, 0.0, 0.0]), 0) == 0.0
 
     def test_single_attribute_rejected(self):
-        matrix = RescoreMatrix(values=np.array([[0.5]]), alpha=0.2, n=10)
+        matrix = RescoreMatrix(values=np.array([[0.5]]), alpha=0.2, n=10,
+                               direction_attributes=(0,))
         with pytest.raises(ValueError):
             lb.overall_entanglement(matrix, 0)
 
@@ -199,6 +226,12 @@ class TestSweeps:
         for bad in (-1.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="c_values"):
                 lb.sweep_regularization(dataset20k, world42.score, c_values=[1.0, bad])
+
+    def test_zero_runs_and_empty_c_grid_rejected(self, world42, dataset20k):
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            lb.sweep_sample_size(dataset20k, world42.score, sizes=[100], runs=0)
+        with pytest.raises(ValueError, match="c_values must be non-empty"):
+            lb.sweep_regularization(dataset20k, world42.score, c_values=[])
 
     def test_non_finite_svm_c_gives_error_rows(self, world42, dataset20k):
         report = lb.sweep_sample_size(dataset20k, world42.score, sizes=[100],

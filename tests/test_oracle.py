@@ -60,6 +60,19 @@ class TestMakeWorld:
             lb.make_world(dim=4, m=1, gram=np.eye(1), positive_rates=(0.5,),
                           sharpness=sharpness, seed=0)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(gram=np.eye(3)), r"gram must be 2x2, got \(3, 3\)"),
+        (dict(gram=np.diag([1.0, 2.0])), "gram matrix must have unit diagonal"),
+        # the 1e-12 tolerances are absolute, not relative
+        (dict(gram=[[1.0, 0.6], [0.600001, 1.0]]), "gram matrix must be symmetric"),
+        (dict(gram=np.diag([1.000005, 1.0])), "gram matrix must have unit diagonal"),
+        (dict(names=("a", "b", "c")), "expected 2 names, got 3"),
+    ], ids=["gram-shape", "gram-diagonal", "gram-nearly-symmetric", "gram-diagonal-near-1",
+            "names-count"])
+    def test_bad_gram_or_names_count_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            lb.make_world(**{"dim": 4, "m": 2, "gram": np.eye(2),
+                             "positive_rates": (0.5, 0.5), "seed": 0, **kwargs})
 
     @pytest.mark.parametrize("names,message", [("ab", "got the string 'ab'"),
                                                (("a", "a"), "unique")])
@@ -187,6 +200,13 @@ def test_world_dict_schema_version_checked(world42):
     obj = world_to_dict(world42)
     obj["schema_version"] = 2
     with pytest.raises(ValueError, match="schema_version"):
+        world_from_dict(obj)
+
+
+def test_world_dict_dim_below_m_rejected(world42):
+    obj = world_to_dict(world42)
+    obj["dim"], obj["vectors"] = 2, [row[:2] for row in obj["vectors"]]
+    with pytest.raises(ValueError, match=r"dim \(2\) must be >= m \(4\)"):
         world_from_dict(obj)
 
 
