@@ -240,7 +240,7 @@ def _synth_world(args, seed: int):
             raise _UsageError(f"--corr needs two distinct indices in 0..{m - 1}, "
                               f"got {i},{j},{rho!r}")
         gram[i, j] = gram[j, i] = rho
-    return make_world(dim=dim, m=m, gram=gram, positive_rates=_default(rates, [0.5] * m),
+    return make_world(dim=dim, gram=gram, positive_rates=_default(rates, [0.5] * m),
                       sharpness=_default(args.sharpness, 1.0), seed=seed,
                       names=None if names is None else tuple(names))
 

@@ -148,6 +148,19 @@ def json_number(obj: dict, key: str) -> float:
     return float(value)
 
 
+def json_array(obj: dict, key: str, shape: tuple) -> np.ndarray:
+    """obj[key] as a finite float64 array, which must have the given shape."""
+    try:
+        arr = np.asarray(obj[key], dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        raise ValueError(f"field {key!r} is not an array of numbers") from None
+    if arr.shape != shape:
+        raise ValueError(f"field {key!r} has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"field {key!r} holds a non-finite value")
+    return arr
+
+
 def read_csv(path: str, parse=list):
     """(header, [parse(row) for each later row]) of the UTF-8 CSV file at path, read
     strictly.  A file that is not UTF-8, that the csv module rejects or that is empty,

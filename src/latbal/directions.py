@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import SemanticDirection
-from .dataio import json_int, read_json, write_json
+from .dataio import json_array, json_int, read_json, write_json
 from .svm import train_svm
 
 DIRECTION_SCHEMA_VERSION = 1
@@ -53,7 +53,7 @@ def _centroid_from_sums(pos_sum: np.ndarray, n_pos, neg_sum: np.ndarray, n_neg,
     diff = pos_sum / n_pos - neg_sum / n_neg
     norm = float(np.linalg.norm(diff))
     if norm < 1e-12:
-        raise ValueError("class centroids coincide; no direction defined")
+        raise ValueError(f"attribute {j}: class centroids coincide; no direction defined")
     return SemanticDirection(
         attribute=j,
         vector=diff / norm,
@@ -71,10 +71,14 @@ def svm_direction(x, y, j: int, c: float = 1.0, tol: float = 1e-6,
     n_pos = int(pos.sum())
     n_neg = pos.size - n_pos
     _check_classes(j, n_pos, n_neg)
-    model = train_svm(x, y, c=c, tol=tol, max_iter=max_iter)
+    try:
+        model = train_svm(x, y, c=c, tol=tol, max_iter=max_iter)
+    except ValueError as exc:
+        raise ValueError(f"attribute {j}: {exc}") from None
     norm = float(np.linalg.norm(model.weights))
     if norm < 1e-12:
-        raise ValueError("SVM weight vector is numerically zero; no direction defined")
+        raise ValueError(f"attribute {j}: SVM weight vector is numerically zero; "
+                         "no direction defined")
     u = model.weights / norm
     side = x @ u
     if side[pos].mean() < side[~pos].mean():
@@ -152,12 +156,9 @@ def direction_to_dict(direction: SemanticDirection) -> dict:
 def direction_from_dict(obj: dict) -> SemanticDirection:
     if json_int(obj, "schema_version") != DIRECTION_SCHEMA_VERSION:
         raise ValueError(f"unsupported direction schema_version {obj['schema_version']!r}")
-    vec = np.asarray(obj["vector"], dtype=np.float64)
-    if vec.shape != (json_int(obj, "dim"),):
-        raise ValueError(f"field 'vector' has shape {vec.shape}, expected ({obj['dim']},)")
     return SemanticDirection(
         attribute=json_int(obj, "attribute"),
-        vector=vec,
+        vector=json_array(obj, "vector", (json_int(obj, "dim"),)),
         method=obj["method"],
         meta=dict(obj.get("meta", {})),
     )

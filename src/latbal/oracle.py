@@ -18,16 +18,22 @@ Construction: a seeded Gaussian m x d matrix is orthonormalized (modified
 Gram-Schmidt) into a frame E, and V = sqrt(Gram) @ E, so V V^T equals the
 requested Gram.  Codes come from the portable SplitMix64 + inverse-CDF
 pipeline in rng, so a given (world, n, seed) reproduces bit-identically.
+
+A world is valid once built: it is frozen, holds only what it cannot derive
+(vectors, gram, rates, sharpness, seed, names) and derives the biases from
+the rates and d from the vectors.  A world file still carries dim and
+biases for other readers; on load they must agree with the vectors and the
+rates (biases within 1e-12), or the file is refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import AttributeSchema, LatentDataset
-from .dataio import json_int, json_number, read_json, write_json
+from .dataio import json_array, json_int, json_number, read_json, write_json
 from .directions import orthonormal_basis
 from .rng import derive_seed, norm_ppf, normals
 
@@ -37,29 +43,31 @@ _STREAM_FRAME = 21
 _STREAM_CODES = 22
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearAttributeWorld:
-    dim: int
     vectors: np.ndarray          # m x d, unit rows
-    biases: np.ndarray           # m
-    sharpness: float             # logistic slope kappa
-    seed: int
     gram: np.ndarray             # m x m, as requested
     rates: np.ndarray            # m marginal positive rates
+    sharpness: float             # logistic slope kappa
+    seed: int
     names: tuple[str, ...]
+    dim: int = field(init=False)            # d, the width of vectors
+    biases: np.ndarray = field(init=False)  # m, Phi^-1(1 - rate) for each rate
 
     def __post_init__(self):
         """Refuse a world make_world would not build, so a loaded world gets its checks."""
-        self.names = AttributeSchema(self.names).names
+        object.__setattr__(self, "names", AttributeSchema(self.names).names)
+        object.__setattr__(self, "dim", self.vectors.shape[1])
         if not (np.isfinite(self.sharpness) and self.sharpness > 0):
             raise ValueError(f"sharpness must be a finite positive number, got {self.sharpness}")
         m = len(self.names)
         _check_spec(self.dim, m, self.gram, self.rates)
-        if self.vectors.shape != (m, self.dim) or not np.all(
+        if self.vectors.shape[0] != m or not np.all(
                 np.abs(np.linalg.norm(self.vectors, axis=1) - 1.0) <= 1e-12):
             raise ValueError(f"vectors must be {m} unit-norm rows of dim {self.dim}")
         if not np.all(np.abs(self.vectors @ self.vectors.T - self.gram) <= 1e-9):
             raise ValueError("vectors @ vectors.T does not match gram within 1e-9")
+        object.__setattr__(self, "biases", np.array([norm_ppf(1.0 - r) for r in self.rates]))
 
     @property
     def m(self) -> int:
@@ -111,11 +119,11 @@ def _check_spec(dim: int, m: int, gram: np.ndarray, rates: np.ndarray) -> None:
                          f"got {rates.tolist()}")
 
 
-def make_world(dim: int, m: int, gram: np.ndarray, positive_rates,
-               sharpness: float = 1.0, seed: int = 0,
-               names: tuple[str, ...] | None = None) -> LinearAttributeWorld:
+def make_world(dim: int, gram: np.ndarray, positive_rates, sharpness: float = 1.0,
+               seed: int = 0, names: tuple[str, ...] | None = None) -> LinearAttributeWorld:
     gram = np.asarray(gram, dtype=np.float64)
     rates = np.asarray(positive_rates, dtype=np.float64)
+    m = rates.size
     _check_spec(dim, m, gram, rates)
     if names is None:
         names = tuple(f"attr{k}" for k in range(m))
@@ -128,11 +136,8 @@ def make_world(dim: int, m: int, gram: np.ndarray, positive_rates,
         raise ValueError("could not build an orthonormal frame (degenerate draw)")
     vectors = _sym_sqrt(gram) @ frame
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-
-    biases = np.array([norm_ppf(1.0 - r) for r in rates])
-    return LinearAttributeWorld(dim=dim, vectors=vectors, biases=biases,
-                                sharpness=float(sharpness), seed=seed,
-                                gram=gram, rates=rates, names=names)
+    return LinearAttributeWorld(vectors=vectors, gram=gram, rates=rates,
+                                sharpness=float(sharpness), seed=seed, names=names)
 
 
 def sample_world(world: LinearAttributeWorld, n: int, seed: int) -> LatentDataset:
@@ -154,7 +159,7 @@ def default_world(seed: int = 0) -> LinearAttributeWorld:
     gram = np.eye(4)
     gram[0, 1] = gram[1, 0] = 0.6
     gram[2, 3] = gram[3, 2] = 0.6
-    return make_world(dim=64, m=4, gram=gram, positive_rates=(0.5, 0.3, 0.5, 0.2),
+    return make_world(dim=64, gram=gram, positive_rates=(0.5, 0.3, 0.5, 0.2),
                       sharpness=1.0, seed=seed)
 
 
@@ -177,23 +182,13 @@ def world_from_dict(obj: dict) -> LinearAttributeWorld:
         raise ValueError(f"unsupported world schema_version {obj['schema_version']!r}")
     dim, names = json_int(obj, "dim"), AttributeSchema(obj["names"]).names
     m = len(names)
-    arrays = {key: _array_field(obj, key, shape) for key, shape in (
-        ("vectors", (m, dim)), ("biases", (m,)), ("gram", (m, m)), ("rates", (m,)))}
-    return LinearAttributeWorld(dim=dim, sharpness=json_number(obj, "sharpness"),
-                                seed=json_int(obj, "seed"), names=names, **arrays)
-
-
-def _array_field(obj: dict, key: str, shape: tuple) -> np.ndarray:
-    """obj[key] as a finite float64 array, which must have the given shape."""
-    try:
-        arr = np.asarray(obj[key], dtype=np.float64)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        raise ValueError(f"field {key!r} is not an array of numbers") from None
-    if arr.shape != shape:
-        raise ValueError(f"field {key!r} has shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"field {key!r} holds a non-finite value")
-    return arr
+    arrays = {key: json_array(obj, key, shape) for key, shape in (
+        ("vectors", (m, dim)), ("gram", (m, m)), ("rates", (m,)))}
+    world = LinearAttributeWorld(sharpness=json_number(obj, "sharpness"),
+                                 seed=json_int(obj, "seed"), names=names, **arrays)
+    if not np.all(np.abs(json_array(obj, "biases", (m,)) - world.biases) <= 1e-12):
+        raise ValueError("field 'biases' does not match the biases its rates give within 1e-12")
+    return world
 
 
 def save_world(world: LinearAttributeWorld, path: str) -> None:

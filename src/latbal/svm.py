@@ -21,6 +21,10 @@ is the (w, alpha) of smallest gap seen, converged when that gap is <= tol;
 tol stops after exactly max_iter.  Examples are used in the order given; F is
 solved through its Gram matrix, so negating the labels (train_svm(x, -y))
 negates weights and bias bit for bit.
+
+The arithmetic runs with numpy overflow and invalid operations raised.  At
+a C so large that the Newton system goes numerically singular or a value
+overflows, train_svm raises ValueError naming C; no warning is issued.
 """
 
 from __future__ import annotations
@@ -99,6 +103,25 @@ def _certificate(z, v, c, h):
     return min((_dual_gap(z, alpha, c) for alpha in points), key=lambda g: g[0])
 
 
+def _solve(z, c, tol, max_iter):
+    """(best certificate, (primal, dual) per certificate, smoothed history, steps)."""
+    v, h, steps = np.zeros(z.shape[1]), _H_START, 0
+    best = _certificate(z, v, c, h)
+    certs, smoothed = [best[1:3]], []
+    while best[0] > tol and steps < max_iter:
+        v, history, done = _newton_stage(z, v, c, h, min(_STAGE_STEPS, max_iter - steps))
+        if not np.isfinite(history[-1]):  # >= ||v||^2 / 2, so the iterate is finite too
+            raise FloatingPointError("non-finite objective")
+        smoothed.append(history)
+        steps += len(history) - 1
+        cert = _certificate(z, v, c, h)
+        certs.append(cert[1:3])
+        best = min(best, cert, key=lambda g: g[0])
+        if done:
+            h = max(h / 10.0, _H_MIN)
+    return best, certs, smoothed, steps
+
+
 def train_svm(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 1e-6,
               max_iter: int = 1000) -> SvmModel:
     """Fit on the rows of x (n, d) with labels y (n,) in {+1, -1}, in the order given."""
@@ -117,18 +140,12 @@ def train_svm(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 1e-6,
     np.multiply(x, y[:, None], out=z[:, :-1])
     z[:, -1] = y
 
-    v, h, steps = np.zeros(z.shape[1]), _H_START, 0
-    best = _certificate(z, v, c, h)
-    certs, smoothed = [best[1:3]], []
-    while best[0] > tol and steps < max_iter:
-        v, history, done = _newton_stage(z, v, c, h, min(_STAGE_STEPS, max_iter - steps))
-        smoothed.append(history)
-        steps += len(history) - 1
-        cert = _certificate(z, v, c, h)
-        certs.append(cert[1:3])
-        best = min(best, cert, key=lambda g: g[0])
-        if done:
-            h = max(h / 10.0, _H_MIN)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            best, certs, smoothed, steps = _solve(z, c, tol, max_iter)
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        raise ValueError(f"SVM at C = {c:g} is numerically unstable ({exc}); "
+                         "try a smaller C") from None
 
     gap, _, _, hinge, w, alpha = best
     return SvmModel(weights=w[:-1].copy(), bias=float(w[-1]), c=c, duality_gap=gap,

@@ -143,7 +143,7 @@ def test_criterion_05_conditional_projection(dataset100k, table100k):
 
 def test_criterion_06_ground_truth_direction_recovery():
     t0 = time.time()
-    world = lb.make_world(dim=64, m=4, gram=np.eye(4), positive_rates=(0.5,) * 4, seed=42)
+    world = lb.make_world(dim=64, gram=np.eye(4), positive_rates=(0.5,) * 4, seed=42)
     ds = lb.sample_world(world, 30_000, seed=42)
     table = lb.build_contingency(ds)
     dirs = _balanced_fit(ds, table, 1000, 42)

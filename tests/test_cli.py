@@ -144,6 +144,20 @@ def test_unconverged_svm_fit_warns_per_attribute(tmp_path, synth_base, capsys):
         assert "5 iterations" in line and f"{gap:.3g}" in line and "tol 1e-06" in line
 
 
+@pytest.mark.parametrize("c,cause", [("1e8", "Singular matrix"),
+                                     ("1e300", "overflow encountered in matmul")])
+def test_svm_fit_at_a_huge_c_is_data_error_naming_attribute_and_c(tmp_path, capsys, c, cause):
+    base = str(tmp_path / "d")
+    assert run("synth", "--out", base, "--n", "2000", "--seed", "1") == 0
+    capsys.readouterr()
+    out = tmp_path / "dirs"
+    assert run("fit", "--data", base, "--method", "svm", "--c", c, "--out-dir", str(out)) == 2
+    j = {"1e8": 3, "1e300": 0}[c]  # the first attribute whose fit fails
+    assert capsys.readouterr().err == (f"latbal fit: attribute {j}: SVM at C = {float(c):g} "
+                                       f"is numerically unstable ({cause}); try a smaller C\n")
+    assert not out.exists()
+
+
 def test_default_svm_fit_on_balanced_subsample_converges(tmp_path, synth_base, capsys):
     sub = str(tmp_path / "bal")
     assert run("sample", "--data", synth_base, "--n0", "1000", "--seed", "42",
@@ -404,7 +418,7 @@ def test_svm_fit_keeps_its_bytes(tmp_path):
 
 def test_csv_outputs_quote_names_that_need_it(tmp_path):
     names = ("eye,glasses", 'smile "wide"')
-    world = lb.make_world(dim=8, m=2, gram=np.eye(2), positive_rates=[0.5, 0.4],
+    world = lb.make_world(dim=8, gram=np.eye(2), positive_rates=[0.5, 0.4],
                           seed=3, names=names)
     base = str(tmp_path / "q")
     lb.write_dataset(lb.sample_world(world, 3000, seed=3), base)
@@ -492,9 +506,9 @@ class TestExitCodes:
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("bad", ["not-json", "list", "missing-field", "schema-version",
-                                     "vectors-shape", "non-finite", "version-bool",
-                                     "dim-float", "int-float", "int-bool", "number-string",
-                                     "number-bool"])
+                                     "vectors-shape", "non-finite", "vectors-text",
+                                     "vectors-ragged", "version-bool", "dim-float",
+                                     "int-float", "int-bool", "number-string", "number-bool"])
     @pytest.mark.parametrize("slot", ["project-target", "eval-directions", "eval-world",
                                       "sweep-world"])
     def test_malformed_json_artifact_is_data_error(self, tmp_path, synth_base, capsys,
@@ -523,6 +537,9 @@ class TestExitCodes:
                              [row] for row in good[vectors]]}),
                          "non-finite": json.dumps({**good, vectors: (
                              np.array(good[vectors]) * np.nan).tolist()}),
+                         "vectors-text": json.dumps({**good, vectors: "x"}),
+                         "vectors-ragged": json.dumps({**good, vectors: [
+                             good[vectors][0], good[vectors]]}),
                          **{k: json.dumps({**good, key: value})
                             for k, (key, value) in typed.items()}}[bad])
         out = str(tmp_path / "out")
@@ -538,8 +555,9 @@ class TestExitCodes:
         assert err.count("\n") == 1 and str(path) in err and "Traceback" not in err
         named = {"list": "expected a JSON object, got list",
                  "vectors-shape": f"field '{vectors}' has shape",
-                 "non-finite": "field 'vectors' holds a non-finite value" if is_world
-                 else "must be unit-norm"}.get(bad, "")
+                 "non-finite": f"field '{vectors}' holds a non-finite value",
+                 "vectors-text": f"field '{vectors}' is not an array of numbers",
+                 "vectors-ragged": f"field '{vectors}' is not an array of numbers"}.get(bad, "")
         if bad in typed:
             key, value = typed[bad]
             kind = "a number" if key == "sharpness" else "an integer"
@@ -565,9 +583,12 @@ class TestExitCodes:
         ("vectors", lambda good: (2 * np.array(good["vectors"])).tolist(),
          "vectors must be 4 unit-norm rows of dim 64"),
         ("biases", ["x", 0, 0, 0], "field 'biases' is not an array of numbers"),
+        # the biases follow from the rates; a file may not contradict them
+        ("biases", [5, 5, 5, 5],
+         "field 'biases' does not match the biases its rates give within 1e-12"),
     ], ids=["names-string", "names-repeated", "names-numbers", "sharpness-negative",
             "sharpness-nan", "rates-outside", "gram-asymmetric", "gram-diagonal",
-            "gram-not-the-vectors", "vectors-doubled", "biases-text"])
+            "gram-not-the-vectors", "vectors-doubled", "biases-text", "biases-mismatch"])
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     def test_world_file_gets_the_checks_of_a_built_world(self, tmp_path, synth_base, capsys,
                                                          command, field, value, named):

@@ -104,7 +104,7 @@ class TestImbalanceStats:
 def test_correlated_pair_concentrates_on_agreeing_cells():
     # cos(v0, v1) = 0.8 at 50% rates: P(bits agree) = 1 - arccos(0.8)/pi ~ 0.795
     gram = np.array([[1.0, 0.8], [0.8, 1.0]])
-    world = lb.make_world(dim=16, m=2, gram=gram, positive_rates=(0.5, 0.5), seed=42)
+    world = lb.make_world(dim=16, gram=gram, positive_rates=(0.5, 0.5), seed=42)
     ds = lb.sample_world(world, 100_000, seed=42)
     counts = lb.build_contingency(ds).counts
     agree = (counts[0] + counts[3]) / counts.sum()

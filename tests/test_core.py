@@ -160,7 +160,7 @@ class TestSplitByAttribute:
 
     def test_planted_positive_rate(self):
         # m=1 world with a 30% positive rate; binomial 3-sigma check
-        world = lb.make_world(dim=8, m=1, gram=np.eye(1), positive_rates=(0.3,), seed=42)
+        world = lb.make_world(dim=8, gram=np.eye(1), positive_rates=(0.3,), seed=42)
         ds = lb.sample_world(world, 10_000, seed=42)
         pos, neg = lb.split_by_attribute(ds, 0)
         assert pos.n + neg.n == ds.n

@@ -125,6 +125,19 @@ class TestSvmDirection:
         assert float(centroid.vector @ svm_u.vector) >= 0.999
 
 
+@pytest.mark.parametrize("fit,message", [
+    (lambda: lb.centroid_direction([[1.0, 2.0]], [[1.0, 2.0]], 2),
+     "class centroids coincide; no direction defined"),
+    (lambda: lb.svm_direction(*stacked([[1.0, 2.0]], [[1.0, 2.0]]), 2),
+     "SVM weight vector is numerically zero; no direction defined"),
+    (lambda: lb.svm_direction(*stacked([[1.0, 2.0]], [[3.0, -1.0]]), 2, c=1e300),
+     r"SVM at C = 1e\+300 is numerically unstable"),
+], ids=["centroids-coincide", "svm-zero-weights", "svm-huge-c"])
+def test_direction_errors_name_their_attribute(fit, message):
+    with pytest.raises(ValueError, match=rf"^attribute 2: {message}"):
+        fit()
+
+
 class TestConditionalProject:
     def test_two_dimensional_example(self):
         target = lb.SemanticDirection(0, _unit([1.0, 1.0]), "centroid")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,18 +15,18 @@ def _cdf(x):
 
 class TestMakeWorld:
     def test_half_rate_gives_zero_bias(self):
-        world = lb.make_world(dim=8, m=2, gram=np.eye(2), positive_rates=(0.5, 0.5), seed=1)
+        world = lb.make_world(dim=8, gram=np.eye(2), positive_rates=(0.5, 0.5), seed=1)
         assert world.biases.tolist() == [0.0, 0.0]
 
     def test_identity_gram_gives_orthogonal_vectors(self):
-        world = lb.make_world(dim=16, m=4, gram=np.eye(4),
+        world = lb.make_world(dim=16, gram=np.eye(4),
                               positive_rates=(0.5,) * 4, seed=2)
         gram = world.vectors @ world.vectors.T
         assert np.abs(gram - np.eye(4)).max() <= 1e-10
 
     def test_bias_for_8413_rate(self):
         # P(N(0,1) > b) = 0.8413 -> b ~ -1.0
-        world = lb.make_world(dim=4, m=1, gram=np.eye(1), positive_rates=(0.8413,), seed=3)
+        world = lb.make_world(dim=4, gram=np.eye(1), positive_rates=(0.8413,), seed=3)
         assert world.biases[0] == pytest.approx(-1.0, abs=1e-3)
         # and the bias inverts the CDF exactly
         assert _cdf(world.biases[0]) == pytest.approx(1 - 0.8413, abs=1e-12)
@@ -38,26 +39,26 @@ class TestMakeWorld:
     def test_non_psd_gram_rejected(self):
         gram = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1 and 3
         with pytest.raises(ValueError, match="positive semi-definite"):
-            lb.make_world(dim=4, m=2, gram=gram, positive_rates=(0.5, 0.5), seed=0)
+            lb.make_world(dim=4, gram=gram, positive_rates=(0.5, 0.5), seed=0)
 
     def test_asymmetric_gram_rejected(self):
         gram = np.array([[1.0, 0.2], [0.3, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            lb.make_world(dim=4, m=2, gram=gram, positive_rates=(0.5, 0.5), seed=0)
+            lb.make_world(dim=4, gram=gram, positive_rates=(0.5, 0.5), seed=0)
 
     def test_dim_must_cover_m(self):
         with pytest.raises(ValueError, match="dim"):
-            lb.make_world(dim=2, m=3, gram=np.eye(3), positive_rates=(0.5,) * 3, seed=0)
+            lb.make_world(dim=2, gram=np.eye(3), positive_rates=(0.5,) * 3, seed=0)
 
     @pytest.mark.parametrize("rate", [0.0, 1.0, -0.2, 1.3, float("nan")])
     def test_rates_must_be_interior(self, rate):
         with pytest.raises(ValueError, match="rates"):
-            lb.make_world(dim=4, m=1, gram=np.eye(1), positive_rates=(rate,), seed=0)
+            lb.make_world(dim=4, gram=np.eye(1), positive_rates=(rate,), seed=0)
 
     @pytest.mark.parametrize("sharpness", [0.0, -1.0, float("nan"), float("inf")])
     def test_sharpness_must_be_finite_and_positive(self, sharpness):
         with pytest.raises(ValueError, match="sharpness"):
-            lb.make_world(dim=4, m=1, gram=np.eye(1), positive_rates=(0.5,),
+            lb.make_world(dim=4, gram=np.eye(1), positive_rates=(0.5,),
                           sharpness=sharpness, seed=0)
 
     @pytest.mark.parametrize("kwargs,message", [
@@ -71,14 +72,14 @@ class TestMakeWorld:
             "names-count"])
     def test_bad_gram_or_names_count_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            lb.make_world(**{"dim": 4, "m": 2, "gram": np.eye(2),
+            lb.make_world(**{"dim": 4, "gram": np.eye(2),
                              "positive_rates": (0.5, 0.5), "seed": 0, **kwargs})
 
     @pytest.mark.parametrize("names,message", [("ab", "got the string 'ab'"),
                                                (("a", "a"), "unique")])
     def test_names_must_be_a_sequence_of_unique_names(self, names, message):
         with pytest.raises(ValueError, match=message):
-            lb.make_world(dim=4, m=2, gram=np.eye(2), positive_rates=(0.5, 0.5),
+            lb.make_world(dim=4, gram=np.eye(2), positive_rates=(0.5, 0.5),
                           seed=0, names=names)
 
 
@@ -89,7 +90,7 @@ class TestSampleWorld:
         assert lb.validate_dataset(ds) == []
 
     def test_identity_gram_half_rates_fill_cells_uniformly(self):
-        world = lb.make_world(dim=16, m=4, gram=np.eye(4),
+        world = lb.make_world(dim=16, gram=np.eye(4),
                               positive_rates=(0.5,) * 4, seed=42)
         ds = lb.sample_world(world, 100_000, seed=42)
         counts = lb.build_contingency(ds).counts
@@ -100,7 +101,7 @@ class TestSampleWorld:
     def test_orthant_agreement_probability(self):
         # P(bit0 == bit1) = 1 - arccos(rho)/pi for 50% rates
         gram = np.array([[1.0, 0.8], [0.8, 1.0]])
-        world = lb.make_world(dim=8, m=2, gram=gram, positive_rates=(0.5, 0.5), seed=42)
+        world = lb.make_world(dim=8, gram=gram, positive_rates=(0.5, 0.5), seed=42)
         ds = lb.sample_world(world, 100_000, seed=42)
         agree = (ds.labels[:, 0] == ds.labels[:, 1]).mean()
         expected = 1 - math.acos(0.8) / math.pi
@@ -126,19 +127,19 @@ class TestSampleWorld:
 
 class TestOracleScore:
     def test_midpoint_score(self):
-        world = lb.make_world(dim=8, m=1, gram=np.eye(1), positive_rates=(0.3,), seed=5)
+        world = lb.make_world(dim=8, gram=np.eye(1), positive_rates=(0.3,), seed=5)
         z = world.biases[0] * world.vectors[0]  # margin exactly ~0
         score = world.score(z)
         assert score[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_saturation_at_high_sharpness(self):
-        world = lb.make_world(dim=8, m=1, gram=np.eye(1), positive_rates=(0.5,),
+        world = lb.make_world(dim=8, gram=np.eye(1), positive_rates=(0.5,),
                               sharpness=1000.0, seed=5)
         z = 0.1 * world.vectors[0]
         assert world.score(z)[0] > 0.999
 
     def test_closed_form_logistic_value(self):
-        world = lb.make_world(dim=8, m=2, gram=np.eye(2), positive_rates=(0.3, 0.7), seed=6)
+        world = lb.make_world(dim=8, gram=np.eye(2), positive_rates=(0.3, 0.7), seed=6)
         z = (world.biases[0] + 1.0) * world.vectors[0]
         expected = 1.0 / (1.0 + math.exp(-1.0))  # ~0.7311
         assert world.score(z)[0] == pytest.approx(expected, abs=1e-10)
@@ -208,6 +209,33 @@ def test_world_dict_dim_below_m_rejected(world42):
     obj["dim"], obj["vectors"] = 2, [row[:2] for row in obj["vectors"]]
     with pytest.raises(ValueError, match=r"dim \(2\) must be >= m \(4\)"):
         world_from_dict(obj)
+
+
+@pytest.mark.parametrize("field,value", [("biases", np.zeros(4)), ("dim", 8),
+                                         ("rates", np.full(4, 0.5)), ("sharpness", 2.0)])
+def test_world_is_frozen(world42, field, value):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(world42, field, value)
+
+
+@pytest.mark.parametrize("field", ["biases", "dim"])
+def test_world_derives_biases_and_dim(world42, field):
+    fields = {f: getattr(world42, f)
+              for f in ("vectors", "gram", "rates", "sharpness", "seed", "names")}
+    built = lb.LinearAttributeWorld(**fields)
+    assert built.dim == world42.vectors.shape[1]
+    assert np.array_equal(built.biases, world42.biases)
+    with pytest.raises(TypeError, match=field):
+        lb.LinearAttributeWorld(**fields, **{field: getattr(world42, field)})
+
+
+def test_world_dict_biases_must_follow_the_rates(world42):
+    obj = world_to_dict(world42)
+    obj["biases"][1] += 1e-11
+    with pytest.raises(ValueError, match="field 'biases' does not match"):
+        world_from_dict(obj)
+    obj["biases"][1] -= 1e-11  # within 1e-12 of the derived bias loads
+    assert np.array_equal(world_from_dict(obj).biases, world42.biases)
 
 
 def test_default_world_shape(world42):

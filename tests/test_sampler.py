@@ -198,7 +198,7 @@ class TestUniformSubsample:
         # cos(v0, v1) = 0.8 world: agreeing cells hold ~80% of the mass, so a
         # uniform subsample stays strongly imbalanced
         gram = np.array([[1.0, 0.8], [0.8, 1.0]])
-        world = lb.make_world(dim=16, m=2, gram=gram, positive_rates=(0.5, 0.5), seed=42)
+        world = lb.make_world(dim=16, gram=gram, positive_rates=(0.5, 0.5), seed=42)
         ds = lb.sample_world(world, 50_000, seed=42)
         res = lb.uniform_subsample(ds, 1000, seed=42)
         counts = res.per_cell_counts

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -264,3 +266,14 @@ def test_non_finite_c_or_tol_rejected(kwargs, err):
     x = np.array([[1.0]])
     with pytest.raises(ValueError, match=err):
         train_svm(*stacked(x, -x), **kwargs)
+
+
+@pytest.mark.parametrize("c,cause", [(1e12, "Singular matrix"),
+                                     (1e300, "overflow encountered in matmul")])
+def test_huge_c_is_a_value_error_naming_c_without_warnings(c, cause):
+    # the Newton system I + C/(2h) Zq^T Zq goes singular, or the arithmetic
+    # overflows; pytest turns any RuntimeWarning into an error
+    pos, neg = _blobs(50, 8)
+    message = f"SVM at C = {c:g} is numerically unstable ({cause}); try a smaller C"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        train_svm(*stacked(pos, neg), c=c)
