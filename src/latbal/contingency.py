@@ -5,6 +5,8 @@ least significant bit (see bits_string).  Cell membership is one row
 order, CSR-style: the row indices grouped by cell, in dataset order within a
 cell, so construction is deterministic.  Cell c's rows are
 order[start[c]:start[c] + counts[c]], where start = cumsum(counts) - counts.
+Cell indices come in cell_dtype(2^m), OR-ed from the uint8 label columns,
+and are sorted in that dtype, so no n x m or n-long int64 copy is made.
 """
 
 from __future__ import annotations
@@ -40,10 +42,12 @@ class ImbalanceStats:
 
 
 def cell_indices(dataset: LatentDataset, rows=None) -> np.ndarray:
-    """Cell index per dataset row, or per row of ``rows`` (indices, in order)."""
+    """Cell index, in cell_dtype(2^m), per dataset row or per row of ``rows`` (in order)."""
     labels = dataset.labels if rows is None else dataset.labels[rows]
-    weights = (1 << np.arange(dataset.m, dtype=np.int64))
-    return labels.astype(np.int64) @ weights
+    cells = np.zeros(labels.shape[0], dtype=cell_dtype(1 << dataset.m))
+    for k in range(dataset.m):
+        cells |= labels[:, k].astype(cells.dtype) << k
+    return cells
 
 
 def cell_dtype(n_cells: int) -> np.dtype:
@@ -60,7 +64,7 @@ def build_contingency(dataset: LatentDataset) -> ContingencyTable:
     cells = cell_indices(dataset)
     counts = np.bincount(cells, minlength=n_cells).astype(np.int64)
     # stable sort groups rows by cell while preserving row order within cells
-    order = np.argsort(cells.astype(cell_dtype(n_cells)), kind="stable")
+    order = np.argsort(cells, kind="stable")
     return ContingencyTable(m=m, counts=counts, order=order)
 
 

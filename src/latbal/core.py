@@ -106,11 +106,15 @@ class SemanticDirection:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        vec = np.ascontiguousarray(self.vector, dtype=np.float64)
+        vec = np.asarray(self.vector, dtype=np.float64, order="C")  # a 0-d vector stays 0-d
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
         if self.method not in DIRECTION_METHODS:
             raise ValueError(f"unknown direction method {self.method!r}")
+        if vec.ndim != 1 or vec.size == 0:
+            raise ValueError(f"direction vector must be 1-d and non-empty, got shape {vec.shape}")
+        if self.attribute < 0:
+            raise ValueError(f"direction attribute must be >= 0, got {self.attribute}")
         norm = float(np.linalg.norm(vec))
         if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
             raise ValueError(f"direction vector must be unit-norm, got ||v|| = {norm!r}")

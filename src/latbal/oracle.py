@@ -18,12 +18,15 @@ Construction: a seeded Gaussian m x d matrix is orthonormalized (modified
 Gram-Schmidt) into a frame E, and V = sqrt(Gram) @ E, so V V^T equals the
 requested Gram.  Codes come from the portable SplitMix64 + inverse-CDF
 pipeline in rng, so a given (world, n, seed) reproduces bit-identically.
+sample_world labels the codes _LABEL_ROWS rows at a time, so float64 margins
+never span more than one block; the labels are the bits of one whole pass.
 
 A world is valid once built: it is frozen, holds only what it cannot derive
 (vectors, gram, rates, sharpness, seed, names) and derives the biases from
-the rates and d from the vectors.  A world file still carries dim and
-biases for other readers; on load they must agree with the vectors and the
-rates (biases within 1e-12), or the file is refused.
+the rates and d from the vectors.  It keeps read-only copies of the arrays
+it is given, so the biases cannot go stale.  A world file still carries dim
+and biases for other readers; on load they must agree with the vectors and
+the rates (biases within 1e-12), or the file is refused.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ WORLD_SCHEMA_VERSION = 1
 
 _STREAM_FRAME = 21
 _STREAM_CODES = 22
+_LABEL_ROWS = 8192  # codes labelled per block by sample_world
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,8 @@ class LinearAttributeWorld:
     def __post_init__(self):
         """Refuse a world make_world would not build, so a loaded world gets its checks."""
         object.__setattr__(self, "names", AttributeSchema(self.names).names)
+        for name in ("vectors", "gram", "rates"):  # copies, so a caller's arrays stay writable
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=np.float64))
         object.__setattr__(self, "dim", self.vectors.shape[1])
         if not (np.isfinite(self.sharpness) and self.sharpness > 0):
             raise ValueError(f"sharpness must be a finite positive number, got {self.sharpness}")
@@ -68,6 +74,8 @@ class LinearAttributeWorld:
         if not np.all(np.abs(self.vectors @ self.vectors.T - self.gram) <= 1e-9):
             raise ValueError("vectors @ vectors.T does not match gram within 1e-9")
         object.__setattr__(self, "biases", np.array([norm_ppf(1.0 - r) for r in self.rates]))
+        for name in ("vectors", "gram", "rates", "biases"):
+            getattr(self, name).setflags(write=False)
 
     @property
     def m(self) -> int:
@@ -145,7 +153,9 @@ def sample_world(world: LinearAttributeWorld, n: int, seed: int) -> LatentDatase
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     codes = normals(derive_seed(seed, _STREAM_CODES), n * world.dim).reshape(n, world.dim)
-    labels = (world.margins(codes) > 0).astype(np.uint8)
+    labels = np.empty((n, world.m), dtype=np.uint8)
+    for i in range(0, n, _LABEL_ROWS):  # float64 margins for one block at a time
+        np.greater(world.margins(codes[i:i + _LABEL_ROWS]), 0, out=labels[i:i + _LABEL_ROWS])
     return LatentDataset(codes=codes, labels=labels, schema=world.schema)
 
 

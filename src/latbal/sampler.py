@@ -116,6 +116,10 @@ def _distinct_below(seed: int, n: int, k: int) -> tuple[np.ndarray, int]:
 
 def balanced_subsample(dataset: LatentDataset, table: ContingencyTable,
                        plan: SamplePlan) -> SubsampleResult:
+    rows = int(table.counts.sum())
+    if table.m != dataset.m or rows != dataset.n:
+        raise ValueError(f"table of {rows} rows over {table.m} attributes does not match "
+                         f"a dataset of {dataset.n} rows over {dataset.m} attributes")
     n_cells = table.n_cells
     cell_seed = derive_seed(plan.seed, _STREAM_CELLS)
 

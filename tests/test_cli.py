@@ -567,6 +567,23 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "bad.json", "data.labels.csv", "data.latd", "data.world.json", "good.json"]
 
+    @pytest.mark.parametrize("command", ["project", "edit"])
+    def test_direction_file_with_a_negative_attribute_is_data_error(self, tmp_path, synth_base,
+                                                                    capsys, command):
+        good = tmp_path / "good.json"
+        lb.save_direction(lb.fit_directions(lb.read_dataset(synth_base), "centroid")[0],
+                          str(good))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**json.loads(good.read_text()), "attribute": -3}))
+        argv = {"project": ["project", "--target", str(path), "--others", str(good)],
+                "edit": ["edit", "--data", synth_base, "--direction", str(path),
+                         "--alpha", "1"]}[command]
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == (
+            f"latbal {command}: {path}: direction attribute must be >= 0, got -3\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bad.json", "data.labels.csv", "data.latd", "data.world.json", "good.json"]
+
     @pytest.mark.parametrize("field,value,named", [
         ("names", "abcd", "attribute names must be a sequence of names, got the string 'abcd'"),
         ("names", ["a", "a", "b", "c"], "attribute names must be unique"),

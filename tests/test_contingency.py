@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latbal as lb
-from latbal.contingency import bits_string, cell_indices, write_contingency_csv
+from latbal.contingency import bits_string, cell_dtype, cell_indices, write_contingency_csv
 from latbal.rng import uniforms
 from conftest import tiny_dataset
 
@@ -29,6 +29,18 @@ def test_members_partition_rows():
     table = lb.build_contingency(ds)
     # cells 0, 2, 3 hold rows {0, 4}, {1, 2}, {3}, in row order
     assert table.order.tolist() == [0, 4, 1, 2, 3]
+
+
+@pytest.mark.parametrize("m", [1, 8, 9, 16, 17, 20])
+@pytest.mark.parametrize("rows", [None, [5, 0, 5, 999, 3]], ids=["all", "rows"])
+def test_cell_indices_equal_the_int64_matmul_in_the_narrow_dtype(m, rows):
+    labels = (uniforms(m + 1, 1000 * m).reshape(1000, m) > 0.5).astype(np.uint8)
+    labels[0], labels[1] = 1, 0  # the highest and the lowest cell
+    ds = tiny_dataset(labels)
+    cells = cell_indices(ds, rows)
+    picked = labels if rows is None else labels[rows]
+    assert cells.dtype == cell_dtype(2 ** m)
+    assert np.array_equal(cells, picked.astype(np.int64) @ (1 << np.arange(m, dtype=np.int64)))
 
 
 @pytest.mark.parametrize("m", [3, 17, 20])

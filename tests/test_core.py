@@ -193,6 +193,15 @@ class TestSemanticDirection:
         with pytest.raises(ValueError, match="method"):
             lb.SemanticDirection(attribute=0, vector=np.array([1.0, 0.0]), method="pca")
 
+    @pytest.mark.parametrize("vector", [[[1.0, 0.0]], [], 1.0], ids=["2-d", "empty", "0-d"])
+    def test_rejects_a_vector_that_is_not_1d_and_non_empty(self, vector):
+        with pytest.raises(ValueError, match="must be 1-d and non-empty"):
+            lb.SemanticDirection(attribute=0, vector=vector, method="centroid")
+
+    def test_rejects_a_negative_attribute(self):
+        with pytest.raises(ValueError, match="attribute must be >= 0, got -3"):
+            lb.SemanticDirection(attribute=-3, vector=[1.0, 0.0], method="centroid")
+
 
 def test_select_preserves_order_and_repeats():
     ds = tiny_dataset([[0, 0], [1, 0], [0, 1]])

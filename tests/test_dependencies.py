@@ -71,3 +71,15 @@ def test_every_text_mode_open_names_its_encoding():
             if not binary and not any(kw.arg == "encoding" for kw in node.keywords):
                 found.append((path.name, node.lineno))
     assert found == []
+
+
+def test_every_source_and_test_file_ends_in_one_newline():
+    # wc -l counts newlines, so a missing final newline drops a line from it
+    root = Path(__file__).resolve().parent.parent
+    found = []
+    for top in ("src", "tests"):
+        for path in sorted((root / top).rglob("*.py")):
+            data = path.read_bytes()
+            if not data.endswith(b"\n") or data.endswith(b"\n\n"):
+                found.append(str(path.relative_to(root)))
+    assert found == []

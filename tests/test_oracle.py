@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import latbal as lb
-from latbal.oracle import _sigmoid, world_from_dict, world_to_dict
+from latbal.oracle import _LABEL_ROWS, _sigmoid, world_from_dict, world_to_dict
 from latbal.rng import normals
 
 
@@ -124,6 +125,31 @@ class TestSampleWorld:
         with pytest.raises(ValueError):
             lb.sample_world(world42, -1, seed=0)
 
+    @pytest.mark.parametrize("n", [0, 1, _LABEL_ROWS - 1, _LABEL_ROWS, _LABEL_ROWS + 1, 20_000])
+    def test_block_labels_equal_the_whole_array_labels(self, world42, n):
+        ds = lb.sample_world(world42, n, seed=5)
+        expected = (world42.margins(ds.codes) > 0).astype(np.uint8)
+        assert ds.labels.dtype == np.uint8
+        assert ds.labels.tobytes() == expected.tobytes() and ds.labels.shape == (n, 4)
+
+    def test_labelling_holds_no_copy_beyond_codes_and_labels(self):
+        # at m=16 an n x m float64 margin array is 1/4 of the codes; the row
+        # blocks keep the labelling pass, and the contingency build after it,
+        # within 4 MiB of what they return
+        world = lb.make_world(dim=64, gram=np.eye(16), positive_rates=(0.3,) * 16, seed=1)
+        tracemalloc.start()
+        try:
+            ds = lb.sample_world(world, 200_000, seed=3)
+            _, sampled = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            lb.build_contingency(ds)
+            _, built = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sampled <= ds.codes.nbytes + ds.labels.nbytes + 4 * 2**20
+        assert built - before <= 4 * 2**20
+
 
 class TestOracleScore:
     def test_midpoint_score(self):
@@ -216,6 +242,27 @@ def test_world_dict_dim_below_m_rejected(world42):
 def test_world_is_frozen(world42, field, value):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(world42, field, value)
+
+
+@pytest.mark.parametrize("field", ["vectors", "gram", "rates", "biases"])
+def test_world_arrays_are_read_only(field):
+    # a writable rates array would leave the derived biases stale
+    world = lb.default_world(seed=42)  # not the shared fixture, which a failure would change
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(world, field)[0] = 0.9
+    assert world.rates.tolist() == [0.5, 0.3, 0.5, 0.2]
+
+
+def test_world_leaves_the_callers_arrays_writable():
+    gram, rates = np.eye(2), np.array([0.5, 0.5])
+    world = lb.make_world(dim=8, gram=gram, positive_rates=rates, seed=1)
+    vectors = world.vectors.copy()
+    lb.LinearAttributeWorld(vectors=vectors, gram=gram, rates=rates, sharpness=1.0,
+                            seed=1, names=world.names)
+    for arr in (gram, rates, vectors):
+        assert arr.flags.writeable
+    gram[0, 0] = 2.0
+    assert world.gram[0, 0] == 1.0
 
 
 @pytest.mark.parametrize("field", ["biases", "dim"])

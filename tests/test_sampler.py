@@ -164,6 +164,17 @@ class TestBalancedSubsample:
         assert res.meta["rng"] == "splitmix64-counter-v1"
         assert res.meta["policy"] == "skip"
 
+    @pytest.mark.parametrize("labels", [[[1, 1]] * 5000, [[0, 0, 1]] * 200],
+                             ids=["rows", "attributes"])
+    def test_table_of_another_dataset_rejected(self, labels):
+        # a 5000-row table would hand a 200-row dataset row indices past its end
+        ds = _dataset_with_cells({(0, 0): 100, (1, 1): 100})
+        table = lb.build_contingency(tiny_dataset(labels))
+        shapes = (f"table of {len(labels)} rows over {len(labels[0])} attributes does not "
+                  "match a dataset of 200 rows over 2 attributes")
+        with pytest.raises(ValueError, match=shapes):
+            lb.balanced_subsample(ds, table, lb.SamplePlan(10, "skip", 1))
+
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             lb.SamplePlan(0, "skip", 1)
