@@ -62,7 +62,7 @@ def build_contingency(dataset: LatentDataset) -> ContingencyTable:
     m = dataset.m
     n_cells = 1 << m
     cells = cell_indices(dataset)
-    counts = np.bincount(cells, minlength=n_cells).astype(np.int64)
+    counts = np.bincount(cells, minlength=n_cells)
     # stable sort groups rows by cell while preserving row order within cells
     order = np.argsort(cells, kind="stable")
     return ContingencyTable(m=m, counts=counts, order=order)

@@ -23,8 +23,7 @@ DIRECTION_SCHEMA_VERSION = 1
 
 
 def _as_matrix(vectors) -> np.ndarray:
-    arr = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    return arr
+    return np.atleast_2d(np.asarray(vectors, dtype=np.float64))
 
 
 def centroid_direction(pos, neg, j: int) -> SemanticDirection:
@@ -105,7 +104,8 @@ def _project_out(v: np.ndarray, basis) -> np.ndarray:
 def orthonormal_basis(vectors: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt with re-orthogonalization; drops dependent rows."""
     basis: list[np.ndarray] = []
-    for v in _as_matrix(vectors):
+    vectors = _as_matrix(vectors)
+    for v in vectors:
         u = _project_out(v, basis)
         norm = float(np.linalg.norm(u))
         if norm > 1e-12 * max(1.0, float(np.linalg.norm(v))):

@@ -63,6 +63,8 @@ class LinearAttributeWorld:
         object.__setattr__(self, "names", AttributeSchema(self.names).names)
         for name in ("vectors", "gram", "rates"):  # copies, so a caller's arrays stay writable
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=np.float64))
+        if self.vectors.ndim != 2:
+            raise ValueError(f"vectors must be an m x d matrix, got shape {self.vectors.shape}")
         object.__setattr__(self, "dim", self.vectors.shape[1])
         if not (np.isfinite(self.sharpness) and self.sharpness > 0):
             raise ValueError(f"sharpness must be a finite positive number, got {self.sharpness}")

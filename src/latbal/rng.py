@@ -4,8 +4,10 @@ Every random choice in this library flows through SplitMix64, a counter-based
 64-bit generator (Steele, Lea & Flood 2014) defined by pure integer
 arithmetic modulo 2^64.  It was chosen over platform RNGs because the whole
 stream is pinned down by ~10 lines of arithmetic: the same seed produces the
-same draws on any machine, any Python version, and is easy to re-implement
-in another language when results need to be cross-checked.
+same integer draws on any machine, any Python version, and is easy to
+re-implement in another language when results need to be cross-checked.
+The float variates keep their bits only as far as numpy's SIMD ``log`` (in
+the normals' tail branch) does; its last bit differs between CPU targets.
 
 Output at counter n (zero-based) for a given seed:
 
@@ -13,8 +15,9 @@ Output at counter n (zero-based) for a given seed:
     out_n   = finalize(state_n)
 
 where GOLDEN = 0x9E3779B97F4A7C15 and ``finalize`` is the standard SplitMix64
-mixing function.  Because the state is an affine function of the counter, the
-vectorized block generator equals a scalar loop (tests/test_rng.py holds it).
+mixing function.  The state is affine in the counter: at start + i it is
+(seed + start * GOLDEN) + (i + 1) * GOLDEN, which one function computes for
+both :func:`u64_block` and :func:`normals`, so they equal a scalar loop.
 
 Substreams are derived with :func:`derive_seed`, which folds integer path
 components into the seed through the same finalizer.  Uniform doubles, drawn
@@ -27,7 +30,10 @@ arrays for every block, evaluates Acklam's central branch over the whole
 block and then recomputes only the tail elements (about 4.85% of them).
 Every floating-point operation runs in the order of the straightforward form
 (one temporary per operation, masks per branch), so the bits are the same as
-that form's; ``tests/test_rng.py`` pins them.
+that form's.  Only the forms the library draws with live here; the reference
+forms, the scalar ``SplitMix64`` stream and that straightforward
+``acklam_ppf(uniforms(seed, n))``, live in ``tests/rng_reference.py``, and
+``tests/test_rng.py`` holds the equalities and pins the bits.
 """
 
 from __future__ import annotations
@@ -65,8 +71,19 @@ def derive_seed(seed: int, *path: int) -> int:
     return s
 
 
-def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """SplitMix64's finalizer applied to z in place; t is scratch of z's size."""
+def _steps(n: int) -> np.ndarray:
+    """(i + 1) * GOLDEN mod 2^64 for i < n, the state's offset from a block's base."""
+    steps = np.arange(1, n + 1, dtype=np.uint64)
+    steps *= np.uint64(GOLDEN)  # in place: a temporary product raised synth's peak RSS
+    return steps
+
+
+def _outputs(seed: int, start: int, steps: np.ndarray, z: np.ndarray,
+             t: np.ndarray) -> np.ndarray:
+    """SplitMix64 outputs at counters start .. start+len(z)-1, into z (which may
+    be steps): the finalizer, in place, of each state (seed + start * GOLDEN) +
+    steps[i], where steps is _steps(n)[:len(z)].  t is scratch of z's size."""
+    np.add(steps, np.uint64((seed + start * GOLDEN) & MASK64), out=z)
     for shift, mix in ((30, _MIX1), (27, _MIX2)):
         z ^= np.right_shift(z, np.uint64(shift), out=t)
         z *= np.uint64(mix)
@@ -76,12 +93,8 @@ def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def u64_block(seed: int, n: int, start: int = 0) -> np.ndarray:
     """Vectorized SplitMix64 outputs at counters start .. start+n-1."""
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    z *= np.uint64(GOLDEN)
-    z += np.uint64(seed & MASK64)
-    return _mix(z, np.empty_like(z))
+    z = _steps(n)
+    return _outputs(seed, start, z, z, np.empty_like(z))
 
 
 def below_block(seed: int, bounds, start: int = 0) -> tuple[np.ndarray, int]:
@@ -89,7 +102,7 @@ def below_block(seed: int, bounds, start: int = 0) -> tuple[np.ndarray, int]:
 
     Returns the values (uint64) and the counter after the last draw, exactly
     as successive scalar ``SplitMix64(seed).below(b)`` calls (the reference in
-    tests/test_rng.py) would leave them.  Outputs are drawn one block at a
+    tests/rng_reference.py) would leave them.  Outputs are drawn one block at a
     time; an output at or above the largest multiple of its bound below 2^64
     is rejected, and the draw resumes from the next counter with the same
     bound.  Each rejection redraws the rest of the block; at bounds far below
@@ -125,11 +138,6 @@ def _unit(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.minimum(out, 1.0 - 2.0**-53, out=out)
 
 
-def uniforms(seed: int, n: int, start: int = 0) -> np.ndarray:
-    """n doubles (k + 0.5) * 2^-53 in (0, 1), k the top 53 bits of each output."""
-    return _unit(u64_block(seed, n, start), np.empty(n, dtype=np.float64))
-
-
 def normals(seed: int, n: int) -> np.ndarray:
     """n standard normal variates via inverse-CDF of the uniform stream."""
     out = np.empty(n, dtype=np.float64)
@@ -140,14 +148,10 @@ def normals(seed: int, n: int) -> np.ndarray:
     size = min(n, _NORMALS_BLOCK)
     z, t = np.empty(size, np.uint64), np.empty(size, np.uint64)
     den = np.empty(size, np.float64)
-    # the state at counter a + i + 1 is (seed + a*GOLDEN) + (i + 1)*GOLDEN
-    steps = np.arange(1, size + 1, dtype=np.uint64)
-    steps *= np.uint64(GOLDEN)
+    steps = _steps(size)
     for a in range(0, n, _NORMALS_BLOCK):
         k = min(_NORMALS_BLOCK, n - a)
-        base = np.uint64((seed + a * GOLDEN) & MASK64)
-        bits = _mix(np.add(steps[:k], base, out=z[:k]), t[:k])
-        x = _unit(bits, out[a:a + k])
+        x = _unit(_outputs(seed, a, steps[:k], z[:k], t[:k]), out[a:a + k])
         _acklam_inplace(x, t[:k].view(np.float64), z[:k].view(np.float64), den[:k])
     return out
 
@@ -203,13 +207,6 @@ def _acklam_inplace(x: np.ndarray, r: np.ndarray, num: np.ndarray,
     return x
 
 
-def _acklam_ppf(p: np.ndarray) -> np.ndarray:
-    x = np.array(p, dtype=np.float64)
-    flat = x.reshape(-1)                         # a view: x gets the results
-    _acklam_inplace(flat, np.empty_like(flat), np.empty_like(flat), np.empty_like(flat))
-    return x
-
-
 def norm_ppf(p: float) -> float:
     """High-accuracy inverse standard normal CDF (scalar).
 
@@ -222,7 +219,7 @@ def norm_ppf(p: float) -> float:
         raise ValueError(f"norm_ppf requires p in (0, 1), got {p}")
     if p > 0.5:
         return -norm_ppf(1.0 - p)
-    x = float(_acklam_ppf(np.array([p]))[0])
+    x = float(_acklam_inplace(np.array([p]), *np.empty((3, 1)))[0])
     for _ in range(2):
         e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
         u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)

@@ -5,9 +5,8 @@ n0 slots gives each of the 2^m cells a quota of floor(n0/2^m) or
 ceil(n0/2^m) slots: the n0 mod 2^m cells that get the extra slot are a
 seeded uniform choice of distinct cells, so every cell's expected count is
 n0/2^m.  The slots are in shuffled order, so draws stay interleaved across
-cells.  Each slot draws one member of its
-cell uniformly without replacement.  When a slot's cell has no members
-left:
+cells.  Each slot draws one member of its cell uniformly without
+replacement.  When a slot's cell has no members left:
 
   skip        the slot is forfeited (counted in skipped_iterations), so the
               result can hold fewer than n0 indices; skipped_iterations is
@@ -19,6 +18,9 @@ left:
               empty in the source has nothing to resample, so those slots
               are skipped under either policy.
 
+So a cell with quota q and s members draws, in closed form, min(q, s) rows
+under skip, and under oversample q rows if s > 0 and none if s = 0.
+
 Randomness: one SplitMix64 stream (_STREAM_CELLS) drives the schedule: it
 picks the extra-slot cells, then its next n0 outputs are random sort keys
 that shuffle the slots.  One stream per cell drives member draws: a cell
@@ -28,7 +30,7 @@ q - s more with replacement from the shuffled list, filling its slots in
 schedule order.  All derive from the plan seed (see rng.derive_seed).  Each
 stream's draws come from one vectorized block (rng.below_block), with
 rejection sampling handled exactly, so the values equal successive calls
-of the scalar reference SplitMix64.below in tests/test_rng.py.  The partial
+of the scalar reference SplitMix64.below in tests/rng_reference.py.  The partial
 Fisher-Yates shuffle is resolved as whole arrays too (see _distinct_below):
 there is no per-draw loop, and its output equals the scalar shuffle in
 tests/test_sampler.py draw for draw.
@@ -139,27 +141,26 @@ def balanced_subsample(dataset: LatentDataset, table: ContingencyTable,
         order = np.argsort(keys, kind="stable")
     schedule = slots[order]
 
-    # each cell's slots in schedule order; its k-th draw fills its k-th slot
+    # each cell's slots in schedule order; its k-th draw fills its k-th slot,
+    # and it draws the closed-form count of the module docstring
     quotas = np.bincount(schedule, minlength=n_cells)
+    per_cell = (np.where(table.counts > 0, quotas, 0) if plan.policy == "oversample"
+                else np.minimum(quotas, table.counts))
     by_cell = np.argsort(schedule, kind="stable")
     first = np.cumsum(quotas) - quotas
     start = np.cumsum(table.counts) - table.counts
     picks = np.full(plan.n0, -1, dtype=np.int64)
-    per_cell = np.zeros(n_cells, dtype=np.int64)
-    for c in np.flatnonzero(quotas).tolist():
-        size, quota = int(table.counts[c]), int(quotas[c])
-        if size == 0:
-            continue
+    for c in np.flatnonzero(per_cell).tolist():
+        size, count = int(table.counts[c]), int(per_cell[c])
         members = table.order[start[c]:start[c] + size]
         seed = derive_seed(plan.seed, _STREAM_MEMBERS, c)
-        drawn, counter = _distinct_below(seed, size, min(quota, size))
+        drawn, counter = _distinct_below(seed, size, min(count, size))
         drawn = members[drawn]
-        if plan.policy == "oversample" and quota > size:
+        if count > size:
             # the cell ran dry, so `drawn` is its whole shuffled member list
-            again, _ = below_block(seed, np.full(quota - size, size), counter)
+            again, _ = below_block(seed, np.full(count - size, size), counter)
             drawn = np.concatenate([drawn, drawn[again]])
-        picks[by_cell[first[c]:first[c] + drawn.size]] = drawn
-        per_cell[c] = drawn.size
+        picks[by_cell[first[c]:first[c] + count]] = drawn
     indices = picks[picks >= 0]
 
     return SubsampleResult(
@@ -179,10 +180,9 @@ def uniform_subsample(dataset: LatentDataset, n0: int, seed: int) -> SubsampleRe
     out, _ = _distinct_below(derive_seed(seed, _STREAM_UNIFORM), n, n0)
 
     cells = cell_indices(dataset, out)  # the drawn rows only
-    per_cell = np.bincount(cells, minlength=1 << dataset.m).astype(np.int64)
     return SubsampleResult(
         indices=out,
-        per_cell_counts=per_cell,
+        per_cell_counts=np.bincount(cells, minlength=1 << dataset.m),
         skipped_iterations=0,
         meta={"kind": "uniform", "n0": n0, "seed": seed, "rng": ALGORITHM},
     )

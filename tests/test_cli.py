@@ -455,6 +455,24 @@ def test_byte_identical_reruns(tmp_path):
     assert Path(a + ".world.json").read_text() == Path(b + ".world.json").read_text()
 
 
+def test_commands_without_a_seed_use_seed_zero(tmp_path):
+    # outside --strict a missing --seed means seed 0, for every seeded command
+    def outputs(tag, *seed):
+        d = tmp_path / tag
+        base, world = str(d / "data"), str(d / "data.world.json")
+        assert run("synth", "--out", base, "--n", "2000", *seed) == 0
+        assert run("sample", "--data", base, "--n0", "200", "--out", str(d / "sub"), *seed) == 0
+        assert run("fit", "--data", base, "--out-dir", str(d / "dirs")) == 0
+        assert run("eval", "--world", world, "--directions", str(d / "dirs" / "attr0.json"),
+                   "--n", "100", "--out", str(d / "scores"), *seed) == 0
+        assert run("sweep", "--data", base, "--world", world, "--sizes", "100", "--runs", "1",
+                   "--n-eval", "100", "--out", str(d / "sweep.csv"), *seed) == 0
+        return {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
+
+    default = outputs("default")
+    assert len(default) == 12 and default == outputs("zero", "--seed", "0")
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 import latbal as lb
 from latbal.contingency import bits_string, cell_dtype, cell_indices, write_contingency_csv
-from latbal.rng import uniforms
 from conftest import tiny_dataset
+from rng_reference import uniforms
 
 
 def test_counts_for_known_labels():
@@ -22,6 +23,19 @@ def test_empty_dataset_all_zero():
     ds = tiny_dataset(np.zeros((0, 3), np.uint8))
     table = lb.build_contingency(ds)
     assert table.counts.tolist() == [0] * 8
+
+
+def test_counts_are_bincounts_int64_array_without_a_copy():
+    # at m=20 the 2^20 counts take 8 MiB; a re-cast copy of them doubles the peak
+    ds = tiny_dataset((uniforms(20, 1000 * 20).reshape(1000, 20) > 0.5).astype(np.uint8))
+    tracemalloc.start()
+    try:
+        table = lb.build_contingency(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.counts.dtype == np.int64 and table.counts.sum() == 1000
+    assert peak <= 9 * 2**20
 
 
 def test_members_partition_rows():

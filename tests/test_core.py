@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import latbal as lb
 from latbal.contingency import bits_string, cell_indices
-from latbal.rng import uniforms
 from conftest import tiny_dataset
+from rng_reference import uniforms
 
 
 class TestAttributeSchema:

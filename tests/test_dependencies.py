@@ -83,3 +83,35 @@ def test_every_source_and_test_file_ends_in_one_newline():
             if not data.endswith(b"\n") or data.endswith(b"\n\n"):
                 found.append(str(path.relative_to(root)))
     assert found == []
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # the package holds what the pipeline and the benchmark use; a function
+    # only tests call belongs in tests/, as tests/rng_reference.py holds rng's
+    # reference forms.  A use is an AST name or attribute outside the
+    # function's own body, or an import into a module other than __init__
+    # (which re-exports the API): evaluation imports two functions only so
+    # that perfbench/tracing.py can wrap them there by name.  Text, such as
+    # an __all__ entry or that wrapper's name string, is not a use
+    root = Path(__file__).resolve().parent.parent
+    package = Path(latbal.__file__).parent
+    public, used = {}, set()
+    for path in sorted(package.glob("*.py")) + sorted((root / "perfbench").glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            own = None
+            if path.parent == package and isinstance(top, ast.FunctionDef):
+                own = top.name
+                if not own.startswith("_"):
+                    public[own] = path.name
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                used.update(name for name in names if name != own)
+    assert "normals" in public
+    assert {name: where for name, where in public.items() if name not in used} == {}

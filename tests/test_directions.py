@@ -59,6 +59,10 @@ class TestCentroidDirection:
         with pytest.raises(ValueError, match="non-empty"):
             lb.centroid_direction(np.empty((0, 2)), [[1.0, 2.0]], 0)
 
+    def test_classes_of_different_widths_rejected(self):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: pos d=3, neg d=2$"):
+            lb.centroid_direction([[1.0, 2.0, 3.0]], [[1.0, 2.0]], 0)
+
     def test_translation_equivariance(self):
         pos = normals(1, 40).reshape(10, 4)
         neg = normals(2, 40).reshape(10, 4)
@@ -221,6 +225,11 @@ def test_orthonormal_basis_drops_dependent_rows():
     basis = orthonormal_basis(rows)
     assert basis.shape == (2, 3)
     assert np.allclose(basis @ basis.T, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [[[0.0, 0.0]], np.zeros((3, 2))], ids=["list", "array"])
+def test_orthonormal_basis_of_only_zero_rows_is_empty_with_their_width(rows):
+    assert orthonormal_basis(rows).shape == (0, 2)
 
 
 def test_direction_json_roundtrip_is_bit_exact(tmp_path):

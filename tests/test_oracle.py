@@ -265,6 +265,13 @@ def test_world_leaves_the_callers_arrays_writable():
     assert world.gram[0, 0] == 1.0
 
 
+def test_world_vectors_must_be_a_matrix(world42):
+    fields = {f: getattr(world42, f) for f in ("gram", "rates", "sharpness", "seed", "names")}
+    for vectors in (world42.vectors[0], world42.vectors[None]):
+        with pytest.raises(ValueError, match=r"^vectors must be an m x d matrix, got shape"):
+            lb.LinearAttributeWorld(vectors=vectors, **fields)
+
+
 @pytest.mark.parametrize("field", ["biases", "dim"])
 def test_world_derives_biases_and_dim(world42, field):
     fields = {f: getattr(world42, f)

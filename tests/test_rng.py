@@ -6,48 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latbal.evaluation
+import latbal.oracle
+import latbal.sampler
 from latbal import rng
-
-
-_MASK64 = (1 << 64) - 1
-
-
-def _finalize(z: int) -> int:
-    """The published SplitMix64 output function, one 64-bit integer at a time."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-class SplitMix64:
-    """Scalar reference stream for one seed: output n is finalize(state_n),
-    state_n = (seed + (n + 1) * GOLDEN) mod 2^64, one counter step at a time.
-
-    It shares no code with latbal.rng, whose block generators must reproduce
-    it exactly; the sampler tests use it too.
-    """
-
-    GOLDEN = 0x9E3779B97F4A7C15
-
-    def __init__(self, seed: int):
-        self.seed = seed & _MASK64
-        self.counter = 0
-
-    def next_u64(self) -> int:
-        out = _finalize(self.seed + (self.counter + 1) * self.GOLDEN)
-        self.counter += 1
-        return out
-
-    def below(self, n: int) -> int:
-        """Unbiased integer in [0, n) by rejection sampling."""
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
-        limit = ((1 << 64) // n) * n
-        while True:
-            x = self.next_u64()
-            if x < limit:
-                return x % n
+from rng_reference import SplitMix64, acklam_ppf, uniforms
 
 
 def test_splitmix64_reference_stream():
@@ -67,10 +30,15 @@ def test_scalar_and_vectorized_streams_agree(seed, n, start):
     assert scalar == [int(x) for x in block]
 
 
+def test_empty_block_is_an_empty_uint64_array():
+    for block in (rng.u64_block(5, 0), rng.u64_block(5, 0, start=2**70)):
+        assert block.dtype == np.uint64 and block.shape == (0,)
+
+
 @given(seed=st.integers(0, 2**64 - 1))
 @settings(max_examples=50, deadline=None)
 def test_uniforms_open_interval(seed):
-    u = rng.uniforms(seed, 100)
+    u = uniforms(seed, 100)
     assert np.all(u > 0.0) and np.all(u < 1.0)
 
 
@@ -94,6 +62,15 @@ def test_derive_seed_is_path_sensitive():
     seen = {rng.derive_seed(s), rng.derive_seed(s, 1), rng.derive_seed(s, 2),
             rng.derive_seed(s, 1, 2), rng.derive_seed(s, 2, 1)}
     assert len(seen) == 5
+
+
+def test_stream_tags_are_distinct_across_modules():
+    # one seed reaches synth, sample and eval in the README walkthrough, so two
+    # modules deriving a stream with the same tag would correlate their draws
+    tags = {f"{module.__name__}.{name}": value
+            for module in (latbal.sampler, latbal.oracle, latbal.evaluation)
+            for name, value in vars(module).items() if name.startswith("_STREAM_")}
+    assert len(tags) == 7 and len(set(tags.values())) == len(tags), tags
 
 
 def _cdf(x: float) -> float:
@@ -133,7 +110,7 @@ def test_norm_ppf_rejects_boundaries():
 
 def test_acklam_accuracy_against_refined():
     p = np.linspace(1e-6, 1 - 1e-6, 2001)
-    raw = rng._acklam_ppf(p)
+    raw = acklam_ppf(p)
     exact = np.array([_ppf_bisect(v) for v in p[::100]])
     assert np.abs(raw[::100] - exact).max() < 5e-8
 
@@ -153,7 +130,7 @@ def test_normals_deterministic():
 @pytest.mark.parametrize("n", [3 * 2**16 + 5, 0, 2**16],
                          ids=["three-blocks-and-a-bit", "empty", "one-block"])
 def test_blockwise_normals_equal_one_shot_transform(n):
-    reference = rng._acklam_ppf(rng.uniforms(2024, n))
+    reference = acklam_ppf(uniforms(2024, n))
     assert np.array_equal(rng.normals(2024, n), reference)
 
 
@@ -181,7 +158,7 @@ _BLOCK_PINS = [
                               "seedmax-start2^40"])
 def test_block_streams_keep_their_bits(args, u64_digest, uniform_digest):
     assert _sha256(rng.u64_block(*args).astype("<u8")) == u64_digest
-    assert _sha256(rng.uniforms(*args).astype("<f8")) == uniform_digest
+    assert _sha256(uniforms(*args).astype("<f8")) == uniform_digest
 
 
 @pytest.mark.parametrize("seed,n,digest", [
@@ -198,7 +175,7 @@ def test_acklam_raises_no_floating_point_warning_at_the_extremes():
     # clear of zero there; 1 - 2^-53 is the largest double below 1
     p = np.array([2.0**-54, 0.02425, 0.5, 1.0 - 2.0**-53])
     with np.errstate(all="raise"):
-        x = rng._acklam_ppf(p)
+        x = acklam_ppf(p)
     assert np.all(np.isfinite(x)) and x[2] == 0.0
     assert np.array_equal(x[[0, 3]] < 0, [True, False])
 
@@ -208,7 +185,7 @@ def test_top_output_maps_below_one_and_to_a_finite_normal():
     u = rng._unit(np.array([2**64 - 1], dtype=np.uint64), np.empty(1))
     assert u[0] == 1.0 - 2.0**-53
     with np.errstate(all="raise"):
-        assert np.isfinite(rng._acklam_ppf(u)).all()
+        assert np.isfinite(acklam_ppf(u)).all()
 
 
 def _scalar_below(seed, bounds, start):

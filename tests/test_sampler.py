@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 import latbal as lb
 import latbal.sampler
 from latbal.contingency import cell_indices
-from latbal.rng import derive_seed, u64_block, uniforms
+from latbal.rng import derive_seed, u64_block
 from latbal.sampler import (_STREAM_CELLS, _STREAM_MEMBERS, _STREAM_UNIFORM,
                             _distinct_below, read_subsample_indices, write_subsample)
 from conftest import tiny_dataset
-from test_rng import SplitMix64
+from rng_reference import SplitMix64, uniforms
 
 
 def _dataset_with_cells(per_cell: dict[tuple[int, int], int]):
