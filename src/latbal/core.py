@@ -92,7 +92,7 @@ class LatentDataset:
 
     def select(self, indices) -> "LatentDataset":
         """New dataset holding the given rows, in the given order (repeats allowed)."""
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = row_indices(indices)
         return LatentDataset(codes=self.codes[idx], labels=self.labels[idx], schema=self.schema)
 
 
@@ -122,6 +122,15 @@ class SemanticDirection:
     @property
     def dim(self) -> int:
         return self.vector.shape[0]
+
+
+def row_indices(indices) -> np.ndarray:
+    """indices as int64 row indices; a non-integer dtype, bool and float
+    included, is refused, not cast, unless empty (numpy reads [] as float64)."""
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"row indices must be integers, got dtype {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
 
 
 def nonfinite_rows(codes: np.ndarray) -> np.ndarray:

@@ -32,13 +32,15 @@ NaN and the point's first error.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .contingency import build_contingency
-from .core import LatentDataset, SemanticDirection
+from .core import LatentDataset, SemanticDirection, row_indices
 from .dataio import atomic_write_text, csv_text, write_json
 from .directions import _centroid_from_sums, svm_direction
 # Nothing here calls these two; they stay bound in this module because
@@ -93,6 +95,7 @@ class SweepReport:
 
 def rescore(scorer: Scorer, directions: Sequence[SemanticDirection],
             latents: np.ndarray, alpha: float) -> RescoreMatrix:
+    _check_alpha(alpha)
     latents = np.asarray(latents, dtype=np.float64)
     if latents.ndim != 2 or latents.shape[0] == 0:
         raise ValueError("latents must be a non-empty (n, d) array")
@@ -112,6 +115,11 @@ def rescore(scorer: Scorer, directions: Sequence[SemanticDirection],
         values[row] = (edited - base).mean(axis=0)
     return RescoreMatrix(values=values, alpha=alpha, n=latents.shape[0],
                          direction_attributes=tuple(u.attribute for u in directions))
+
+
+def _check_alpha(alpha) -> None:
+    if not isinstance(alpha, numbers.Real) or not math.isfinite(alpha):
+        raise ValueError(f"alpha must be a finite number, got {alpha!r}")
 
 
 def _row(matrix: RescoreMatrix, row: int) -> tuple[np.ndarray, int]:
@@ -148,9 +156,9 @@ def fit_directions(dataset: LatentDataset, method: str, c: float = 1.0,
     Both methods split attribute j's rows as split_by_attribute does
     (label 1 against the rest) but build no dataset per class.  The centroid
     fit reads the rows once, taking all 2m class sums as one einsum over
-    the 0/1 class masks [pos, ~pos]: every product is exact and each class's
-    rows are added in row order, the order mean(axis=0) adds a gathered
-    class in when dim >= 2, so the directions are bit-identical to
+    0/1 class masks, label 1 then the rest: every product is exact and each
+    class's rows are added in row order, the order mean(axis=0) adds a
+    gathered class in when dim >= 2, so the directions are bit-identical to
     centroid_direction on the split classes.  (At dim 1 mean sums pairwise
     and raw_norm may differ in the last bits; a BLAS product, masks.T @
     codes, sums in another order at every dim.)
@@ -161,7 +169,10 @@ def fit_directions(dataset: LatentDataset, method: str, c: float = 1.0,
     (exactly; the other sums' rows add 0 * sum, also exact while the sums
     are finite), then the chunk's rows in order: it carries on row by row
     from the previous chunk, in the order the einsum over every row at once
-    adds, and ends with the same bits.
+    adds, and ends with the same bits.  The masks are filled from each
+    chunk's labels, and the positives counted with count_nonzero, so beside
+    ``rows`` a centroid fit holds that one (_CHUNK + 2m) x dim buffer and
+    its masks, whatever the number of rows.
 
     An SVM fit gathers the rows once and sorts them once by content, so it
     ignores row order (equal codes repeat one row, with equal labels); fit j
@@ -171,47 +182,53 @@ def fit_directions(dataset: LatentDataset, method: str, c: float = 1.0,
     """
     codes, labels = dataset.codes, dataset.labels
     if rows is not None:
-        rows = np.asarray(rows, dtype=np.int64)
-        # IndexError for any row outside [-n, n), as select raises
-        labels = np.take(labels, rows, axis=0)
-    pos = labels == 1
+        rows = row_indices(rows)
     m = dataset.m
     if method == "centroid":
-        masks = np.hstack([pos, ~pos])
-        sums = _class_sums(codes, np.arange(dataset.n) if rows is None else rows, masks)
-        counts = masks.sum(axis=0)
-        return [_centroid_from_sums(sums[j], counts[j], sums[m + j], counts[m + j], j)
+        rows = np.arange(dataset.n) if rows is None else rows
+        sums, n_pos = _class_sums(codes, labels, rows)
+        n_neg = rows.size - n_pos
+        return [_centroid_from_sums(sums[j], n_pos[j], sums[m + j], n_neg[j], j)
                 for j in range(m)]
     if method == "svm":
-        x = codes if rows is None else codes[rows]
-        order = np.lexsort(x.T[::-1])
-        x, pos = x[order], pos[order]
+        if rows is not None:
+            # IndexError for any row outside [-n, n), as select raises
+            codes, labels = codes[rows], labels[rows]
+        order = np.lexsort(codes.T[::-1])
+        x, pos = codes[order], labels[order] == 1
         return [svm_direction(x, np.where(pos[:, j], 1.0, -1.0), j, c=c, tol=tol,
                               max_iter=max_iter)
                 for j in range(m)]
     raise ValueError(f"unknown fit method {method!r}")
 
 
-def _class_sums(codes: np.ndarray, rows: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """(k, dim) sums of codes[rows] over the k 0/1 columns of classes.
+def _class_sums(codes: np.ndarray, labels: np.ndarray,
+                rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(2m, dim) sums of codes[rows], label j = 1 rows then the rest for each
+    attribute j, and the (m,) counts of label-1 rows.
 
     Each class's rows are added in row order, chunk by chunk (see
-    fit_directions).  rows must lie in [-n, n).
+    fit_directions).  A row outside [-n, n) raises IndexError, as select does.
     """
-    k = classes.shape[1]
+    m = labels.shape[1]
+    k = 2 * m
     size = k + min(_CHUNK, rows.size)
     buf = np.zeros((size, codes.shape[1]))
     masks = np.zeros((size, k))
     masks[:k] = np.eye(k)
+    n_pos = np.zeros(m, dtype=np.int64)
     for start in range(0, rows.size, _CHUNK):
         chunk = rows[start:start + _CHUNK]
         stop = k + chunk.size
+        chunk_labels = np.take(labels, chunk, axis=0)  # raises on a row out of range
         # "wrap" maps -n..-1 as indexing does; the default "raise" would
         # buffer the gather instead of writing to out directly
         np.take(codes, chunk, axis=0, out=buf[k:stop], mode="wrap")
-        masks[k:stop] = classes[start:start + _CHUNK]
+        masks[k:stop, :m] = chunk_labels
+        np.subtract(1.0, chunk_labels, out=masks[k:stop, m:])
+        n_pos += np.count_nonzero(chunk_labels, axis=0)
         buf[:k] = np.einsum("ik,ij->kj", masks[:stop], buf[:stop])
-    return buf[:k]
+    return buf[:k], n_pos
 
 
 def _eval_latents(dim: int, n_eval: int, seed: int, run: int) -> np.ndarray:
@@ -232,6 +249,7 @@ def _sweep(dataset: LatentDataset, scorer: Scorer, points: list[tuple], runs: in
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    _check_alpha(alpha)
     table = build_contingency(dataset)
     names = dataset.schema.names
     js = range(len(names))

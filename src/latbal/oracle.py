@@ -31,6 +31,8 @@ the rates (biases within 1e-12), or the file is refused.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,8 +68,10 @@ class LinearAttributeWorld:
         if self.vectors.ndim != 2:
             raise ValueError(f"vectors must be an m x d matrix, got shape {self.vectors.shape}")
         object.__setattr__(self, "dim", self.vectors.shape[1])
-        if not (np.isfinite(self.sharpness) and self.sharpness > 0):
-            raise ValueError(f"sharpness must be a finite positive number, got {self.sharpness}")
+        s = self.sharpness
+        if isinstance(s, bool) or not isinstance(s, numbers.Real) or not (
+                math.isfinite(s) and s > 0):
+            raise ValueError(f"sharpness must be a finite positive number, got {s}")
         m = len(self.names)
         _check_spec(self.dim, m, self.gram, self.rates)
         if self.vectors.shape[0] != m or not np.all(

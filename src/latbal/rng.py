@@ -107,24 +107,33 @@ def below_block(seed: int, bounds, start: int = 0) -> tuple[np.ndarray, int]:
     is rejected, and the draw resumes from the next counter with the same
     bound.  Each rejection redraws the rest of the block; at bounds far below
     2^64 rejections are vanishingly rare (probability < b / 2^64 per draw).
+
+    Scratch: the outputs are reduced in place, so beside the returned array
+    the call holds one array of accepted maxima and a boolean mask of the
+    same length, plus a uint64 copy of bounds unless they are uint64 already.
     """
     b = np.asarray(bounds)
     if b.size and (b.dtype.kind not in "iu" or b.min() < 1):
         raise ValueError("below_block() needs integer bounds >= 1")
-    b = b.astype(np.uint64)
-    zero = np.uint64(0)
-    out = np.empty(b.size, dtype=np.uint64)
-    pos = 0
-    while pos < b.size:
-        bb = b[pos:]
-        x = u64_block(seed, bb.size, start)
-        r = (zero - bb) % bb                     # 2^64 mod b
-        bad = (r != zero) & (x >= zero - r)      # x >= (2^64 // b) * b
-        k = int(bad.argmax()) if bad.any() else bb.size
-        out[pos:pos + k] = x[:k] % bb[:k]
-        pos += k
-        start += k + (pos < b.size)              # step past the rejected output
-    return out, start
+    b = b.astype(np.uint64, copy=False)
+    x = _steps(b.size)
+    lim = np.empty_like(x)
+    _outputs(seed, start, x, x, lim)            # lim is the finalizer's scratch here
+    # the largest accepted output, 2^64 - (2^64 mod b) - 1 = ~(2^64 mod b)
+    np.subtract(np.uint64(0), b, out=lim)
+    lim %= b
+    np.invert(lim, out=lim)
+    pos = 0                                     # x[pos:] are counters start, start + 1, ...
+    while True:
+        bad = np.flatnonzero(x[pos:] > lim[pos:])
+        if not bad.size:
+            break
+        # x[pos + i] is rejected: it and the rest redraw from the next counter
+        i = int(bad[0])
+        pos, start = pos + i, start + i + 1
+        x[pos:] = u64_block(seed, b.size - pos, start)
+    x %= b
+    return x, start + b.size - pos
 
 
 def _unit(bits: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -38,6 +38,7 @@ tests/test_sampler.py draw for draw.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,10 +62,17 @@ class SamplePlan:
     seed: int
 
     def __post_init__(self):
+        _check_n0(self.n0)
         if self.n0 < 1:
             raise ValueError(f"n0 must be >= 1, got {self.n0}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
+
+
+def _check_n0(n0) -> None:
+    # a float or a bool n0 would reach the draw as a bound, or count as 1
+    if isinstance(n0, bool) or not isinstance(n0, numbers.Integral):
+        raise ValueError(f"n0 must be an integer, got {n0!r}")
 
 
 @dataclass
@@ -91,28 +99,44 @@ def _distinct_below(seed: int, n: int, k: int) -> tuple[np.ndarray, int]:
     earlier step u < s targeted s, in which case it is pre(u) for the latest
     such u; those chains run to strictly smaller steps, so pointer jumping
     resolves every one in O(log length) whole-array passes.
+
+    The steps are grouped by target with one in-place sort of the keys
+    r_t * k + t, whose entries read back as step key % k and target
+    key // k.  Scratch: the call holds at most four int64 arrays of length
+    k and a boolean mask at once, the returned array among them.
     """
-    draws, counter = below_block(seed, np.arange(n, n - k, -1))
+    key, counter = below_block(seed, np.arange(n, n - k, -1, dtype=np.uint64))
+    key = key.view(np.int64)                    # exact: d_t < n - t
     t = np.arange(k, dtype=np.int64)
-    r = draws.astype(np.int64) + t
-    # group the steps by target, in step order within a group; r < n and
-    # t < k <= n, so the keys are distinct and r * k + t < n^2 fits int64
-    key = r * k + t
-    order = np.argsort(key)
-    key = key[order]
-    r_sorted = r[order]
-    # root[s]: the latest step u < s with r_u = s (the largest key below
-    # s * k + s), or s itself; following it to a fixed point gives pre(s)
-    below = np.searchsorted(key, t * (k + 1)) - 1
-    root = np.where((below >= 0) & (r_sorted[below] == t), order[below], t)
-    nxt = root[root]
+    # the keys r_t * k + t: distinct, since t < k, and below n^2 as r_t < n,
+    # so they fit int64
+    key += t
+    key *= k
+    key += t
+    key.sort()
+    # root[s]: the latest step u < s with r_u = s, or s itself; following it
+    # to a fixed point gives pre(s).  If the largest key below s * k + s is
+    # such a u's, d = key - s * k is u, in [0, s); otherwise d is negative,
+    # or at least s when no key lies below (index -1 wraps to the largest).
+    # So, compared as unsigned integers, root = min(d, s).
+    below = np.searchsorted(key, np.multiply(t, k + 1))
+    below -= 1
+    root = np.take(key, below, mode="wrap")
+    root -= np.multiply(t, k, out=below)
+    np.minimum(root.view(np.uint64), t.view(np.uint64), out=root.view(np.uint64))
+    nxt = np.take(root, root, out=below, mode="wrap")  # "raise" would buffer the take
     while not np.array_equal(nxt, root):
-        root, nxt = nxt, nxt[nxt]
-    # a step whose target an earlier step already swapped takes pre() of
-    # the latest such step, its predecessor in the sorted group
-    same = np.flatnonzero(r_sorted[1:] == r_sorted[:-1])
-    out = r
-    out[order[same + 1]] = root[order[same]]
+        root, nxt = nxt, np.take(nxt, nxt, out=root, mode="wrap")
+    # out[t] = r_t, except that a step whose target an earlier step already
+    # swapped takes pre() of the latest such step, its predecessor in the
+    # sorted group; nxt, a copy of root, holds those pre() values until it
+    # becomes out
+    value = np.floor_divide(key, k, out=t)      # each entry's target
+    key %= k                                    # and its step
+    same = value[1:] == value[:-1]
+    np.copyto(value[1:], np.take(root, key[:-1], out=nxt[1:], mode="wrap"), where=same)
+    out = nxt
+    out[key] = value
     return out, counter
 
 
@@ -136,10 +160,11 @@ def balanced_subsample(dataset: LatentDataset, table: ContingencyTable,
     # sort gives the stable order unless two keys are equal (odds ~n0^2/2^65)
     keys = u64_block(cell_seed, plan.n0, start=counter)
     order = np.argsort(keys)
-    sorted_keys = keys[order]
-    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
-        order = np.argsort(keys, kind="stable")
+    keys.sort()                                 # finds equal keys without a gathered copy
+    if np.any(keys[1:] == keys[:-1]):
+        order = np.argsort(u64_block(cell_seed, plan.n0, start=counter), kind="stable")
     schedule = slots[order]
+    del keys, order, slots                      # only the schedule outlives the shuffle
 
     # each cell's slots in schedule order; its k-th draw fills its k-th slot,
     # and it draws the closed-form count of the module docstring
@@ -158,7 +183,7 @@ def balanced_subsample(dataset: LatentDataset, table: ContingencyTable,
         drawn = members[drawn]
         if count > size:
             # the cell ran dry, so `drawn` is its whole shuffled member list
-            again, _ = below_block(seed, np.full(count - size, size), counter)
+            again, _ = below_block(seed, np.full(count - size, size, np.uint64), counter)
             drawn = np.concatenate([drawn, drawn[again]])
         picks[by_cell[first[c]:first[c] + count]] = drawn
     indices = picks[picks >= 0]
@@ -175,6 +200,7 @@ def balanced_subsample(dataset: LatentDataset, table: ContingencyTable,
 def uniform_subsample(dataset: LatentDataset, n0: int, seed: int) -> SubsampleResult:
     """n0 distinct rows drawn uniformly without replacement."""
     n = dataset.n
+    _check_n0(n0)
     if n0 < 0 or n0 > n:
         raise ValueError(f"n0 must be in [0, {n}], got {n0}")
     out, _ = _distinct_below(derive_seed(seed, _STREAM_UNIFORM), n, n0)

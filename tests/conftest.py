@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,3 +34,16 @@ def stacked(pos, neg):
     """The fit set [pos; neg] and its labels: +1 for the pos rows, -1 for the neg rows."""
     pos, neg = np.atleast_2d(pos), np.atleast_2d(neg)
     return np.vstack([pos, neg]), np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
+
+
+def traced_peak(fn, *args, **kw):
+    """fn(*args, **kw) and the peak of the memory it allocated, in bytes above
+    what tracemalloc saw live when the call began."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = fn(*args, **kw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - start

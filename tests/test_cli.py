@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +13,8 @@ import pytest
 import latbal as lb
 from latbal.cli import build_parser, main
 from latbal.dataio import dataset_paths
+
+from conftest import traced_peak
 
 
 def run(*argv):
@@ -224,13 +225,8 @@ def test_edit_streams_in_bounded_memory(tmp_path, dataset100k):
     base = str(tmp_path / "big")
     lb.write_dataset(dataset100k, base)
     direction = _unit_direction(tmp_path / "u.json", dataset100k.dim)
-    tracemalloc.start()
-    try:
-        code = run("edit", "--data", base, "--direction", direction,
-                   "--alpha", "0.5", "--out", str(tmp_path / "edited"))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(run, "edit", "--data", base, "--direction", direction,
+                             "--alpha", "0.5", "--out", str(tmp_path / "edited"))
     assert code == 0
     assert peak < 0.1 * dataset100k.codes.nbytes
     edited = lb.read_dataset(str(tmp_path / "edited"))

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 import latbal as lb
 from latbal.contingency import bits_string, cell_dtype, cell_indices, write_contingency_csv
-from conftest import tiny_dataset
+from conftest import tiny_dataset, traced_peak
 from rng_reference import uniforms
 
 
@@ -28,12 +27,7 @@ def test_empty_dataset_all_zero():
 def test_counts_are_bincounts_int64_array_without_a_copy():
     # at m=20 the 2^20 counts take 8 MiB; a re-cast copy of them doubles the peak
     ds = tiny_dataset((uniforms(20, 1000 * 20).reshape(1000, 20) > 0.5).astype(np.uint8))
-    tracemalloc.start()
-    try:
-        table = lb.build_contingency(ds)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    table, peak = traced_peak(lb.build_contingency, ds)
     assert table.counts.dtype == np.int64 and table.counts.sum() == 1000
     assert peak <= 9 * 2**20
 

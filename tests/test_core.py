@@ -209,6 +209,17 @@ def test_select_preserves_order_and_repeats():
     assert np.array_equal(sub.labels, [[0, 1], [0, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("indices", [[0.5, 1.5], np.array([True, False, True]),
+                                     np.arange(0.0, 2.0)], ids=["floats", "bool", "whole-floats"])
+def test_select_refuses_non_integer_indices_naming_the_dtype(indices):
+    # [0.5, 1.5] used to select rows 0 and 1, and a mask rows 1, 0, 1
+    ds = tiny_dataset([[0, 0], [1, 0], [0, 1]])
+    dtype = np.asarray(indices).dtype
+    with pytest.raises(ValueError, match=f"^row indices must be integers, got dtype {dtype}$"):
+        ds.select(indices)
+    assert ds.select(np.array([2, 0], dtype=np.uint8)).labels.tolist() == [[0, 1], [0, 0]]
+
+
 def test_dataset_arrays_are_readonly(dataset20k):
     with pytest.raises(ValueError):
         dataset20k.codes[0, 0] = 1.0

@@ -3,7 +3,6 @@ import io
 import os
 import stat
 import struct
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +12,8 @@ import latbal as lb
 from latbal.dataio import (FLAG_CONFIDENCES, MAGIC, VERSION, LatdFormatError,
                            atomic_write_bytes, read_csv, write_dataset_blocks,
                            write_json)
+
+from conftest import traced_peak
 
 
 @pytest.fixture()
@@ -281,12 +282,7 @@ def test_write_dataset_holds_no_copy_of_the_arrays(tmp_path, dataset20k):
     # the header and the arrays stream to the file; assembling them into one
     # payload first would peak at about the arrays' size
     array_bytes = dataset20k.codes.nbytes
-    tracemalloc.start()
-    try:
-        lb.write_dataset(dataset20k, str(tmp_path / "big"))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lb.write_dataset, dataset20k, str(tmp_path / "big"))
     assert dataset20k.codes.shape == (20_000, 64)
     assert peak < 0.1 * array_bytes
     loaded = lb.read_dataset(str(tmp_path / "big"))
@@ -297,12 +293,7 @@ def test_read_maps_the_codes_read_only(tmp_path, dataset100k):
     # the codes are the file's pages, mapped read-only; a copy would peak at
     # their size, and its writeable flag could be set back
     lb.write_dataset(dataset100k, str(tmp_path / "big"))
-    tracemalloc.start()
-    try:
-        loaded = lb.read_dataset(str(tmp_path / "big"))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    loaded, peak = traced_peak(lb.read_dataset, str(tmp_path / "big"))
     assert peak < 0.1 * dataset100k.codes.nbytes
     assert not loaded.codes.flags.writeable
     with pytest.raises(ValueError):

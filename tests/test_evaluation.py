@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +9,7 @@ from latbal.evaluation import (_CHUNK, RescoreMatrix, rescore_to_csv, rescore_to
                                sweep_to_csv)
 from latbal.rng import derive_seed, normals
 
-from conftest import stacked
+from conftest import stacked, traced_peak
 
 
 def _row_matrix(row):
@@ -180,15 +178,33 @@ class TestSweeps:
         # 50k-row points stay far below the size of one fit set (and so
         # below the two a sweep holding its last fit set would reach)
         fit_bytes = 50_000 * (dataset100k.codes[0].nbytes + dataset100k.labels[0].nbytes)
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
-            lb.sweep_sample_size(dataset100k, world42.score, sizes=[50_000, 50_000],
-                                 policies=("uniform",), runs=1, n_eval=100, seed=3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - base < 0.25 * fit_bytes
+        _, peak = traced_peak(lb.sweep_sample_size, dataset100k, world42.score,
+                              sizes=[50_000, 50_000], policies=("uniform",), runs=1,
+                              n_eval=100, seed=3)
+        assert peak < 0.25 * fit_bytes
+
+    @pytest.mark.parametrize("policy", ["uniform", "skip", "oversample"])
+    def test_draws_hold_scratch_of_a_few_outputs(self, dataset100k, policy):
+        # a draw's sort keys, bounds and resolver arrays are each the size of
+        # its output; holding ten of them (uniform) or eight (skip) at once
+        # set a sweep's peak
+        if policy == "uniform":
+            drawn, peak = traced_peak(lb.uniform_subsample, dataset100k, 50_000, 7)
+        else:
+            table = lb.build_contingency(dataset100k)
+            drawn, peak = traced_peak(lb.balanced_subsample, dataset100k, table,
+                                      lb.SamplePlan(50_000, policy, 7))
+        assert drawn.indices.dtype == np.int64 and drawn.size >= 30_000
+        assert peak <= 5 * drawn.indices.nbytes
+
+    def test_centroid_fit_holds_one_chunk_whatever_the_rows(self, dataset100k):
+        # masks of every row, [pos, ~pos], took 2m bytes a row on top of the
+        # chunk buffer: 2.7 times that buffer at 1e5 rows
+        rows = np.arange(100_000)
+        chunk_bytes = (_CHUNK + 2 * dataset100k.m) * dataset100k.dim * 8
+        dirs, peak = traced_peak(lb.fit_directions, dataset100k, "centroid", rows=rows)
+        assert len(dirs) == dataset100k.m
+        assert peak <= 1.5 * chunk_bytes
 
     def test_sweep_looks_fit_directions_up_by_name(self, world42, dataset20k, monkeypatch):
         # the benchmark's Capture rebinds latbal.evaluation.fit_directions to
@@ -232,6 +248,19 @@ class TestSweeps:
             lb.sweep_sample_size(dataset20k, world42.score, sizes=[100], runs=0)
         with pytest.raises(ValueError, match="c_values must be non-empty"):
             lb.sweep_regularization(dataset20k, world42.score, c_values=[])
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), "0.2"])
+    def test_non_finite_alpha_rejected_up_front(self, world42, dataset20k, alpha):
+        # a NaN alpha used to give NaN effect rows with no error, read as measured
+        match = f"^alpha must be a finite number, got {alpha!r}$"
+        with pytest.raises(ValueError, match=match):
+            lb.sweep_sample_size(dataset20k, world42.score, sizes=[100], runs=1, alpha=alpha)
+        with pytest.raises(ValueError, match=match):
+            lb.sweep_regularization(dataset20k, world42.score, c_values=[1.0], runs=1,
+                                    alpha=alpha)
+        dirs = lb.fit_directions(dataset20k, "centroid")
+        with pytest.raises(ValueError, match=match):
+            lb.rescore(world42.score, dirs, np.zeros((5, 64)), alpha)
 
     def test_non_finite_svm_c_gives_error_rows(self, world42, dataset20k):
         report = lb.sweep_sample_size(dataset20k, world42.score, sizes=[100],
@@ -386,6 +415,14 @@ class TestFitDirections:
             lb.fit_directions(dataset20k, method, rows=[])
         with pytest.raises(ValueError, match=empty):
             lb.fit_directions(dataset20k.select([]), method)
+
+    @pytest.mark.parametrize("method", ["centroid", "svm"])
+    def test_rows_of_a_non_integer_dtype_rejected(self, dataset20k, method):
+        # a centroid fit on arange(0.9, 300.9) used to equal the fit on rows 0-299
+        for rows in (np.arange(0.9, 300.9), np.arange(300) % 2 == 0):
+            with pytest.raises(ValueError,
+                               match=f"^row indices must be integers, got dtype {rows.dtype}$"):
+                lb.fit_directions(dataset20k, method, rows=rows)
 
     def test_svm_rows_fit_equals_select(self, dataset20k):
         rows = np.arange(-150, 150)

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +7,8 @@ import pytest
 import latbal as lb
 from latbal.oracle import _LABEL_ROWS, _sigmoid, world_from_dict, world_to_dict
 from latbal.rng import normals
+
+from conftest import traced_peak
 
 
 def _cdf(x):
@@ -137,18 +138,10 @@ class TestSampleWorld:
         # blocks keep the labelling pass, and the contingency build after it,
         # within 4 MiB of what they return
         world = lb.make_world(dim=64, gram=np.eye(16), positive_rates=(0.3,) * 16, seed=1)
-        tracemalloc.start()
-        try:
-            ds = lb.sample_world(world, 200_000, seed=3)
-            _, sampled = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            before, _ = tracemalloc.get_traced_memory()
-            lb.build_contingency(ds)
-            _, built = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        ds, sampled = traced_peak(lb.sample_world, world, 200_000, seed=3)
+        _, built = traced_peak(lb.build_contingency, ds)
         assert sampled <= ds.codes.nbytes + ds.labels.nbytes + 4 * 2**20
-        assert built - before <= 4 * 2**20
+        assert built <= 4 * 2**20
 
 
 class TestOracleScore:
@@ -270,6 +263,16 @@ def test_world_vectors_must_be_a_matrix(world42):
     for vectors in (world42.vectors[0], world42.vectors[None]):
         with pytest.raises(ValueError, match=r"^vectors must be an m x d matrix, got shape"):
             lb.LinearAttributeWorld(vectors=vectors, **fields)
+
+
+@pytest.mark.parametrize("sharpness", ["x", True, float("inf"), 0.0])
+def test_world_sharpness_must_be_a_finite_positive_number(world42, sharpness):
+    # "x" used to raise numpy's TypeError from isfinite, and True passed as 1.0
+    fields = {f: getattr(world42, f) for f in ("vectors", "gram", "rates", "seed", "names")}
+    with pytest.raises(ValueError,
+                       match=f"^sharpness must be a finite positive number, got {sharpness}$"):
+        lb.LinearAttributeWorld(sharpness=sharpness, **fields)
+    assert lb.LinearAttributeWorld(sharpness=np.float64(2.0), **fields).sharpness == 2.0
 
 
 @pytest.mark.parametrize("field", ["biases", "dim"])

@@ -181,6 +181,17 @@ class TestBalancedSubsample:
         with pytest.raises(ValueError):
             lb.SamplePlan(10, "refill", 1)
 
+    @pytest.mark.parametrize("n0", [10.7, 10.0, True, "10"])
+    def test_non_integer_n0_rejected_naming_n0(self, n0):
+        # 10.7 used to fail inside below_block, and True passed as 1
+        ds = tiny_dataset([[0, 0]] * 20)
+        with pytest.raises(ValueError, match=f"^n0 must be an integer, got {n0!r}$"):
+            lb.SamplePlan(n0, "skip", 1)
+        with pytest.raises(ValueError, match=f"^n0 must be an integer, got {n0!r}$"):
+            lb.uniform_subsample(ds, n0, seed=1)
+        assert lb.uniform_subsample(ds, np.int64(3), seed=1).size == 3
+        assert lb.SamplePlan(np.int32(3), "skip", 1).n0 == 3
+
 
 class TestUniformSubsample:
     def test_full_draw_selects_every_row(self):
