@@ -370,6 +370,10 @@ def _cmd_report(args) -> int:
     if args.format == "csv":
         atomic_write_text(args.out, csv_text([header] + rows))
     else:
+        repeated = [name for k, name in enumerate(header) if name in header[:k]]
+        if repeated:  # a JSON object keeps one value per key
+            raise LatdFormatError(f"{args.inputs[0]}: header repeats {repeated[0]!r}; "
+                                  "JSON output needs distinct names")
         write_json(args.out, [dict(zip(header, r)) for r in rows])
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

@@ -7,22 +7,18 @@ Layout of ``<base>.latd``::
     4       4     version (u32, = 1)
     8       4     dim (u32)
     12      8     count (u64)
-    20      4     flags (u32; written as 0)
+    20      4     flags (u32, = 0)
     24      -     count * dim float64 codes, row-major
-    ...     -     count * m float64, only if flag bit 0 (skipped)
 
-All integers and floats are little-endian.  Files from older versions set
-flag bit 0 and carry a per-label block after the codes; the reader accepts
-them, counting the block in its size check but never reading it.  Labels
-are human-editable and live in ``<base>.labels.csv``: a header row of
+All integers and floats are little-endian, and the reader checks the whole
+file (header, flags and size) before it reads the labels.  Labels are
+human-editable and live in ``<base>.labels.csv``: a header row of
 attribute names (standard CSV, so names with commas or quotes round-trip)
-followed by one row per code.  The attribute count m comes from that
-header, which is why the reader parses the CSV before it checks the file
-size.  Each row is m unquoted ``0``/``1`` tokens separated by ``,``; rows
-end in LF (as written) or CRLF, and the final newline is optional.  The
-file is UTF-8.  Rows are written and checked as one fixed-width byte array;
-a malformed file is rejected with the path and line number of its first bad
-row.
+followed by one row per code.  Each row is m unquoted ``0``/``1`` tokens
+separated by ``,``; rows end in LF (as written) or CRLF, and the final
+newline is optional.  The file is UTF-8.  Rows are written and checked as
+one fixed-width byte array; a malformed file is rejected with the path and
+line number of its first bad row.
 
 All writes go through a temp file in the target directory, created 0666
 less the umask (the mode open() gives), fsynced, then atomically renamed
@@ -58,7 +54,6 @@ from .core import AttributeSchema, LatentDataset, nonfinite_rows, validate_datas
 MAGIC = b"LATD"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIQI")  # magic, version, dim, count, flags
-FLAG_CONFIDENCES = 1
 
 _ZERO, _COMMA, _LF, _CR = b"0,\n\r"
 
@@ -249,7 +244,8 @@ def _decoded_lines(lines, path: str):
 
 
 def _bad_row_error(path: str, body: bytes, first_lineno: int, m: int) -> LatdFormatError:
-    """The error naming the first line of body that breaks the row grammar."""
+    """The error naming the first line of body that breaks the row grammar: a body
+    that failed the fixed-width check has one, as every valid line is 2m bytes."""
     for lineno, line in enumerate(body.split(b"\n")[:-1], start=first_lineno):
         try:
             text = line.decode("utf-8")
@@ -261,7 +257,6 @@ def _bad_row_error(path: str, body: bytes, first_lineno: int, m: int) -> LatdFor
         for token in row:
             if token not in ("0", "1"):
                 return LatdFormatError(f"{path}:{lineno}: label token {token!r} is not 0 or 1")
-    return LatdFormatError(f"{path}: malformed label rows")
 
 
 def _read_labels_csv(path: str) -> tuple[AttributeSchema, np.ndarray]:
@@ -313,15 +308,9 @@ def read_dataset(path_base: str) -> LatentDataset:
         if version != VERSION:
             raise LatdFormatError(
                 f"{latd_path}: unsupported version {version}, expected {VERSION}")
-
-        schema, labels = _read_labels_csv(labels_path)
-        if labels.shape[0] != count:
-            raise LatdFormatError(
-                f"{labels_path}: {labels.shape[0]} label rows but binary declares {count} codes")
-
-        # an older file's confidence block follows the codes and is skipped
-        skipped = count * schema.m * 8 if flags & FLAG_CONFIDENCES else 0
-        expected = _HEADER.size + count * dim * 8 + skipped
+        if flags != 0:
+            raise LatdFormatError(f"{latd_path}: unsupported flags {flags}, expected 0")
+        expected = _HEADER.size + count * dim * 8
         size = os.fstat(f.fileno()).st_size
         if size != expected:
             raise LatdFormatError(f"{latd_path}: payload length mismatch "
@@ -331,6 +320,10 @@ def read_dataset(path_base: str) -> LatentDataset:
         codes = (np.memmap(f, dtype="<f8", mode="r", offset=_HEADER.size, shape=(count, dim))
                  if count * dim else np.empty((count, dim)))
 
+    schema, labels = _read_labels_csv(labels_path)
+    if labels.shape[0] != count:
+        raise LatdFormatError(
+            f"{labels_path}: {labels.shape[0]} label rows but binary declares {count} codes")
     try:
         dataset = LatentDataset(codes=codes, labels=labels, schema=schema)
         violations = validate_dataset(dataset)

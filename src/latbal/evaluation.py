@@ -20,11 +20,10 @@ method, policy, n0, C, seed key).  Each run draws its evaluation codes once
 from the standard Gaussian prior (never reused from fitting data) and shares
 them across grid points, so comparisons between methods are paired.  A point
 fits on the rows of the subsample seeded derive_seed(seed, _STREAM_FIT,
-*key, run), passed to fit_directions as indices, with no fit set built;
-consecutive points with the same policy, n0 and fit seed share one draw.
+*key, run), passed to fit_directions as indices, with no fit set built.
 The size sweep keys each point by its grid position (si, mi, pi); the C
 sweep keys every point, centroid reference included, by (), so within a run
-all of them fit on one subsample.  Every SVM fit of a sweep stops at a
+all of them draw the same subsample.  Every SVM fit of a sweep stops at a
 duality gap of _SWEEP_SVM_TOL or after _SWEEP_SVM_MAX_ITER Newton steps.
 Rows hold effect/entanglement means and standard deviations across runs, or
 NaN and the point's first error.
@@ -185,9 +184,9 @@ def fit_directions(dataset: LatentDataset, method: str, c: float = 1.0,
         rows = row_indices(rows)
     m = dataset.m
     if method == "centroid":
-        rows = np.arange(dataset.n) if rows is None else rows
+        rows = range(dataset.n) if rows is None else rows
         sums, n_pos = _class_sums(codes, labels, rows)
-        n_neg = rows.size - n_pos
+        n_neg = len(rows) - n_pos
         return [_centroid_from_sums(sums[j], n_pos[j], sums[m + j], n_neg[j], j)
                 for j in range(m)]
     if method == "svm":
@@ -202,8 +201,7 @@ def fit_directions(dataset: LatentDataset, method: str, c: float = 1.0,
     raise ValueError(f"unknown fit method {method!r}")
 
 
-def _class_sums(codes: np.ndarray, labels: np.ndarray,
-                rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _class_sums(codes: np.ndarray, labels: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
     """(2m, dim) sums of codes[rows], label j = 1 rows then the rest for each
     attribute j, and the (m,) counts of label-1 rows.
 
@@ -212,13 +210,15 @@ def _class_sums(codes: np.ndarray, labels: np.ndarray,
     """
     m = labels.shape[1]
     k = 2 * m
-    size = k + min(_CHUNK, rows.size)
+    size = k + min(_CHUNK, len(rows))
     buf = np.zeros((size, codes.shape[1]))
     masks = np.zeros((size, k))
     masks[:k] = np.eye(k)
     n_pos = np.zeros(m, dtype=np.int64)
-    for start in range(0, rows.size, _CHUNK):
+    for start in range(0, len(rows), _CHUNK):
         chunk = rows[start:start + _CHUNK]
+        if isinstance(chunk, range):  # every row: one chunk's indices at a time
+            chunk = np.arange(chunk.start, chunk.stop)
         stop = k + chunk.size
         chunk_labels = np.take(labels, chunk, axis=0)  # raises on a row out of range
         # "wrap" maps -n..-1 as indexing does; the default "raise" would
@@ -250,6 +250,8 @@ def _sweep(dataset: LatentDataset, scorer: Scorer, points: list[tuple], runs: in
     if runs < 1:
         raise ValueError("runs must be >= 1")
     _check_alpha(alpha)
+    if dataset.m < 2:  # every point would fail in overall_entanglement
+        raise ValueError(f"a sweep needs at least two attributes, got {dataset.m}")
     table = build_contingency(dataset)
     names = dataset.schema.names
     js = range(len(names))
@@ -257,14 +259,12 @@ def _sweep(dataset: LatentDataset, scorer: Scorer, points: list[tuple], runs: in
     errors: list[Optional[str]] = [None] * len(points)
     for run in range(runs):
         latents = _eval_latents(dataset.dim, n_eval, seed, run)
-        fit_key = rows = None
         for p, (_, method, policy, n0, c, key) in enumerate(points):
             if errors[p] is not None:
                 continue
             try:
-                sub_key = (policy, n0, derive_seed(seed, _STREAM_FIT, *key, run))
-                if sub_key != fit_key:
-                    fit_key, rows = sub_key, _subsample(dataset, table, *sub_key).indices
+                fit_seed = derive_seed(seed, _STREAM_FIT, *key, run)
+                rows = _subsample(dataset, table, policy, n0, fit_seed).indices
                 dirs = fit_directions(dataset, method, c=c, tol=_SWEEP_SVM_TOL,
                                       max_iter=_SWEEP_SVM_MAX_ITER, rows=rows)
                 matrix = rescore(scorer, dirs, latents, alpha)

@@ -186,6 +186,7 @@ def balanced_subsample(dataset: LatentDataset, table: ContingencyTable,
             again, _ = below_block(seed, np.full(count - size, size, np.uint64), counter)
             drawn = np.concatenate([drawn, drawn[again]])
         picks[by_cell[first[c]:first[c] + count]] = drawn
+    del by_cell                                 # freed before the result's copy
     indices = picks[picks >= 0]
 
     return SubsampleResult(

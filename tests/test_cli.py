@@ -284,6 +284,19 @@ def test_sweep_and_report(tmp_path, synth_base):
     assert {"parameter", "attribute", "effect"} <= set(rows[0])
 
 
+def test_one_attribute_sweep_is_data_error(tmp_path, capsys):
+    # it used to write only NaN rows and exit 0, the reason dropped with the rows
+    base, out = str(tmp_path / "one"), tmp_path / "sweep.csv"
+    assert run("synth", "--out", base, "--names", "a", "--n", "2000", "--seed", "1") == 0
+    capsys.readouterr()
+    for grid in (["--sizes", "100"], ["--c-grid", "1"]):
+        assert run("sweep", "--data", base, "--world", base + ".world.json", *grid,
+                   "--runs", "1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "latbal sweep: a sweep needs at least two attributes, got 1\n")
+    assert not out.exists()
+
+
 def test_c_grid_sweep(tmp_path, synth_base):
     out = str(tmp_path / "cgrid.csv")
     assert run("sweep", "--data", synth_base, "--world", synth_base + ".world.json",
@@ -306,7 +319,8 @@ def test_readme_first_step_creates_the_data_directory(tmp_path, monkeypatch):
 # to csv.writer, the others before the unused knobs and fields were deleted
 # from src/: plain names must keep every byte.  The two .latd digests changed
 # once more when files stopped carrying confidences: each new file is the old
-# one with flags 0 and its last count*m*8 bytes removed
+# one with flags 0 and its last count*m*8 bytes removed.  The reader refuses
+# the old files by their flags; rerunning their synth command rewrites them
 WALKTHROUGH_SHA256 = {
     "demo.latd": "10f65056fb07f82e46dba40ae51b723b7c77c7c3b2c1179c87a72ca63af467cc",
     "demo.labels.csv": "beb7f045a867d296b358ee88a2a102a6b88208a3f97a86f3fd75e807cced8273",
@@ -902,6 +916,20 @@ def test_report_inputs_with_other_headers_are_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == (f"latbal report: {b}: header ['attribute', 'value'] "
                                        "does not match ['attribute', 'effect']\n")
     assert not (tmp_path / "m.csv").exists()
+
+
+def test_report_json_refuses_a_repeated_header_name(tmp_path, capsys):
+    # a JSON object keeps one value per key, so the first "a" column was lost
+    a = tmp_path / "a.csv"
+    a.write_bytes(b"a,a\n1,2\n")
+    assert run("report", "--inputs", str(a), "--out", str(tmp_path / "m.json"),
+               "--format", "json") == 2
+    assert capsys.readouterr().err == (f"latbal report: {a}: header repeats 'a'; "
+                                       "JSON output needs distinct names\n")
+    assert not (tmp_path / "m.json").exists()
+    # CSV output keeps every column
+    assert run("report", "--inputs", str(a), str(a), "--out", str(tmp_path / "m.csv")) == 0
+    assert (tmp_path / "m.csv").read_bytes() == b"a,a\n1,2\n1,2\n"
 
 
 def test_report_reads_standard_csv_and_names_a_bad_file(tmp_path, capsys):

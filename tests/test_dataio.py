@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import latbal as lb
-from latbal.dataio import (FLAG_CONFIDENCES, MAGIC, VERSION, LatdFormatError,
-                           atomic_write_bytes, read_csv, write_dataset_blocks,
-                           write_json)
+from latbal.dataio import (MAGIC, VERSION, LatdFormatError, atomic_write_bytes, read_csv,
+                           write_dataset_blocks, write_json)
 
 from conftest import traced_peak
 
@@ -116,20 +115,27 @@ def test_short_binary_header_rejected(tmp_path):
         lb.read_dataset(base)
 
 
-def test_confidence_flag_roundtrip_layout(tmp_path, oracle_dataset):
-    # older versions set flag bit 0 and wrote count*m per-label confidences
-    # after the codes; such a file loads, and rewriting it drops the block
+def test_confidence_flag_layout_is_refused(tmp_path, oracle_dataset):
+    # latbal once set flag bit 0 and wrote count*m per-label confidences after
+    # the codes; such a file is refused by its flags before the labels are
+    # parsed, and rerunning the synth command that made it writes flags 0
     ds = oracle_dataset
     codes = ds.codes.astype("<f8").tobytes()
     block = np.linspace(0.0, 1.0, ds.n * ds.m).astype("<f8").tobytes()
-    labels_csv = Path(lb.write_dataset(ds, str(tmp_path / "new"))[1]).read_bytes()
-    old = struct.pack("<4sIIQI", MAGIC, VERSION, ds.dim, ds.n, FLAG_CONFIDENCES) + codes + block
-    loaded = lb.read_dataset(_write_raw(tmp_path, "old", old, labels_csv.decode()))
-    assert loaded.codes.tobytes() == ds.codes.tobytes()
-    assert np.array_equal(loaded.labels, ds.labels)
-    latd_path, labels_path = lb.write_dataset(loaded, str(tmp_path / "rewritten"))
-    assert Path(latd_path).read_bytes() == old[:20] + struct.pack("<I", 0) + old[24:-len(block)]
-    assert Path(labels_path).read_bytes() == labels_csv
+    old = struct.pack("<4sIIQI", MAGIC, VERSION, ds.dim, ds.n, 1) + codes + block
+    base = _write_raw(tmp_path, "old", old, "a,b\n0,2\n")
+    with pytest.raises(LatdFormatError) as exc:
+        lb.read_dataset(base)
+    assert str(exc.value) == f"{base}.latd: unsupported flags 1, expected 0"
+
+
+def test_latd_size_is_checked_before_the_labels(tmp_path):
+    header = struct.pack("<4sIIQI", MAGIC, VERSION, 2, 3, 0)
+    base = _write_raw(tmp_path, "short", header + bytes(8), "a,b\n0,2\n")
+    with pytest.raises(LatdFormatError) as exc:
+        lb.read_dataset(base)
+    assert str(exc.value) == (f"{base}.latd: payload length mismatch "
+                              "(expected 72 bytes, got 32)")
 
 
 def test_nan_codes_fail_validation_on_read(tmp_path):

@@ -119,6 +119,16 @@ class TestSvmDirection:
         u = lb.svm_direction(*stacked(pos, neg), 0)
         assert (pos.mean(axis=0) - neg.mean(axis=0)) @ u.vector > 0
 
+    def test_weights_toward_the_negative_class_are_flipped(self):
+        # with no Newton step the weights stay at their start, (8, 0), which
+        # points at the one negative row: the direction must turn round
+        pos, neg = [[1.0, 0.0]] * 10, [[2.0, 0.0]]
+        x, y = stacked(pos, neg)
+        assert np.array_equal(train_svm(x, y, max_iter=0).weights, [8.0, 0.0])
+        u = lb.svm_direction(x, y, 0, max_iter=0)
+        assert np.array_equal(u.vector, [-1.0, 0.0])
+        assert (np.mean(pos, axis=0) - np.mean(neg, axis=0)) @ u.vector == 1.0
+
     def test_small_c_approaches_centroid(self, world42):
         ds = lb.sample_world(world42, 5000, seed=11)
         pos, neg = lb.split_by_attribute(ds, 0)

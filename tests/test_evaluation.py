@@ -9,7 +9,7 @@ from latbal.evaluation import (_CHUNK, RescoreMatrix, rescore_to_csv, rescore_to
                                sweep_to_csv)
 from latbal.rng import derive_seed, normals
 
-from conftest import stacked, traced_peak
+from conftest import stacked, tiny_dataset, traced_peak
 
 
 def _row_matrix(row):
@@ -187,24 +187,27 @@ class TestSweeps:
     def test_draws_hold_scratch_of_a_few_outputs(self, dataset100k, policy):
         # a draw's sort keys, bounds and resolver arrays are each the size of
         # its output; holding ten of them (uniform) or eight (skip) at once
-        # set a sweep's peak
+        # set a sweep's peak.  A balanced draw's slot order (8 bytes a slot
+        # of n0) held through the result's copy took it to 25-27 bytes a slot
         if policy == "uniform":
             drawn, peak = traced_peak(lb.uniform_subsample, dataset100k, 50_000, 7)
+            assert peak <= 5 * drawn.indices.nbytes
         else:
             table = lb.build_contingency(dataset100k)
             drawn, peak = traced_peak(lb.balanced_subsample, dataset100k, table,
                                       lb.SamplePlan(50_000, policy, 7))
+            assert peak <= 22 * 50_000
         assert drawn.indices.dtype == np.int64 and drawn.size >= 30_000
-        assert peak <= 5 * drawn.indices.nbytes
 
     def test_centroid_fit_holds_one_chunk_whatever_the_rows(self, dataset100k):
         # masks of every row, [pos, ~pos], took 2m bytes a row on top of the
-        # chunk buffer: 2.7 times that buffer at 1e5 rows
-        rows = np.arange(100_000)
+        # chunk buffer: 2.7 times that buffer at 1e5 rows; and a fit on every
+        # row (rows=None) built all their indices, 2 times that buffer
         chunk_bytes = (_CHUNK + 2 * dataset100k.m) * dataset100k.dim * 8
-        dirs, peak = traced_peak(lb.fit_directions, dataset100k, "centroid", rows=rows)
-        assert len(dirs) == dataset100k.m
-        assert peak <= 1.5 * chunk_bytes
+        for rows in (np.arange(100_000), None):
+            dirs, peak = traced_peak(lb.fit_directions, dataset100k, "centroid", rows=rows)
+            assert len(dirs) == dataset100k.m
+            assert peak <= 1.5 * chunk_bytes, rows
 
     def test_sweep_looks_fit_directions_up_by_name(self, world42, dataset20k, monkeypatch):
         # the benchmark's Capture rebinds latbal.evaluation.fit_directions to
@@ -261,6 +264,15 @@ class TestSweeps:
         dirs = lb.fit_directions(dataset20k, "centroid")
         with pytest.raises(ValueError, match=match):
             lb.rescore(world42.score, dirs, np.zeros((5, 64)), alpha)
+
+    def test_one_attribute_sweep_rejected_up_front(self):
+        # every point would fail in overall_entanglement, leaving only NaN rows
+        dataset = tiny_dataset([[0], [1]] * 50)
+        match = "^a sweep needs at least two attributes, got 1$"
+        with pytest.raises(ValueError, match=match):
+            lb.sweep_sample_size(dataset, lambda z: z[:, :1], sizes=[10], runs=1)
+        with pytest.raises(ValueError, match=match):
+            lb.sweep_regularization(dataset, lambda z: z[:, :1], c_values=[1.0], n0=10)
 
     def test_non_finite_svm_c_gives_error_rows(self, world42, dataset20k):
         report = lb.sweep_sample_size(dataset20k, world42.score, sizes=[100],
