@@ -23,15 +23,13 @@ from .dataio import (LatdFormatError, atomic_write_text, csv_text, read_csv, rea
                      write_dataset, write_dataset_blocks, write_json)
 from .directions import (conditional_project, edit_latent, load_direction,
                          save_direction)
-from .evaluation import (_eval_latents, fit_directions, rescore, save_rescore,
-                         sweep_regularization, sweep_sample_size, sweep_to_csv)
+from .evaluation import (METHODS, SWEEP_POLICIES, _eval_latents, fit_directions, rescore,
+                         save_rescore, sweep_regularization, sweep_sample_size, sweep_to_csv)
 from .oracle import default_world, load_world, make_world, sample_world, save_world
 from .sampler import (POLICIES, SamplePlan, balanced_subsample, read_subsample_indices,
                       uniform_subsample, write_subsample)
 
-_METHODS = ("centroid", "svm")
 _EDIT_BLOCK_BYTES = 1 << 20
-_SWEEP_POLICIES = POLICIES + ("uniform",)
 
 
 class _UsageError(Exception):
@@ -143,7 +141,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit", help="fit one direction per attribute")
     p.add_argument("--data", required=True)
     p.add_argument("--subsample", default=None, help="subsample CSV restricting the fit rows")
-    p.add_argument("--method", choices=_METHODS, default="centroid")
+    p.add_argument("--method", choices=METHODS, default="centroid")
     p.add_argument("--c", type=_POSITIVE, default=1.0, help="SVM regularization")
     p.add_argument("--tol", type=_POSITIVE, default=1e-6,
                    help="SVM duality-gap tolerance that certifies convergence")
@@ -186,9 +184,9 @@ def build_parser() -> _Parser:
                                                 "comma-separated finite numbers > 0",
                                                 many=True),
                       help="comma-separated C grid")
-    p.add_argument("--methods", type=_subset(_METHODS), default=None,
+    p.add_argument("--methods", type=_subset(METHODS), default=None,
                    help="--sizes only; comma-separated: centroid,svm (default centroid)")
-    p.add_argument("--policies", type=_subset(_SWEEP_POLICIES), default=None,
+    p.add_argument("--policies", type=_subset(SWEEP_POLICIES), default=None,
                    help="--sizes only; comma-separated: skip,oversample,uniform "
                         "(default skip)")
     p.add_argument("--n0", type=_COUNT, default=None,

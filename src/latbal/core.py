@@ -10,6 +10,7 @@ concurrent readers are safe.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,8 +114,11 @@ class SemanticDirection:
             raise ValueError(f"unknown direction method {self.method!r}")
         if vec.ndim != 1 or vec.size == 0:
             raise ValueError(f"direction vector must be 1-d and non-empty, got shape {vec.shape}")
+        if isinstance(self.attribute, bool) or not isinstance(self.attribute, numbers.Integral):
+            raise ValueError(f"direction attribute must be an integer, got {self.attribute!r}")
         if self.attribute < 0:
             raise ValueError(f"direction attribute must be >= 0, got {self.attribute}")
+        object.__setattr__(self, "attribute", int(self.attribute))  # a numpy integer too
         norm = float(np.linalg.norm(vec))
         if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
             raise ValueError(f"direction vector must be unit-norm, got ||v|| = {norm!r}")

@@ -47,7 +47,7 @@ from .directions import _centroid_from_sums, svm_direction
 from .core import split_by_attribute  # noqa: F401
 from .directions import centroid_direction  # noqa: F401
 from .rng import derive_seed, normals
-from .sampler import SamplePlan, balanced_subsample, uniform_subsample
+from .sampler import POLICIES, SamplePlan, balanced_subsample, uniform_subsample
 
 _STREAM_EVAL = 31
 _STREAM_FIT = 32
@@ -56,6 +56,8 @@ _SWEEP_SVM_TOL, _SWEEP_SVM_MAX_ITER = 1e-4, 300
 _CHUNK = 2048
 
 RESCORE_CONVENTION = "edited_minus_original"
+METHODS = ("centroid", "svm")             # fit_directions methods
+SWEEP_POLICIES = POLICIES + ("uniform",)  # a sweep point's sampling policies
 
 # scorer: callable mapping an (n, d) batch of codes to (n, m) attribute scores
 Scorer = Callable[[np.ndarray], np.ndarray]
@@ -117,7 +119,7 @@ def rescore(scorer: Scorer, directions: Sequence[SemanticDirection],
 
 
 def _check_alpha(alpha) -> None:
-    if not isinstance(alpha, numbers.Real) or not math.isfinite(alpha):
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not math.isfinite(alpha):
         raise ValueError(f"alpha must be a finite number, got {alpha!r}")
 
 
@@ -247,9 +249,17 @@ def _sweep(dataset: LatentDataset, scorer: Scorer, points: list[tuple], runs: in
 
     A point's first ValueError or IndexError ends it and becomes its NaN rows.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    for name, count in (("runs", runs), ("n_eval", n_eval)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     _check_alpha(alpha)
+    for _, method, policy, *_ in points:
+        if method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+        if policy not in SWEEP_POLICIES:
+            raise ValueError(f"policy must be one of {SWEEP_POLICIES}, got {policy!r}")
     if dataset.m < 2:  # every point would fail in overall_entanglement
         raise ValueError(f"a sweep needs at least two attributes, got {dataset.m}")
     table = build_contingency(dataset)

@@ -15,11 +15,12 @@ At v = 0 and after every stage the iterate gives dual points in [0, C]^n:
 alpha_i = -C L_h'(z_i . v) and, when the quadratic piece F is small, a
 polished one (OSQP, Stellato et al. 2020): C below the band, 0 above, and on
 F the solution of Z_F Z_F^T a = 1 - Z_F w_B clipped to [0, C].  The gap is
-exact: the primal at w = Z^T alpha minus sum(alpha) - 1/2 ||w||^2.  The model
-is the (w, alpha) of smallest gap seen, converged when that gap is <= tol;
-``iterations`` counts Newton steps, one or more per stage, so an unreachable
-tol stops after exactly max_iter.  Examples are used in the order given; F is
-solved through its Gram matrix, so negating the labels (train_svm(x, -y))
+exact: the primal at w = Z^T alpha minus sum(alpha) - 1/2 ||w||^2.  SvmModel
+holds only the certificate of smallest gap seen (w as weights and bias, its
+alphas, C, the gap, converged when gap <= tol) and ``iterations``, the Newton
+steps, one or more per stage, so an unreachable tol stops after exactly
+max_iter; no per-stage record is kept.  Examples are used in the order given;
+F is solved through its Gram matrix, so negating the labels (train_svm(x, -y))
 negates weights and bias bit for bit.
 
 The arithmetic runs with numpy overflow and invalid operations raised.  At
@@ -29,7 +30,7 @@ overflows, train_svm raises ValueError naming C; no warning is issued.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +45,7 @@ class SvmModel:
     duality_gap: float
     iterations: int              # Newton steps over all stages
     converged: bool              # duality_gap <= tol
-    hinge_loss: float            # total hinge at the returned weights
     alphas: np.ndarray           # dual variables, in the order of x
-    objective_history: list[float] = field(default_factory=list)  # primal per certificate
-    dual_history: list[float] = field(default_factory=list)       # dual per certificate
-    smoothed_history: list[list[float]] = field(default_factory=list)  # per stage and step
 
 
 def _smoothed(margin, vv, c, h):
@@ -83,12 +80,12 @@ def _newton_stage(z, v, c, h, steps):
 
 
 def _dual_gap(z, alpha, c):
-    """(gap, primal, dual, hinge, w, alpha) for the dual point alpha."""
+    """(gap, w, alpha) for the dual point alpha."""
     w = z.T @ alpha
     w_sq = float(w @ w)
     hinge = float(np.clip(1.0 - z @ w, 0.0, None).sum())
     primal, dual = 0.5 * w_sq + c * hinge, float(alpha.sum()) - 0.5 * w_sq
-    return max(primal - dual, 0.0), primal, dual, hinge, w, alpha
+    return max(primal - dual, 0.0), w, alpha
 
 
 def _certificate(z, v, c, h):
@@ -104,22 +101,18 @@ def _certificate(z, v, c, h):
 
 
 def _solve(z, c, tol, max_iter):
-    """(best certificate, (primal, dual) per certificate, smoothed history, steps)."""
+    """(the certificate of smallest gap, Newton steps taken)."""
     v, h, steps = np.zeros(z.shape[1]), _H_START, 0
     best = _certificate(z, v, c, h)
-    certs, smoothed = [best[1:3]], []
     while best[0] > tol and steps < max_iter:
         v, history, done = _newton_stage(z, v, c, h, min(_STAGE_STEPS, max_iter - steps))
         if not np.isfinite(history[-1]):  # >= ||v||^2 / 2, so the iterate is finite too
             raise FloatingPointError("non-finite objective")
-        smoothed.append(history)
         steps += len(history) - 1
-        cert = _certificate(z, v, c, h)
-        certs.append(cert[1:3])
-        best = min(best, cert, key=lambda g: g[0])
+        best = min(best, _certificate(z, v, c, h), key=lambda g: g[0])
         if done:
             h = max(h / 10.0, _H_MIN)
-    return best, certs, smoothed, steps
+    return best, steps
 
 
 def train_svm(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 1e-6,
@@ -142,13 +135,10 @@ def train_svm(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 1e-6,
 
     try:
         with np.errstate(over="raise", invalid="raise"):
-            best, certs, smoothed, steps = _solve(z, c, tol, max_iter)
+            (gap, w, alpha), steps = _solve(z, c, tol, max_iter)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise ValueError(f"SVM at C = {c:g} is numerically unstable ({exc}); "
                          "try a smaller C") from None
 
-    gap, _, _, hinge, w, alpha = best
     return SvmModel(weights=w[:-1].copy(), bias=float(w[-1]), c=c, duality_gap=gap,
-                    iterations=steps, converged=gap <= tol, hinge_loss=hinge, alphas=alpha,
-                    objective_history=[p for p, _ in certs],
-                    dual_history=[q for _, q in certs], smoothed_history=smoothed)
+                    iterations=steps, converged=gap <= tol, alphas=alpha)

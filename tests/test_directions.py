@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -249,6 +250,25 @@ def test_direction_json_roundtrip_is_bit_exact(tmp_path):
     loaded = lb.load_direction(path)
     assert np.array_equal(loaded.vector, u.vector)
     assert loaded.attribute == u.attribute and loaded.method == u.method
+
+
+@pytest.mark.parametrize("attribute", [True, np.True_, 0.5, 1.0, "0", None],
+                         ids=["bool", "numpy-bool", "fraction", "whole-float", "str", "none"])
+def test_direction_refuses_an_attribute_its_reader_would_refuse(attribute):
+    # True used to save a file that load_direction refused, and 0.5 was kept
+    with pytest.raises(ValueError, match=f"^direction attribute must be an integer, "
+                                         f"got {re.escape(repr(attribute))}$"):
+        lb.SemanticDirection(attribute=attribute, vector=[1.0, 0.0], method="centroid")
+
+
+def test_numpy_integer_attribute_round_trips_as_int(tmp_path):
+    # np.int64 used to make save_direction raise TypeError (not JSON serializable)
+    u = lb.SemanticDirection(attribute=np.int64(2), vector=[0.6, 0.8], method="centroid")
+    assert type(u.attribute) is int and u.attribute == 2
+    path = str(tmp_path / "dir.json")
+    lb.save_direction(u, path)
+    loaded = lb.load_direction(path)
+    assert loaded.attribute == 2 and np.array_equal(loaded.vector, u.vector)
 
 
 def test_direction_dict_schema_version_checked():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -252,9 +254,10 @@ class TestSweeps:
         with pytest.raises(ValueError, match="c_values must be non-empty"):
             lb.sweep_regularization(dataset20k, world42.score, c_values=[])
 
-    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), "0.2"])
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), "0.2", True])
     def test_non_finite_alpha_rejected_up_front(self, world42, dataset20k, alpha):
-        # a NaN alpha used to give NaN effect rows with no error, read as measured
+        # a NaN alpha used to give NaN effect rows with no error, read as
+        # measured; alpha=True used to be kept, and saved as "alpha": true
         match = f"^alpha must be a finite number, got {alpha!r}$"
         with pytest.raises(ValueError, match=match):
             lb.sweep_sample_size(dataset20k, world42.score, sizes=[100], runs=1, alpha=alpha)
@@ -264,6 +267,28 @@ class TestSweeps:
         dirs = lb.fit_directions(dataset20k, "centroid")
         with pytest.raises(ValueError, match=match):
             lb.rescore(world42.score, dirs, np.zeros((5, 64)), alpha)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"runs": True}, "runs must be an integer, got True"),
+        ({"runs": 2.0}, "runs must be an integer, got 2.0"),
+        ({"n_eval": 0}, "n_eval must be >= 1, got 0"),
+        ({"n_eval": 2.5}, "n_eval must be an integer, got 2.5"),
+        ({"n_eval": np.False_}, f"n_eval must be an integer, got {np.False_!r}"),
+        ({"methods": ("bogus",)}, "method must be one of ('centroid', 'svm'), got 'bogus'"),
+        ({"policies": ("skip", "bogus")},
+         "policy must be one of ('skip', 'oversample', 'uniform'), got 'bogus'"),
+    ], ids=["runs-bool", "runs-float", "n_eval-zero", "n_eval-fraction", "n_eval-numpy-bool",
+            "method", "policy"])
+    def test_bad_sweep_arguments_rejected_up_front(self, world42, dataset20k, kwargs, message):
+        # these used to give all-NaN rows, write True as the runs count, or
+        # escape as a TypeError
+        args = {"runs": 1, "n_eval": 50, **kwargs}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lb.sweep_sample_size(dataset20k, world42.score, sizes=[100], **args)
+        if "methods" not in kwargs and "policies" not in kwargs:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                lb.sweep_regularization(dataset20k, world42.score, c_values=[1.0], n0=100,
+                                        **args)
 
     def test_one_attribute_sweep_rejected_up_front(self):
         # every point would fail in overall_entanglement, leaving only NaN rows

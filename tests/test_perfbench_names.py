@@ -5,14 +5,20 @@ perfbench/tracing.py rebinds every (owner, attribute) in TRACE_POINTS through
 values of named ``latbal.evaluation`` calls the same way.  A name moved or
 dropped in src/ makes a traced or checked benchmark run fail with KeyError,
 so these tests catch it first.  perfbench/ is only read here.  Attributes
-the benchmark reads from a dataset must still answer too.
+the benchmark reads from a dataset must still answer too, and its calls must
+still parse and bind: every walkthrough argv parses with the CLI's parser, and
+every keyword the workloads pass to fit_directions, sweep_sample_size and
+SamplePlan names a parameter of that callable.
 """
 
 import ast
 import importlib.util
+import inspect
+import sys
 from pathlib import Path
 
 import latbal as lb
+import latbal.cli
 import latbal.evaluation
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -55,3 +61,37 @@ def test_dataset_attributes_read_by_the_workloads_still_answer(tmp_path):
     lb.write_dataset(lb.LatentDataset(codes=[[0.0]], labels=[[1]], schema=schema),
                      str(tmp_path / "d"))
     assert lb.read_dataset(str(tmp_path / "d")).confidences is None
+
+
+def test_every_walkthrough_step_parses(monkeypatch, tmp_path):
+    # workloads.py imports its sibling as "tracing"; both names leave
+    # sys.modules again at teardown
+    for name in ("tracing", "workloads"):
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+    walkthrough = sys.modules["workloads"].Walkthrough(seed=5, workdir=str(tmp_path))
+    parser = latbal.cli.build_parser()
+    steps = walkthrough.steps(str(tmp_path))
+    assert [argv[0] for argv in steps] == [
+        "synth", "contingency", "sample", "sample", "fit", "eval", "project", "edit"]
+    for argv in steps:  # argparse exits (SystemExit) on a flag it does not know
+        assert parser.parse_args(argv).command == argv[0]
+
+
+def test_every_keyword_the_workloads_pass_is_a_parameter():
+    callables = {"fit_directions": latbal.evaluation.fit_directions,
+                 "sweep_sample_size": latbal.evaluation.sweep_sample_size,
+                 "SamplePlan": lb.SamplePlan}
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    passed = {name: set() for name in callables}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in callables:
+                passed[name] |= {k.arg for k in node.keywords}
+    assert all(passed.values()), passed  # each callable is called with keywords
+    unknown = {name: sorted(kws - set(inspect.signature(callables[name]).parameters))
+               for name, kws in passed.items()}
+    assert unknown == {name: [] for name in callables}

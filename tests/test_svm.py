@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import latbal as lb
+from latbal import svm
 from latbal.rng import derive_seed, normals
 from latbal.svm import train_svm
 
@@ -17,6 +18,40 @@ def _blobs(n_per_side=500, d=64, half_gap=2.0, seed=7):
     return z[:n_per_side] + mu, z[n_per_side:] - mu
 
 
+def _hinge(x, y, model):
+    """Total hinge loss of the model's weights and bias on the rows of x."""
+    return float(np.clip(1.0 - y * (x @ model.weights + model.bias), 0.0, None).sum())
+
+
+@pytest.fixture
+def solver_log(monkeypatch):
+    """Every certificate the solver makes, as (z, c, gap, w, alpha), and every
+    Newton stage's smoothed primal, one value at the start and one per step."""
+    log = {"certs": [], "stages": []}
+    certificate, newton_stage = svm._certificate, svm._newton_stage
+
+    def record_certificate(z, v, c, h):
+        cert = certificate(z, v, c, h)
+        log["certs"].append((z, c, *cert))
+        return cert
+
+    def record_stage(*args):
+        out = newton_stage(*args)
+        log["stages"].append(out[1])
+        return out
+
+    monkeypatch.setattr(svm, "_certificate", record_certificate)
+    monkeypatch.setattr(svm, "_newton_stage", record_stage)
+    return log
+
+
+def _primal_dual(z, c, alpha):
+    """Primal at w = Z^T alpha and dual objective of alpha, recomputed from alpha alone."""
+    w = z.T @ alpha
+    hinge = float(np.clip(1.0 - z @ w, 0.0, None).sum())
+    return 0.5 * float(w @ w) + c * hinge, float(alpha.sum()) - 0.5 * float(w @ w)
+
+
 @pytest.fixture(scope="module")
 def blobs_model():
     pos, neg = _blobs()
@@ -26,19 +61,21 @@ def blobs_model():
 def test_symmetric_separable_case():
     pos = np.array([[1.0, 0.0], [1.0, 1.0]])
     neg = np.array([[-1.0, 0.0], [-1.0, 1.0]])
-    model = train_svm(*stacked(pos, neg), c=1.0, tol=1e-8, max_iter=2000)
+    x, y = stacked(pos, neg)
+    model = train_svm(x, y, c=1.0, tol=1e-8, max_iter=2000)
     w = model.weights / np.linalg.norm(model.weights)
     assert np.allclose(w, [1.0, 0.0], atol=1e-6)
     assert abs(model.bias) < 1e-6
-    assert model.hinge_loss < 1e-9
+    assert _hinge(x, y, model) < 1e-9
     assert model.converged
 
 
 def test_degenerate_identical_point_both_classes():
     point = np.array([[1.0, 2.0]])
-    model = train_svm(*stacked(point, point), c=1.0, tol=1e-8, max_iter=100)
+    x, y = stacked(point, point)
+    model = train_svm(x, y, c=1.0, tol=1e-8, max_iter=100)
     assert np.linalg.norm(model.weights) < 1e-9
-    assert model.hinge_loss >= 1.0  # non-separable shows up as residual hinge loss
+    assert _hinge(x, y, model) >= 1.0  # non-separable shows up as residual hinge loss
     assert model.converged
 
 
@@ -74,25 +111,28 @@ def test_kkt_residual_below_tol_at_convergence():
     assert _slackness_residual(pos, neg, model) <= 1e-6 + 1e-9
 
 
-def test_duality_gap_certifies_convergence():
+def test_duality_gap_certifies_convergence(solver_log):
     pos, neg = _blobs(n_per_side=150)
     model = train_svm(*stacked(pos, neg), c=1.0, tol=1e-6, max_iter=4000)
     assert model.converged
     assert model.duality_gap <= 1e-6
     # weak duality throughout
-    assert all(p >= d - 1e-9 for p, d in zip(model.objective_history, model.dual_history))
+    pd = [_primal_dual(z, c, alpha) for z, c, _, _, alpha in solver_log["certs"]]
+    assert len(pd) >= 2 and all(p >= d - 1e-9 for p, d in pd)
 
 
-def test_stage_iterates_obey_weak_duality_and_descent(blobs_model):
+def test_stage_iterates_obey_weak_duality_and_descent(solver_log):
     # every certificate is a feasible dual point, so its dual objective is at
     # most the primal at its own w; within a stage the Armijo condition (or an
     # exact minimiser) makes the smoothed primal non-increasing step by step
-    _, _, model = blobs_model
-    assert len(model.objective_history) == len(model.dual_history) == \
-        len(model.smoothed_history) + 1
-    for primal, dual in zip(model.objective_history, model.dual_history):
+    train_svm(*stacked(*_blobs()), c=1.0, tol=1e-4, max_iter=1000)
+    certs, stages = solver_log["certs"], solver_log["stages"]
+    assert len(certs) == len(stages) + 1 and stages
+    for z, c, _, _, alpha in certs:
+        assert np.all(alpha >= 0.0) and np.all(alpha <= c)
+        primal, dual = _primal_dual(z, c, alpha)
         assert primal >= dual - 1e-9 * max(1.0, abs(primal))
-    for stage in model.smoothed_history:
+    for stage in stages:
         f = np.array(stage)
         assert f.size >= 2  # every stage takes at least one step
         assert np.all(np.diff(f) <= 1e-12 * max(1.0, np.abs(f).max()))
@@ -156,9 +196,9 @@ def test_label_swap_negates_exactly():
 
 
 def test_separable_large_c_drives_hinge_to_zero():
-    pos, neg = _blobs(n_per_side=50, half_gap=4.0)  # wide gap: cleanly separable
-    model = train_svm(*stacked(pos, neg), c=100.0, tol=1e-6, max_iter=3000)
-    assert model.hinge_loss < 1e-8
+    x, y = stacked(*_blobs(n_per_side=50, half_gap=4.0))  # wide gap: cleanly separable
+    model = train_svm(x, y, c=100.0, tol=1e-6, max_iter=3000)
+    assert _hinge(x, y, model) < 1e-8
 
 
 def test_small_c_limit_matches_centroid_direction(world42):
@@ -202,16 +242,16 @@ def test_zero_tol_stops_at_exactly_max_iter():
     assert 0.0 < model.duality_gap < 1e-9 and np.isfinite(model.duality_gap)
 
 
-def test_returned_gap_is_the_smallest_certificate_gap():
+def test_returned_gap_is_the_smallest_certificate_gap(solver_log):
     pos, neg = _blobs(n_per_side=60)
     model = train_svm(*stacked(pos, neg), c=1.0, tol=0.0, max_iter=120)
-    gaps = [max(p - d, 0.0) for p, d in zip(model.objective_history, model.dual_history)]
+    gaps = [gap for _, _, gap, _, _ in solver_log["certs"]]
     assert model.duality_gap == min(gaps)
     # here the last stage, cut short by max_iter, certifies far worse than the best
     assert gaps[-1] > 1e6 * model.duality_gap
 
 
-def test_max_iter_zero_returns_the_start_certificate():
+def test_max_iter_zero_returns_the_start_certificate(solver_log):
     # no Newton step: the start point v = 0 gives alpha = C everywhere, so
     # w = C * (sum of positives - sum of negatives), bias included
     pos, neg = _blobs(n_per_side=50)
@@ -220,16 +260,16 @@ def test_max_iter_zero_returns_the_start_certificate():
     assert np.all(model.alphas == 0.5)
     assert np.allclose(model.weights, 0.5 * (pos.sum(axis=0) - neg.sum(axis=0)))
     assert model.bias == pytest.approx(0.0, abs=1e-12)
-    assert model.smoothed_history == []
+    assert solver_log["stages"] == [] and len(solver_log["certs"]) == 1
     assert model.duality_gap == pytest.approx(_slackness_residual(pos, neg, model), rel=1e-9)
 
 
-def test_max_iter_one_takes_one_step():
+def test_max_iter_one_takes_one_step(solver_log):
     pos, neg = _blobs(n_per_side=50)
     start = train_svm(*stacked(pos, neg), c=0.5, tol=1e-6, max_iter=0)
     model = train_svm(*stacked(pos, neg), c=0.5, tol=1e-6, max_iter=1)
     assert model.iterations == 1 and not model.converged
-    assert [len(stage) for stage in model.smoothed_history] == [2]
+    assert [len(stage) for stage in solver_log["stages"]] == [2]
     assert model.duality_gap < start.duality_gap
     assert model.duality_gap == pytest.approx(_slackness_residual(pos, neg, model), rel=1e-9)
 
