@@ -19,13 +19,14 @@ import numpy as np
 
 from . import __version__
 from .contingency import build_contingency, imbalance_stats, write_contingency_csv
+# write_dataset and sample_world stay bound here for perfbench/tracing.py to wrap
 from .dataio import (LatdFormatError, atomic_write_text, csv_text, read_csv, read_dataset,
                      write_dataset, write_dataset_blocks, write_json)
 from .directions import (conditional_project, edit_latent, load_direction,
                          save_direction)
 from .evaluation import (METHODS, SWEEP_POLICIES, _eval_latents, fit_directions, rescore,
                          save_rescore, sweep_regularization, sweep_sample_size, sweep_to_csv)
-from .oracle import default_world, load_world, make_world, sample_world, save_world
+from .oracle import default_world, load_world, make_world, sample_blocks, sample_world, save_world
 from .sampler import (POLICIES, SamplePlan, balanced_subsample, read_subsample_indices,
                       uniform_subsample, write_subsample)
 
@@ -211,13 +212,12 @@ def _cmd_synth(args) -> int:
     seed = _resolve_seed(args)
     try:  # synth reads no file, so every value its world rejects is a bad flag
         world = _synth_world(args, seed)
-        dataset = sample_world(world, args.n, seed=seed)
+        labels, blocks = sample_blocks(world, args.n, seed=seed)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    write_dataset(dataset, args.out)
+    write_dataset_blocks(args.out, world.schema, labels, world.dim, blocks)
     save_world(world, args.world_out or args.out + ".world.json")
-    print(f"wrote {args.out}.latd ({dataset.n} codes, dim {dataset.dim}, "
-          f"{dataset.m} attributes)")
+    print(f"wrote {args.out}.latd ({args.n} codes, dim {world.dim}, {world.m} attributes)")
     return 0
 
 
@@ -310,7 +310,7 @@ def _cmd_edit(args) -> int:
     blocks = (edit_latent(dataset.codes[i:i + step], direction, args.alpha)
               for i in range(0, max(dataset.n, 1), step))
     with np.errstate(over="ignore"):  # the writer names an overflowed row and writes nothing
-        write_dataset_blocks(args.out, dataset, blocks)
+        write_dataset_blocks(args.out, dataset.schema, dataset.labels, dataset.dim, blocks)
     print(f"wrote {args.out}.latd")
     return 0
 

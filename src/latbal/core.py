@@ -61,19 +61,10 @@ class LatentDataset:
     confidences = None
 
     def __post_init__(self):
-        codes, labels = np.ascontiguousarray(self.codes, dtype=np.float64), np.asarray(self.labels)
+        codes = np.ascontiguousarray(self.codes, dtype=np.float64)
         if codes.ndim != 2 or codes.shape[1] == 0:
             raise ValueError(f"codes must be 2-d with dim > 0, got shape {codes.shape}")
-        if labels.shape != (codes.shape[0], self.schema.m):
-            raise ValueError(f"labels have shape {labels.shape}, expected "
-                             f"({codes.shape[0]}, {self.schema.m})")
-        # checked before the cast, so 0.5, -1, NaN and 2 are refused; an
-        # unsigned or bool matrix is scanned only when its max shows a bad row
-        if labels.size and (labels.dtype.kind not in "bu" or labels.max() > 1):
-            bad = np.flatnonzero(((labels != 0) & (labels != 1)).any(axis=1))
-            if bad.size:
-                raise ValueError(f"label row {bad[0]} holds a value that is not 0 or 1")
-        labels = np.ascontiguousarray(labels, dtype=np.uint8)
+        labels = checked_labels(self.labels, codes.shape[0], self.schema.m)
         codes.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "codes", codes)
@@ -114,11 +105,8 @@ class SemanticDirection:
             raise ValueError(f"unknown direction method {self.method!r}")
         if vec.ndim != 1 or vec.size == 0:
             raise ValueError(f"direction vector must be 1-d and non-empty, got shape {vec.shape}")
-        if isinstance(self.attribute, bool) or not isinstance(self.attribute, numbers.Integral):
-            raise ValueError(f"direction attribute must be an integer, got {self.attribute!r}")
-        if self.attribute < 0:
-            raise ValueError(f"direction attribute must be >= 0, got {self.attribute}")
-        object.__setattr__(self, "attribute", int(self.attribute))  # a numpy integer too
+        object.__setattr__(self, "attribute", check_integer("direction attribute",
+                                                            self.attribute, 0))
         norm = float(np.linalg.norm(vec))
         if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
             raise ValueError(f"direction vector must be unit-norm, got ||v|| = {norm!r}")
@@ -126,6 +114,31 @@ class SemanticDirection:
     @property
     def dim(self) -> int:
         return self.vector.shape[0]
+
+
+def check_integer(name: str, value, minimum: int | None = None) -> int:
+    """value as an int; a bool, a float or any other non-integer is refused by
+    name, and so is a value below minimum when one is given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def checked_labels(labels, n: int, m: int) -> np.ndarray:
+    """labels as a C-contiguous n x m uint8 matrix; a matrix of another shape,
+    or one holding a value that is not 0 or 1, is refused."""
+    labels = np.asarray(labels)
+    if labels.shape != (n, m):
+        raise ValueError(f"labels have shape {labels.shape}, expected ({n}, {m})")
+    # checked before the cast, so 0.5, -1, NaN and 2 are refused; an
+    # unsigned or bool matrix is scanned only when its max shows a bad row
+    if labels.size and (labels.dtype.kind not in "bu" or labels.max() > 1):
+        bad = np.flatnonzero(((labels != 0) & (labels != 1)).any(axis=1))
+        if bad.size:
+            raise ValueError(f"label row {bad[0]} holds a value that is not 0 or 1")
+    return np.ascontiguousarray(labels, dtype=np.uint8)
 
 
 def row_indices(indices) -> np.ndarray:

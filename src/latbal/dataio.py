@@ -25,10 +25,10 @@ less the umask (the mode open() gives), fsynced, then atomically renamed
 over the target, so an interrupted run never leaves a half-written file;
 the directory is then fsynced, so the rename survives a crash too.  A
 ``.latd`` write streams the header and then the codes, block by block, to
-the temp file, with no assembled copy of the dataset.  The writer takes a
-LatentDataset, whose labels are valid once built, and checks only its code
-blocks: each block's width, row count and finiteness before it is written,
-so it leaves no file the reader would reject.
+the temp file, with no assembled copy of the dataset.  The writer checks each
+code block's width, row count and finiteness before it is written, and the
+labels (n x m, 0s and 1s) once the blocks are consumed, so a generator of
+blocks may fill them in; it leaves no file the reader would reject.
 
 A read maps the codes read-only instead of copying them: the dataset's
 codes are a view of the file's pages, and only the labels are held in
@@ -49,7 +49,7 @@ import struct
 
 import numpy as np
 
-from .core import AttributeSchema, LatentDataset, nonfinite_rows, validate_dataset
+from .core import AttributeSchema, LatentDataset, checked_labels, nonfinite_rows, validate_dataset
 
 MAGIC = b"LATD"
 VERSION = 1
@@ -196,11 +196,12 @@ def _labels_payload(schema: AttributeSchema, labels: np.ndarray) -> np.ndarray:
     return payload
 
 
-def _checked_blocks(latd_path: str, blocks, dim: int, count: int):
+def _checked_blocks(latd_path: str, blocks, dim: int, labels: np.ndarray, m: int):
     """The blocks of code rows as little-endian float64, each checked before it
-    is handed on: (rows, dim) in shape, finite, and count rows in all.  Raises
-    ValueError naming the first bad block or row."""
-    start = 0
+    is handed on: (rows, dim) in shape, finite, and as many rows in all as the
+    labels have, which must then be an n x m matrix of 0s and 1s.  Raises
+    ValueError naming the first bad block, row or label."""
+    start, count = 0, len(labels)
     for k, block in enumerate(blocks):
         block = np.ascontiguousarray(block, dtype="<f8")
         if block.ndim != 2 or block.shape[1] != dim or start + block.shape[0] > count:
@@ -216,23 +217,28 @@ def _checked_blocks(latd_path: str, blocks, dim: int, count: int):
     if start != count:
         raise ValueError(f"{latd_path}: codes blocks hold {start} rows for {count} "
                          "label rows; nothing written")
+    checked_labels(labels, count, m)  # complete now, if the blocks filled them in
 
 
-def write_dataset_blocks(path_base: str, dataset: LatentDataset, blocks) -> tuple[str, str]:
-    """Write dataset's schema and labels with codes that arrive as consecutive
-    row blocks (2-d arrays of width dataset.dim, dataset.n rows in all).  The
-    ``.latd`` file is written first, so a bad block leaves neither file behind."""
+def write_dataset_blocks(path_base: str, schema: AttributeSchema, labels: np.ndarray,
+                         dim: int, blocks) -> tuple[str, str]:
+    """Write schema and n x m labels with codes that arrive as consecutive row
+    blocks (2-d arrays of width dim, n rows in all), which may fill the labels
+    in: they are checked once the blocks are consumed.  The ``.latd`` file is
+    written first, so a bad block or label leaves neither file behind."""
     latd_path, labels_path = dataset_paths(path_base)
-    header = _HEADER.pack(MAGIC, VERSION, dataset.dim, dataset.n, 0)
+    labels = np.asarray(labels)
+    header = _HEADER.pack(MAGIC, VERSION, dim, len(labels), 0)
     # the header and the codes go straight to the file, with no assembled copy
     _atomic_write(latd_path, itertools.chain(
-        [header], _checked_blocks(latd_path, blocks, dataset.dim, dataset.n)))
-    atomic_write_bytes(labels_path, _labels_payload(dataset.schema, dataset.labels))
+        [header], _checked_blocks(latd_path, blocks, dim, labels, schema.m)))
+    atomic_write_bytes(labels_path, _labels_payload(schema, labels))
     return latd_path, labels_path
 
 
 def write_dataset(dataset: LatentDataset, path_base: str) -> tuple[str, str]:
-    return write_dataset_blocks(path_base, dataset, [dataset.codes])
+    return write_dataset_blocks(path_base, dataset.schema, dataset.labels, dataset.dim,
+                                [dataset.codes])
 
 
 def _decoded_lines(lines, path: str):

@@ -39,7 +39,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .contingency import build_contingency
-from .core import LatentDataset, SemanticDirection, row_indices
+from .core import LatentDataset, SemanticDirection, check_integer, row_indices
 from .dataio import atomic_write_text, csv_text, write_json
 from .directions import _centroid_from_sums, svm_direction
 # Nothing here calls these two; they stay bound in this module because
@@ -250,12 +250,11 @@ def _sweep(dataset: LatentDataset, scorer: Scorer, points: list[tuple], runs: in
     A point's first ValueError or IndexError ends it and becomes its NaN rows.
     """
     for name, count in (("runs", runs), ("n_eval", n_eval)):
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1, got {count}")
+        check_integer(name, count, 1)
+    check_integer("seed", seed)
     _check_alpha(alpha)
-    for _, method, policy, *_ in points:
+    for _, method, policy, n0, *_ in points:
+        check_integer("n0", n0, 1)  # a bool or a float n0 would give NaN rows
         if method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {method!r}")
         if policy not in SWEEP_POLICIES:

@@ -18,8 +18,9 @@ Construction: a seeded Gaussian m x d matrix is orthonormalized (modified
 Gram-Schmidt) into a frame E, and V = sqrt(Gram) @ E, so V V^T equals the
 requested Gram.  Codes come from the portable SplitMix64 + inverse-CDF
 pipeline in rng, so a given (world, n, seed) reproduces bit-identically.
-sample_world labels the codes _LABEL_ROWS rows at a time, so float64 margins
-never span more than one block; the labels are the bits of one whole pass.
+One block function draws _LABEL_ROWS rows from the codes stream at counter
+row * d and labels them from their own margins, into slices of sample_world's
+arrays or into the one buffer sample_blocks reuses; the bits are one pass's.
 
 A world is valid once built: it is frozen, holds only what it cannot derive
 (vectors, gram, rates, sharpness, seed, names) and derives the biases from
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AttributeSchema, LatentDataset
+from .core import AttributeSchema, LatentDataset, check_integer
 from .dataio import json_array, json_int, json_number, read_json, write_json
 from .directions import orthonormal_basis
 from .rng import derive_seed, norm_ppf, normals
@@ -46,7 +47,7 @@ WORLD_SCHEMA_VERSION = 1
 
 _STREAM_FRAME = 21
 _STREAM_CODES = 22
-_LABEL_ROWS = 8192  # codes labelled per block by sample_world
+_LABEL_ROWS = 8192  # codes drawn and labelled per block
 
 
 @dataclass(frozen=True)
@@ -154,15 +155,34 @@ def make_world(dim: int, gram: np.ndarray, positive_rates, sharpness: float = 1.
                                 sharpness=float(sharpness), seed=seed, names=names)
 
 
+def _sample_block(world: LinearAttributeWorld, seed: int, row: int, codes: np.ndarray,
+                  labels: np.ndarray) -> np.ndarray:
+    """Fill codes (a C-contiguous k x d block) with rows row .. row+k-1 of the
+    codes sample_world draws at seed, and labels (k x m) with their labels."""
+    normals(derive_seed(seed, _STREAM_CODES), codes.size, start=row * world.dim,
+            out=codes.reshape(-1))
+    np.greater(world.margins(codes), 0, out=labels)
+    return codes
+
+
 def sample_world(world: LinearAttributeWorld, n: int, seed: int) -> LatentDataset:
     """n codes from the standard Gaussian prior, labeled by the world."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    codes = normals(derive_seed(seed, _STREAM_CODES), n * world.dim).reshape(n, world.dim)
-    labels = np.empty((n, world.m), dtype=np.uint8)
-    for i in range(0, n, _LABEL_ROWS):  # float64 margins for one block at a time
-        np.greater(world.margins(codes[i:i + _LABEL_ROWS]), 0, out=labels[i:i + _LABEL_ROWS])
+    n = check_integer("n", n, 0)
+    codes, labels = np.empty((n, world.dim)), np.empty((n, world.m), dtype=np.uint8)
+    for i in range(0, n, _LABEL_ROWS):
+        _sample_block(world, seed, i, codes[i:i + _LABEL_ROWS], labels[i:i + _LABEL_ROWS])
     return LatentDataset(codes=codes, labels=labels, schema=world.schema)
+
+
+def sample_blocks(world: LinearAttributeWorld, n: int, seed: int):
+    """(labels, blocks): the labels of sample_world(world, n, seed) and a generator
+    of its codes, _LABEL_ROWS rows at a time in one reused buffer, that fills them
+    in; a caller that writes each block out holds one block of codes, not n rows."""
+    n = check_integer("n", n, 0)
+    labels = np.empty((n, world.m), dtype=np.uint8)
+    rows = np.empty((min(n, _LABEL_ROWS), world.dim))
+    return labels, (_sample_block(world, seed, i, rows[:n - i], labels[i:i + _LABEL_ROWS])
+                    for i in range(0, n, _LABEL_ROWS))
 
 
 def default_world(seed: int = 0) -> LinearAttributeWorld:

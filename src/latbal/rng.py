@@ -42,6 +42,8 @@ import math
 
 import numpy as np
 
+from .core import check_integer
+
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -64,8 +66,9 @@ def derive_seed(seed: int, *path: int) -> int:
     """Derive a child seed from ``seed`` and a path of integer tags.
 
     Deterministic and order-sensitive: derive_seed(s, 1, 2) != derive_seed(s, 2, 1).
+    A seed that is not an integer (a bool or a float included) is refused.
     """
-    s = seed & MASK64
+    s = check_integer("seed", seed) & MASK64
     for k in path:
         s = _finalize(s ^ _finalize(((k & MASK64) + 1) * GOLDEN))
     return s
@@ -147,9 +150,13 @@ def _unit(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.minimum(out, 1.0 - 2.0**-53, out=out)
 
 
-def normals(seed: int, n: int) -> np.ndarray:
-    """n standard normal variates via inverse-CDF of the uniform stream."""
-    out = np.empty(n, dtype=np.float64)
+def normals(seed: int, n: int, start: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+    """n standard normal variates via inverse-CDF of the uniform stream at
+    counters start .. start+n-1, written into out (n float64s) or a new array."""
+    if out is None:
+        out = np.empty(n, dtype=np.float64)
+    elif out.shape != (n,):
+        raise ValueError(f"out must have shape ({n},), got {out.shape}")
     # Every step is elementwise, so blocks give the same bits as one call.
     # All blocks share one set of scratch arrays: the allocator hands freed
     # temporaries of this size back to the OS, and faulting in fresh pages
@@ -160,7 +167,7 @@ def normals(seed: int, n: int) -> np.ndarray:
     steps = _steps(size)
     for a in range(0, n, _NORMALS_BLOCK):
         k = min(_NORMALS_BLOCK, n - a)
-        x = _unit(_outputs(seed, a, steps[:k], z[:k], t[:k]), out[a:a + k])
+        x = _unit(_outputs(seed, start + a, steps[:k], z[:k], t[:k]), out[a:a + k])
         _acklam_inplace(x, t[:k].view(np.float64), z[:k].view(np.float64), den[:k])
     return out
 

@@ -38,13 +38,12 @@ tests/test_sampler.py draw for draw.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .contingency import ContingencyTable, cell_dtype, cell_indices
-from .core import LatentDataset
+from .core import LatentDataset, check_integer
 from .dataio import atomic_write_text, csv_text, read_csv, write_json
 from .rng import ALGORITHM, below_block, derive_seed, u64_block
 
@@ -62,17 +61,11 @@ class SamplePlan:
     seed: int
 
     def __post_init__(self):
-        _check_n0(self.n0)
-        if self.n0 < 1:
-            raise ValueError(f"n0 must be >= 1, got {self.n0}")
+        # a float or a bool n0 would reach the draw as a bound, or count as 1
+        check_integer("n0", self.n0, 1)
+        check_integer("seed", self.seed)
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-
-
-def _check_n0(n0) -> None:
-    # a float or a bool n0 would reach the draw as a bound, or count as 1
-    if isinstance(n0, bool) or not isinstance(n0, numbers.Integral):
-        raise ValueError(f"n0 must be an integer, got {n0!r}")
 
 
 @dataclass
@@ -201,7 +194,7 @@ def balanced_subsample(dataset: LatentDataset, table: ContingencyTable,
 def uniform_subsample(dataset: LatentDataset, n0: int, seed: int) -> SubsampleResult:
     """n0 distinct rows drawn uniformly without replacement."""
     n = dataset.n
-    _check_n0(n0)
+    check_integer("n0", n0)
     if n0 < 0 or n0 > n:
         raise ValueError(f"n0 must be in [0, {n}], got {n0}")
     out, _ = _distinct_below(derive_seed(seed, _STREAM_UNIFORM), n, n0)

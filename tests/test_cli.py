@@ -51,6 +51,29 @@ def test_synth_custom_world(tmp_path):
     assert lb.read_dataset(base).m == 2
 
 
+@pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193])
+@pytest.mark.parametrize("flags", [[], ["--dim", "7"]], ids=["default", "dim-7"])
+def test_synth_writes_the_bytes_of_the_sampled_dataset(tmp_path, n, flags):
+    # synth draws, labels and writes 8192 rows at a time; at dim 7 a block's
+    # counter offset falls inside a 2^16-variate block of the one-call stream
+    base = str(tmp_path / "s")
+    assert run("synth", "--out", base, "--n", str(n), "--seed", "5", *flags) == 0
+    world = lb.load_world(base + ".world.json")
+    lb.write_dataset(lb.sample_world(world, n, seed=5), str(tmp_path / "w"))
+    for ours, theirs in zip(dataset_paths(base), dataset_paths(str(tmp_path / "w"))):
+        assert Path(ours).read_bytes() == Path(theirs).read_bytes()
+
+
+def test_synth_holds_one_block_of_codes(tmp_path):
+    # one 8192-row block is drawn, labelled and written at a time: the peak is
+    # that block (4 MiB at dim 64), the labels and the normals' fixed scratch,
+    # where the whole code array would be 102 MB at 200k codes
+    code, peak = traced_peak(run, "synth", "--out", str(tmp_path / "s"), "--n", "200000",
+                             "--seed", "3")
+    assert code == 0
+    assert peak < 0.1 * 200_000 * 64 * 8
+
+
 def test_any_custom_world_flag_starts_from_an_uncorrelated_world(tmp_path):
     # one flag is enough to leave the demo world: every other value comes from
     # the custom-world baseline (dim 64, four attributes, identity Gram, rates

@@ -384,11 +384,10 @@ def test_read_csv_parses_each_row_and_names_its_first_line(tmp_path):
 ], ids=["width", "too-many-rows", "too-few-rows", "label-2", "label-columns"])
 def test_write_refuses_what_the_reader_rejects_and_leaves_no_file(tmp_path, blocks, labels,
                                                                    message):
-    # bad labels are refused when the dataset is built, bad blocks by the writer
+    # the writer refuses both, labels once the blocks are consumed
     with pytest.raises(ValueError) as exc:
-        ds = lb.LatentDataset(codes=np.zeros((4, 3)), labels=labels,
-                              schema=lb.AttributeSchema(("a",)))
-        write_dataset_blocks(str(tmp_path / "bad"), ds, iter(blocks))
+        write_dataset_blocks(str(tmp_path / "bad"), lb.AttributeSchema(("a",)), labels, 3,
+                             iter(blocks))
     assert str(exc.value).endswith(message)
     assert list(tmp_path.iterdir()) == []
 

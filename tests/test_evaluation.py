@@ -274,11 +274,13 @@ class TestSweeps:
         ({"n_eval": 0}, "n_eval must be >= 1, got 0"),
         ({"n_eval": 2.5}, "n_eval must be an integer, got 2.5"),
         ({"n_eval": np.False_}, f"n_eval must be an integer, got {np.False_!r}"),
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
         ({"methods": ("bogus",)}, "method must be one of ('centroid', 'svm'), got 'bogus'"),
         ({"policies": ("skip", "bogus")},
          "policy must be one of ('skip', 'oversample', 'uniform'), got 'bogus'"),
     ], ids=["runs-bool", "runs-float", "n_eval-zero", "n_eval-fraction", "n_eval-numpy-bool",
-            "method", "policy"])
+            "seed-fraction", "seed-bool", "method", "policy"])
     def test_bad_sweep_arguments_rejected_up_front(self, world42, dataset20k, kwargs, message):
         # these used to give all-NaN rows, write True as the runs count, or
         # escape as a TypeError
@@ -289,6 +291,19 @@ class TestSweeps:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 lb.sweep_regularization(dataset20k, world42.score, c_values=[1.0], n0=100,
                                         **args)
+
+    @pytest.mark.parametrize("n0,message", [
+        (2.5, "n0 must be an integer, got 2.5"),
+        (True, "n0 must be an integer, got True"),
+        (0, "n0 must be >= 1, got 0"),
+    ], ids=["fraction", "bool", "zero"])
+    def test_bad_n0_rejected_up_front(self, world42, dataset20k, n0, message):
+        # these used to give all-NaN rows; sizes=[True] wrote parameter 1.0
+        match = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=match):
+            lb.sweep_sample_size(dataset20k, world42.score, sizes=[100, n0], runs=1)
+        with pytest.raises(ValueError, match=match):
+            lb.sweep_regularization(dataset20k, world42.score, c_values=[1.0], n0=n0, runs=1)
 
     def test_one_attribute_sweep_rejected_up_front(self):
         # every point would fail in overall_entanglement, leaving only NaN rows

@@ -126,6 +126,22 @@ class TestSampleWorld:
         with pytest.raises(ValueError):
             lb.sample_world(world42, -1, seed=0)
 
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_non_integer_n_rejected_naming_n(self, world42, n):
+        # 2.5 used to escape from reshape as a TypeError, and True passed for 1
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            lb.sample_world(world42, n, seed=0)
+        assert lb.sample_world(world42, np.int64(3), seed=0).n == 3
+
+    @pytest.mark.parametrize("seed", [2.5, True])
+    def test_non_integer_seed_rejected_naming_seed(self, world42, seed):
+        # 2.5 used to escape as a TypeError from seed & MASK64
+        match = f"^seed must be an integer, got {seed!r}$"
+        with pytest.raises(ValueError, match=match):
+            lb.sample_world(world42, 3, seed=seed)
+        with pytest.raises(ValueError, match=match):
+            lb.default_world(seed)
+
     @pytest.mark.parametrize("n", [0, 1, _LABEL_ROWS - 1, _LABEL_ROWS, _LABEL_ROWS + 1, 20_000])
     def test_block_labels_equal_the_whole_array_labels(self, world42, n):
         ds = lb.sample_world(world42, n, seed=5)

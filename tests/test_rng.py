@@ -64,6 +64,14 @@ def test_derive_seed_is_path_sensitive():
     assert len(seen) == 5
 
 
+@pytest.mark.parametrize("seed", [2.5, True, "3", None])
+def test_derive_seed_refuses_a_non_integer_seed_by_name(seed):
+    # a float or a string used to escape as a TypeError from seed & MASK64
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+        rng.derive_seed(seed, 1)
+    assert rng.derive_seed(np.int64(3), 1) == rng.derive_seed(3, 1)
+
+
 def test_stream_tags_are_distinct_across_modules():
     # one seed reaches synth, sample and eval in the README walkthrough, so two
     # modules deriving a stream with the same tag would correlate their draws
@@ -132,6 +140,16 @@ def test_normals_deterministic():
 def test_blockwise_normals_equal_one_shot_transform(n):
     reference = acklam_ppf(uniforms(2024, n))
     assert np.array_equal(rng.normals(2024, n), reference)
+
+
+@pytest.mark.parametrize("start,n", [(0, 10), (7, 2**16 + 3), (3 * 2**16 - 1, 5)],
+                         ids=["from-zero", "across-a-block", "mid-block"])
+def test_normals_from_a_counter_into_a_buffer_equal_the_stream(start, n):
+    out = np.full(n, np.nan)
+    assert rng.normals(2024, n, start=start, out=out) is out
+    assert out.tobytes() == rng.normals(2024, start + n)[start:].tobytes()
+    with pytest.raises(ValueError, match=r"^out must have shape \(5,\), got \(4,\)$"):
+        rng.normals(2024, 5, out=np.empty(4))
 
 
 def _sha256(values) -> str:

@@ -193,6 +193,16 @@ class TestBalancedSubsample:
         assert lb.SamplePlan(np.int32(3), "skip", 1).n0 == 3
 
 
+    @pytest.mark.parametrize("seed", [2.5, True])
+    def test_non_integer_seed_rejected_naming_seed(self, seed):
+        # 2.5 used to escape as a TypeError from seed & MASK64
+        ds = tiny_dataset([[0, 0]] * 20)
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            lb.SamplePlan(10, "skip", seed)
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            lb.uniform_subsample(ds, 3, seed)
+
+
 class TestUniformSubsample:
     def test_full_draw_selects_every_row(self):
         ds = tiny_dataset([[0, 0]] * 50)
