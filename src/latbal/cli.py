@@ -61,18 +61,20 @@ def _default(value, default):
     return default if value is None else value
 
 
-def _checked(parse, valid, expected: str, many: bool = False):
-    """An argparse type: the parsed value, or with ``many`` the list of
-    comma-separated values; a value that does not parse or fails ``valid`` is
-    a usage error (exit 1) that names the flag and the value."""
+def _checked(parse, valid, expected: str, many: bool = False, distinct: bool = False):
+    """An argparse type: the parsed value, or with ``many`` the list of comma-separated
+    values; a value that does not parse, fails ``valid`` or, with ``distinct``,
+    repeats is a usage error (exit 1) that names the flag and the value."""
     def check(text: str):
         try:
             values = [parse(t) for t in (text.split(",") if many else [text])]
         except ValueError:
             raise argparse.ArgumentTypeError(f"expects {expected}, got {text!r}") from None
-        for v in values:
+        for k, v in enumerate(values):
             if not valid(v):
                 raise argparse.ArgumentTypeError(f"expects {expected}, got {v!r}")
+            if distinct and v in values[:k]:
+                raise argparse.ArgumentTypeError(f"expects {expected}, got {v!r} twice")
         return values if many else values[0]
     return check
 
@@ -87,8 +89,8 @@ def _corr(text: str) -> tuple:
 
 
 def _subset(choices):
-    return _checked(str.strip, lambda v: v in choices,
-                    "a comma-separated subset of " + ",".join(choices), many=True)
+    expected = "a comma-separated subset of " + ",".join(choices)
+    return _checked(str.strip, lambda v: v in choices, expected, many=True, distinct=True)
 
 
 _COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
@@ -179,11 +181,12 @@ def build_parser() -> _Parser:
     p.add_argument("--world", required=True)
     grid = p.add_mutually_exclusive_group(required=True)
     grid.add_argument("--sizes", type=_checked(int, lambda n: n >= 1,
-                                               "comma-separated integers >= 1", many=True),
+                                               "comma-separated integers >= 1", many=True,
+                                               distinct=True),
                       help="comma-separated N0 grid")
     grid.add_argument("--c-grid", type=_checked(float, _positive,
                                                 "comma-separated finite numbers > 0",
-                                                many=True),
+                                                many=True, distinct=True),
                       help="comma-separated C grid")
     p.add_argument("--methods", type=_subset(METHODS), default=None,
                    help="--sizes only; comma-separated: centroid,svm (default centroid)")

@@ -10,6 +10,7 @@ concurrent readers are safe.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -124,6 +125,16 @@ def check_integer(name: str, value, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_number(name: str, value, positive: bool = False) -> float:
+    """value as a float; a bool, a non-real value (a str, None) or a NaN or an
+    infinity is refused by name, and with ``positive`` so is a value <= 0."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or (positive and value <= 0)):
+        kind = "finite positive number" if positive else "finite number"
+        raise ValueError(f"{name} must be a {kind}, got {value!r}")
+    return float(value)
 
 
 def checked_labels(labels, n: int, m: int) -> np.ndarray:

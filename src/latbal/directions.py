@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SemanticDirection
+from .core import SemanticDirection, check_number
 from .dataio import json_array, json_int, read_json, write_json
 from .svm import train_svm
 
@@ -86,7 +86,7 @@ def svm_direction(x, y, j: int, c: float = 1.0, tol: float = 1e-6,
         attribute=j,
         vector=u,
         method="svm",
-        meta={"c": c, "duality_gap": model.duality_gap, "iterations": model.iterations,
+        meta={"c": model.c, "duality_gap": model.duality_gap, "iterations": model.iterations,
               "converged": model.converged,
               "n_pos": n_pos, "n_neg": n_neg},
     )
@@ -139,7 +139,7 @@ def edit_latent(z: np.ndarray, direction: SemanticDirection, alpha: float) -> np
     z = np.asarray(z, dtype=np.float64)
     if z.shape[-1] != direction.dim:
         raise ValueError(f"dimension mismatch: code d={z.shape[-1]}, direction d={direction.dim}")
-    return z + alpha * direction.vector
+    return z + check_number("alpha", alpha) * direction.vector
 
 
 def direction_to_dict(direction: SemanticDirection) -> dict:

@@ -31,15 +31,14 @@ NaN and the point's first error.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .contingency import build_contingency
-from .core import LatentDataset, SemanticDirection, check_integer, row_indices
+from .core import (LatentDataset, SemanticDirection, check_integer, check_number,
+                   nonfinite_rows, row_indices)
 from .dataio import atomic_write_text, csv_text, write_json
 from .directions import _centroid_from_sums, svm_direction
 # Nothing here calls these two; they stay bound in this module because
@@ -96,10 +95,13 @@ class SweepReport:
 
 def rescore(scorer: Scorer, directions: Sequence[SemanticDirection],
             latents: np.ndarray, alpha: float) -> RescoreMatrix:
-    _check_alpha(alpha)
+    alpha = check_number("alpha", alpha)
     latents = np.asarray(latents, dtype=np.float64)
     if latents.ndim != 2 or latents.shape[0] == 0:
         raise ValueError("latents must be a non-empty (n, d) array")
+    bad = nonfinite_rows(latents)
+    if bad.size:  # NaN codes would give an all-NaN matrix that reads as measured
+        raise ValueError(f"latents row {bad[0]}: non-finite component")
     if not directions:
         raise ValueError("need at least one direction")
     d = latents.shape[1]
@@ -116,11 +118,6 @@ def rescore(scorer: Scorer, directions: Sequence[SemanticDirection],
         values[row] = (edited - base).mean(axis=0)
     return RescoreMatrix(values=values, alpha=alpha, n=latents.shape[0],
                          direction_attributes=tuple(u.attribute for u in directions))
-
-
-def _check_alpha(alpha) -> None:
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not math.isfinite(alpha):
-        raise ValueError(f"alpha must be a finite number, got {alpha!r}")
 
 
 def _row(matrix: RescoreMatrix, row: int) -> tuple[np.ndarray, int]:
@@ -252,13 +249,7 @@ def _sweep(dataset: LatentDataset, scorer: Scorer, points: list[tuple], runs: in
     for name, count in (("runs", runs), ("n_eval", n_eval)):
         check_integer(name, count, 1)
     check_integer("seed", seed)
-    _check_alpha(alpha)
-    for _, method, policy, n0, *_ in points:
-        check_integer("n0", n0, 1)  # a bool or a float n0 would give NaN rows
-        if method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-        if policy not in SWEEP_POLICIES:
-            raise ValueError(f"policy must be one of {SWEEP_POLICIES}, got {policy!r}")
+    alpha = check_number("alpha", alpha)
     if dataset.m < 2:  # every point would fail in overall_entanglement
         raise ValueError(f"a sweep needs at least two attributes, got {dataset.m}")
     table = build_contingency(dataset)
@@ -297,14 +288,29 @@ def _sweep(dataset: LatentDataset, scorer: Scorer, points: list[tuple], runs: in
     return report
 
 
+def _grid(name: str, values, check) -> list:
+    """check(value) for each value; an empty grid, or one whose points repeat, is refused."""
+    values = [check(v) for v in values]
+    if not values or any(v in values[:k] for k, v in enumerate(values)):
+        raise ValueError(f"{name} must be non-empty without repeats, got {values}")
+    return values
+
+
+def _choice(name: str, value, choices: tuple):
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+    return value
+
+
 def sweep_sample_size(dataset: LatentDataset, scorer: Scorer, sizes: Sequence[int],
                       methods: Sequence[str] = ("centroid",),
                       policies: Sequence[str] = ("skip",),
                       runs: int = 5, alpha: float = 0.2, n_eval: int = 2000,
                       c: float = 1.0, seed: int = 0) -> SweepReport:
     """Refit and re-score across subsample sizes, methods, and sampling policies."""
-    if not sizes:
-        raise ValueError("sizes must be non-empty")
+    sizes = _grid("sizes", sizes, lambda n0: check_integer("n0", n0, 1))
+    methods = _grid("methods", methods, lambda v: _choice("method", v, METHODS))
+    policies = _grid("policies", policies, lambda v: _choice("policy", v, SWEEP_POLICIES))
     points = [(float(n0), method, policy, n0, c, (si, mi, pi))
               for si, n0 in enumerate(sizes)
               for mi, method in enumerate(methods)
@@ -321,11 +327,9 @@ def sweep_regularization(dataset: LatentDataset, scorer: Scorer,
     Within a run the same balanced subsample feeds every C value and the
     centroid reference, so differences along the grid are attributable to C.
     """
-    if not c_values:
-        raise ValueError("c_values must be non-empty")
-    if not all(np.isfinite(c) and c > 0 for c in c_values):
-        raise ValueError(f"c_values must be finite positive numbers, got {list(c_values)}")
-    points = [(float(c), "svm", "skip", n0, c, ()) for c in c_values]
+    c_values = _grid("c_values", c_values, lambda c: check_number("c_values", c, positive=True))
+    n0 = check_integer("n0", n0, 1)
+    points = [(c, "svm", "skip", n0, c, ()) for c in c_values]
     points.append((None, "centroid", "skip", n0, 1.0, ()))
     return _sweep(dataset, scorer, points, runs, alpha, n_eval, seed)
 

@@ -32,13 +32,11 @@ the rates (biases within 1e-12), or the file is refused.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AttributeSchema, LatentDataset, check_integer
+from .core import AttributeSchema, LatentDataset, check_integer, check_number
 from .dataio import json_array, json_int, json_number, read_json, write_json
 from .directions import orthonormal_basis
 from .rng import derive_seed, norm_ppf, normals
@@ -69,10 +67,9 @@ class LinearAttributeWorld:
         if self.vectors.ndim != 2:
             raise ValueError(f"vectors must be an m x d matrix, got shape {self.vectors.shape}")
         object.__setattr__(self, "dim", self.vectors.shape[1])
-        s = self.sharpness
-        if isinstance(s, bool) or not isinstance(s, numbers.Real) or not (
-                math.isfinite(s) and s > 0):
-            raise ValueError(f"sharpness must be a finite positive number, got {s}")
+        object.__setattr__(self, "sharpness",
+                           check_number("sharpness", self.sharpness, positive=True))
+        object.__setattr__(self, "seed", check_integer("seed", self.seed))
         m = len(self.names)
         _check_spec(self.dim, m, self.gram, self.rates)
         if self.vectors.shape[0] != m or not np.all(
@@ -136,6 +133,7 @@ def _check_spec(dim: int, m: int, gram: np.ndarray, rates: np.ndarray) -> None:
 
 def make_world(dim: int, gram: np.ndarray, positive_rates, sharpness: float = 1.0,
                seed: int = 0, names: tuple[str, ...] | None = None) -> LinearAttributeWorld:
+    dim = check_integer("dim", dim, 1)
     gram = np.asarray(gram, dtype=np.float64)
     rates = np.asarray(positive_rates, dtype=np.float64)
     m = rates.size
@@ -152,7 +150,7 @@ def make_world(dim: int, gram: np.ndarray, positive_rates, sharpness: float = 1.
     vectors = _sym_sqrt(gram) @ frame
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     return LinearAttributeWorld(vectors=vectors, gram=gram, rates=rates,
-                                sharpness=float(sharpness), seed=seed, names=names)
+                                sharpness=sharpness, seed=seed, names=names)
 
 
 def _sample_block(world: LinearAttributeWorld, seed: int, row: int, codes: np.ndarray,

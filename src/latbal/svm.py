@@ -34,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_integer, check_number
+
 _H_START, _H_MIN, _STAGE_STEPS, _POLISH_ROWS = 0.5, 1e-12, 25, 2  # polish |F| <= 2 (d+1)
 
 
@@ -124,10 +126,10 @@ def train_svm(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 1e-6,
         raise ValueError(f"labels must be a ({x.shape[0]},) array of +1 and -1")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise ValueError("both classes must be non-empty")
-    if not (np.isfinite(c) and c > 0):
-        raise ValueError(f"C must be a finite positive number, got {c}")
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    c = check_number("C", c, positive=True)
+    if check_number("tol", tol) < 0:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    max_iter = check_integer("max_iter", max_iter, 0)
 
     z = np.empty((x.shape[0], x.shape[1] + 1))  # z_i = y_i [x_i, 1]
     np.multiply(x, y[:, None], out=z[:, :-1])

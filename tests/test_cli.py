@@ -883,10 +883,24 @@ class TestExitCodes:
         (["sweep", "--data", "nope", "--world", "nope.json", "--c-grid", "inf",
           "--seed", "1", "--out", "out"], "--c-grid: expects comma-separated finite "
                                           "numbers > 0, got inf"),
+        (["sweep", "--data", "nope", "--world", "nope.json", "--sizes", "100,200,100",
+          "--seed", "1", "--out", "out"],
+         "--sizes: expects comma-separated integers >= 1, got 100 twice"),
+        (["sweep", "--data", "nope", "--world", "nope.json", "--c-grid", "1,0.5,1.0",
+          "--seed", "1", "--out", "out"],
+         "--c-grid: expects comma-separated finite numbers > 0, got 1.0 twice"),
+        (["sweep", "--data", "nope", "--world", "nope.json", "--sizes", "100",
+          "--methods", "svm,centroid,svm", "--seed", "1", "--out", "out"],
+         "--methods: expects a comma-separated subset of centroid,svm, got 'svm' twice"),
+        (["sweep", "--data", "nope", "--world", "nope.json", "--sizes", "100",
+          "--policies", "skip, skip", "--seed", "1", "--out", "out"],
+         "--policies: expects a comma-separated subset of skip,oversample,uniform, "
+         "got 'skip' twice"),
     ], ids=["edit-alpha-nan", "eval-alpha-inf", "sweep-alpha-nan", "eval-n-zero",
             "uniform-sample-policy", "fit-c-nan", "fit-c-inf", "fit-c-negative",
             "fit-tol-nan", "fit-tol-zero", "fit-max-iter-zero", "sweep-svm-c-inf",
-            "sweep-c-grid-inf"])
+            "sweep-c-grid-inf", "sweep-sizes-repeat", "sweep-c-grid-repeat",
+            "sweep-methods-repeat", "sweep-policies-repeat"])
     def test_bad_flag_value_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, named):
         monkeypatch.chdir(tmp_path)
         code = run(*argv)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import latbal as lb
 from latbal.contingency import bits_string, cell_indices
+from latbal.core import check_number
 from conftest import tiny_dataset
 from rng_reference import uniforms
 
@@ -223,3 +225,21 @@ def test_select_refuses_non_integer_indices_naming_the_dtype(indices):
 def test_dataset_arrays_are_readonly(dataset20k):
     with pytest.raises(ValueError):
         dataset20k.codes[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("value,positive,kind", [
+    (True, False, "finite number"), ("1", False, "finite number"),
+    (None, False, "finite number"), (float("nan"), False, "finite number"),
+    (-float("inf"), False, "finite number"), (np.float32("inf"), True, "finite positive number"),
+    (0.0, True, "finite positive number"), (-2, True, "finite positive number"),
+], ids=["bool", "str", "none", "nan", "-inf", "numpy-inf", "zero", "negative"])
+def test_check_number_refuses_by_name(value, positive, kind):
+    with pytest.raises(ValueError, match=f"^x must be a {kind}, got {re.escape(repr(value))}$"):
+        check_number("x", value, positive=positive)
+
+
+@pytest.mark.parametrize("value", [2, np.float32(0.5), np.int64(-3), 1e-300])
+def test_check_number_returns_a_float(value):
+    # a numpy scalar kept as given would not serialize to JSON
+    checked = check_number("x", value)
+    assert type(checked) is float and checked == value

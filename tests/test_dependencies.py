@@ -26,6 +26,25 @@ def test_package_imports_only_stdlib_and_numpy():
     assert not stray, f"undeclared dependencies (module: first importing file): {stray}"
 
 
+def test_only_core_checks_the_type_of_a_scalar():
+    # core.check_integer and core.check_number are the one check per kind of
+    # scalar argument; a module that tests for bool or imports numbers would
+    # hold a second one, which drifts from them
+    found = []
+    for path in sorted(Path(latbal.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "numbers"):
+                found.append((path.name, node.lineno, "import numbers"))
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and any(getattr(n, "id", None) == "bool" for a in node.args[1:]
+                            for n in ast.walk(a))):
+                found.append((path.name, node.lineno, "isinstance(..., bool)"))
+    assert found == []
+
+
 def test_only_dataio_writes_files_or_imports_in_a_function():
     # dataio owns the on-disk formats (the JSON artifact layout and the CSV
     # dialect included), so it alone opens a file, for reading or writing, or

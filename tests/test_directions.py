@@ -224,6 +224,13 @@ class TestEditLatent:
         with pytest.raises(ValueError, match="dimension"):
             lb.edit_latent(np.zeros(4), _random_direction(18, d=8), 1.0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), -float("inf"), True, "0.2", None])
+    def test_alpha_must_be_a_finite_number(self, alpha):
+        # True used to step by 1, and NaN to return NaN codes
+        with pytest.raises(ValueError,
+                           match=f"^alpha must be a finite number, got {re.escape(repr(alpha))}$"):
+            lb.edit_latent(np.zeros(8), _random_direction(21), alpha)
+
     def test_input_untouched(self):
         z = normals(19, 8)
         snapshot = z.copy()

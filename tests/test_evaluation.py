@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import latbal as lb
 import latbal.evaluation
 from latbal.evaluation import (_CHUNK, RescoreMatrix, rescore_to_csv, rescore_to_dict,
+                               save_rescore,
                                sweep_to_csv)
 from latbal.rng import derive_seed, normals
 
@@ -37,6 +39,26 @@ class TestRescore:
         latents = normals(61, 50 * 64).reshape(50, 64)
         matrix = lb.rescore(world42.score, dirs, latents, alpha=0.0)
         assert np.all(matrix.values == 0.0)
+
+    def test_non_finite_latents_rejected_naming_the_first_row(self, world42):
+        # NaN latents used to give an all-NaN matrix, read as measured
+        dirs = [lb.SemanticDirection(0, _unit(normals(64, 64)), "centroid")]
+        latents = normals(65, 10 * 64).reshape(10, 64)
+        latents[7, 3], latents[4, 0] = np.nan, -np.inf
+        with pytest.raises(ValueError, match="^latents row 4: non-finite component$"):
+            lb.rescore(world42.score, dirs, latents, alpha=0.2)
+
+    def test_numpy_alpha_is_saved_as_a_json_float(self, world42, tmp_path):
+        # a float32 alpha used to be kept, and save_rescore then raised from
+        # json after writing the CSV half of its pair
+        dirs = [lb.SemanticDirection(0, _unit(normals(66, 64)), "centroid")]
+        latents = normals(67, 20 * 64).reshape(20, 64)
+        matrix = lb.rescore(world42.score, dirs, latents, np.float32(0.25))
+        assert type(matrix.alpha) is float
+        _, json_path = save_rescore(matrix, str(tmp_path / "r"), world42.names)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
+        with open(json_path, encoding="utf-8") as f:
+            assert json.load(f)["alpha"] == 0.25
 
     def test_orthogonal_direction_changes_nothing(self, world42):
         # a direction orthogonal to every planted vector shifts no logit
@@ -178,10 +200,11 @@ class TestSweeps:
     def test_centroid_sweep_builds_no_fit_set(self, world42, dataset100k):
         # the fit streams the drawn rows through one small buffer, so two
         # 50k-row points stay far below the size of one fit set (and so
-        # below the two a sweep holding its last fit set would reach)
+        # below the two a sweep holding its last fit set would reach); a
+        # grid repeats no size, so the second point draws one row fewer
         fit_bytes = 50_000 * (dataset100k.codes[0].nbytes + dataset100k.labels[0].nbytes)
         _, peak = traced_peak(lb.sweep_sample_size, dataset100k, world42.score,
-                              sizes=[50_000, 50_000], policies=("uniform",), runs=1,
+                              sizes=[50_000, 49_999], policies=("uniform",), runs=1,
                               n_eval=100, seed=3)
         assert peak < 0.25 * fit_bytes
 
@@ -296,14 +319,44 @@ class TestSweeps:
         (2.5, "n0 must be an integer, got 2.5"),
         (True, "n0 must be an integer, got True"),
         (0, "n0 must be >= 1, got 0"),
-    ], ids=["fraction", "bool", "zero"])
+        (None, "n0 must be an integer, got None"),
+    ], ids=["fraction", "bool", "zero", "none"])
     def test_bad_n0_rejected_up_front(self, world42, dataset20k, n0, message):
-        # these used to give all-NaN rows; sizes=[True] wrote parameter 1.0
+        # these used to give all-NaN rows; sizes=[True] wrote parameter 1.0,
+        # and sizes=[None] escaped as a TypeError
         match = f"^{re.escape(message)}$"
         with pytest.raises(ValueError, match=match):
             lb.sweep_sample_size(dataset20k, world42.score, sizes=[100, n0], runs=1)
         with pytest.raises(ValueError, match=match):
             lb.sweep_regularization(dataset20k, world42.score, c_values=[1.0], n0=n0, runs=1)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"sizes": [100, 200, 100]}, "sizes must be non-empty without repeats, "
+                                     "got [100, 200, 100]"),
+        ({"methods": ()}, "methods must be non-empty without repeats, got []"),
+        ({"methods": ["svm", "svm"]}, "methods must be non-empty without repeats, "
+                                      "got ['svm', 'svm']"),
+        ({"policies": ()}, "policies must be non-empty without repeats, got []"),
+        ({"policies": ("skip", "uniform", "skip")}, "policies must be non-empty without "
+                                                    "repeats, got ['skip', 'uniform', 'skip']"),
+    ], ids=["sizes-repeat", "methods-empty", "methods-repeat", "policies-empty",
+            "policies-repeat"])
+    def test_empty_or_repeating_size_grid_rejected(self, world42, dataset20k, kwargs, message):
+        # an empty method or policy list used to give a 0-row report, and a
+        # repeat two rows per point that no report tells apart
+        args = {"sizes": [100], "runs": 1, "n_eval": 50, **kwargs}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lb.sweep_sample_size(dataset20k, world42.score, **args)
+
+    @pytest.mark.parametrize("c_values,message", [
+        ([1.0, 0.5, 1], "c_values must be non-empty without repeats, got [1.0, 0.5, 1.0]"),
+        ([True], "c_values must be a finite positive number, got True"),
+        (["1"], "c_values must be a finite positive number, got '1'"),
+    ], ids=["repeat", "bool", "str"])
+    def test_c_grid_entries_checked(self, world42, dataset20k, c_values, message):
+        # [True] used to be written as C = 1.0, and ["1"] to escape as a TypeError
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lb.sweep_regularization(dataset20k, world42.score, c_values=c_values, runs=1)
 
     def test_one_attribute_sweep_rejected_up_front(self):
         # every point would fail in overall_entanglement, leaving only NaN rows
@@ -502,6 +555,21 @@ class TestFitDirections:
                 for r in (rows, shuffled))
         assert [(u.meta, u.vector.tobytes()) for u in a] == \
             [(u.meta, u.vector.tobytes()) for u in b]
+
+    @pytest.mark.parametrize("c", [True, "0.5"])
+    def test_svm_c_that_is_not_a_number_rejected(self, dataset20k, c):
+        # c=True used to be saved as "c": true
+        with pytest.raises(ValueError, match=f"^attribute 0: C must be a finite positive "
+                                             f"number, got {re.escape(repr(c))}$"):
+            lb.fit_directions(dataset20k.select(np.arange(200)), "svm", c=c)
+
+    def test_svm_c_is_saved_as_a_json_float(self, dataset20k, tmp_path):
+        # a float32 C used to be kept in meta, and save_direction then raised from json
+        u = lb.fit_directions(dataset20k.select(np.arange(200)), "svm", c=np.float32(0.5),
+                              tol=1e-3)[0]
+        assert type(u.meta["c"]) is float
+        lb.save_direction(u, str(tmp_path / "u.json"))
+        assert lb.load_direction(str(tmp_path / "u.json")).meta["c"] == 0.5
 
     def test_unknown_method_rejected(self, dataset20k):
         with pytest.raises(ValueError, match="unknown fit method 'lda'"):

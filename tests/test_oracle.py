@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,11 +58,26 @@ class TestMakeWorld:
         with pytest.raises(ValueError, match="rates"):
             lb.make_world(dim=4, gram=np.eye(1), positive_rates=(rate,), seed=0)
 
-    @pytest.mark.parametrize("sharpness", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("sharpness", [0.0, -1.0, float("nan"), float("inf"), True, "2"])
     def test_sharpness_must_be_finite_and_positive(self, sharpness):
         with pytest.raises(ValueError, match="sharpness"):
             lb.make_world(dim=4, gram=np.eye(1), positive_rates=(0.5,),
                           sharpness=sharpness, seed=0)
+
+    def test_sharpness_is_kept_as_a_float(self):
+        world = lb.make_world(dim=4, gram=np.eye(1), positive_rates=(0.5,),
+                              sharpness=np.float32(2.0), seed=0)
+        assert type(world.sharpness) is float and world.sharpness == 2.0
+
+    @pytest.mark.parametrize("dim,message", [
+        (4.0, "dim must be an integer, got 4.0"), (True, "dim must be an integer, got True"),
+        ("4", "dim must be an integer, got '4'"), (0, "dim must be >= 1, got 0"),
+    ], ids=["float", "bool", "str", "zero"])
+    def test_dim_must_be_a_positive_integer(self, dim, message):
+        # 4.0 and True used to escape from the frame draw as a TypeError
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lb.make_world(dim=dim, gram=np.eye(1), positive_rates=(0.5,), seed=0)
+        assert lb.make_world(dim=np.int64(4), gram=np.eye(1), positive_rates=(0.5,)).dim == 4
 
     @pytest.mark.parametrize("kwargs,message", [
         (dict(gram=np.eye(3)), r"gram must be 2x2, got \(3, 3\)"),
@@ -286,9 +302,19 @@ def test_world_sharpness_must_be_a_finite_positive_number(world42, sharpness):
     # "x" used to raise numpy's TypeError from isfinite, and True passed as 1.0
     fields = {f: getattr(world42, f) for f in ("vectors", "gram", "rates", "seed", "names")}
     with pytest.raises(ValueError,
-                       match=f"^sharpness must be a finite positive number, got {sharpness}$"):
+                       match=f"^sharpness must be a finite positive number, got {sharpness!r}$"):
         lb.LinearAttributeWorld(sharpness=sharpness, **fields)
     assert lb.LinearAttributeWorld(sharpness=np.float64(2.0), **fields).sharpness == 2.0
+
+
+@pytest.mark.parametrize("seed", [True, 2.5, "3"])
+def test_world_seed_must_be_an_integer(world42, seed):
+    # seed=True used to be kept and saved as "seed": true, which load_world refuses
+    fields = {f: getattr(world42, f) for f in ("vectors", "gram", "rates", "sharpness", "names")}
+    match = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=match):
+        lb.LinearAttributeWorld(seed=seed, **fields)
+    assert type(lb.LinearAttributeWorld(seed=np.int64(3), **fields).seed) is int
 
 
 @pytest.mark.parametrize("field", ["biases", "dim"])

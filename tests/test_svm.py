@@ -308,6 +308,26 @@ def test_non_finite_c_or_tol_rejected(kwargs, err):
         train_svm(*stacked(x, -x), **kwargs)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"c": True}, "C must be a finite positive number, got True"),
+    ({"c": "1"}, "C must be a finite positive number, got '1'"),
+    ({"tol": None}, "tol must be a finite number, got None"),
+    ({"max_iter": -1}, "max_iter must be >= 0, got -1"),
+    ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+], ids=["c-bool", "c-str", "tol-none", "max_iter-negative", "max_iter-fraction"])
+def test_bad_scalar_settings_named(kwargs, message):
+    # max_iter=-1 used to take 0 steps and 2.5 to escape as a TypeError
+    x = np.array([[1.0]])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        train_svm(*stacked(x, -x), **kwargs)
+
+
+def test_c_is_kept_as_the_checked_float():
+    x = np.array([[1.0]])
+    model = train_svm(*stacked(x, -x), c=np.float32(0.5))
+    assert type(model.c) is float and model.c == 0.5
+
+
 @pytest.mark.parametrize("c,cause", [(1e12, "Singular matrix"),
                                      (1e300, "overflow encountered in matmul")])
 def test_huge_c_is_a_value_error_naming_c_without_warnings(c, cause):
