@@ -309,6 +309,7 @@ def sweep_sample_size(dataset: LatentDataset, scorer: Scorer, sizes: Sequence[in
                       c: float = 1.0, seed: int = 0) -> SweepReport:
     """Refit and re-score across subsample sizes, methods, and sampling policies."""
     sizes = _grid("sizes", sizes, lambda n0: check_integer("n0", n0, 1))
+    c = check_number("C", c, positive=True)  # whatever the methods, as alpha is
     methods = _grid("methods", methods, lambda v: _choice("method", v, METHODS))
     policies = _grid("policies", policies, lambda v: _choice("policy", v, SWEEP_POLICIES))
     points = [(float(n0), method, policy, n0, c, (si, mi, pi))

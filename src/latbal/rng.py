@@ -18,6 +18,9 @@ where GOLDEN = 0x9E3779B97F4A7C15 and ``finalize`` is the standard SplitMix64
 mixing function.  The state is affine in the counter: at start + i it is
 (seed + start * GOLDEN) + (i + 1) * GOLDEN, which one function computes for
 both :func:`u64_block` and :func:`normals`, so they equal a scalar loop.
+A block's count ``n`` and first counter ``start`` must be integers >= 0;
+a float, a bool or a negative counter (which would wrap mod 2^64) is refused
+by name.
 
 Substreams are derived with :func:`derive_seed`, which folds integer path
 components into the seed through the same finalizer.  Uniform doubles, drawn
@@ -96,6 +99,7 @@ def _outputs(seed: int, start: int, steps: np.ndarray, z: np.ndarray,
 
 def u64_block(seed: int, n: int, start: int = 0) -> np.ndarray:
     """Vectorized SplitMix64 outputs at counters start .. start+n-1."""
+    n, start = check_integer("n", n, 0), check_integer("start", start, 0)
     z = _steps(n)
     return _outputs(seed, start, z, z, np.empty_like(z))
 
@@ -115,6 +119,7 @@ def below_block(seed: int, bounds, start: int = 0) -> tuple[np.ndarray, int]:
     the call holds one array of accepted maxima and a boolean mask of the
     same length, plus a uint64 copy of bounds unless they are uint64 already.
     """
+    start = check_integer("start", start, 0)
     b = np.asarray(bounds)
     if b.size and (b.dtype.kind not in "iu" or b.min() < 1):
         raise ValueError("below_block() needs integer bounds >= 1")
@@ -153,6 +158,7 @@ def _unit(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
 def normals(seed: int, n: int, start: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """n standard normal variates via inverse-CDF of the uniform stream at
     counters start .. start+n-1, written into out (n float64s) or a new array."""
+    n, start = check_integer("n", n, 0), check_integer("start", start, 0)
     if out is None:
         out = np.empty(n, dtype=np.float64)
     elif out.shape != (n,):

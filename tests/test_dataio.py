@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import latbal as lb
+from latbal import dataio
 from latbal.dataio import (MAGIC, VERSION, LatdFormatError, atomic_write_bytes, read_csv,
                            write_dataset_blocks, write_json)
 
@@ -397,4 +398,69 @@ def test_write_dataset_refuses_a_label_of_two(tmp_path):
         ds = lb.LatentDataset(codes=np.zeros((3, 2)), labels=[[0, 1], [1, 0], [1, 2]],
                               schema=lb.AttributeSchema(("a", "b")))
         lb.write_dataset(ds, str(tmp_path / "bad"))
+    assert list(tmp_path.iterdir()) == []
+
+
+_BLOCK_ROWS, _PARTIAL_ROWS, _DIM = 8192, 5000, 64
+
+
+def _code_blocks():
+    """Three full 8192 x 64 blocks and a partial one, each of at least 1 MiB."""
+    codes = lb.rng.normals(5, (3 * _BLOCK_ROWS + _PARTIAL_ROWS) * _DIM).reshape(-1, _DIM)
+    return [codes[a:a + _BLOCK_ROWS] for a in range(0, len(codes), _BLOCK_ROWS)]
+
+
+def _write_blocks(base, blocks):
+    labels = np.zeros((sum(len(b) for b in blocks), 2), np.uint8)
+    return write_dataset_blocks(base, lb.AttributeSchema(("a", "b")), labels, _DIM, blocks)
+
+
+def _record_writeback(monkeypatch):
+    """Replace the writeback hint with one that records (offset, nbytes) and the
+    file's size when it is called."""
+    calls = []
+
+    def hint(fd, offset, nbytes, flags):
+        assert flags == 2  # SYNC_FILE_RANGE_WRITE: start writeback, do not wait
+        calls.append((offset, nbytes, os.fstat(fd).st_size))
+        return 0
+
+    monkeypatch.setattr(dataio, "_sync_file_range", hint)
+    return calls
+
+
+def test_writeback_starts_on_each_code_block_in_file_order(tmp_path, monkeypatch):
+    calls = _record_writeback(monkeypatch)
+    blocks = _code_blocks()
+    latd_path, _ = _write_blocks(str(tmp_path / "d"), blocks)
+    write_json(str(tmp_path / "meta.json"), {"n": 1})
+    # one range per code block, none for the header, the labels CSV or the
+    # JSON file: contiguous from the end of the header to the end of the file
+    assert [nbytes for _, nbytes, _ in calls] == [b.nbytes for b in blocks]
+    assert calls[0][0] == 24
+    assert all(o + n == next_o for (o, n, _), (next_o, _, _) in zip(calls, calls[1:]))
+    assert calls[-1][0] + calls[-1][1] == os.path.getsize(latd_path)
+    # each range is in the file, not in Python's buffer, when it is hinted
+    assert all(size == o + n for o, n, size in calls)
+
+
+@pytest.mark.parametrize("hint", [None, lambda fd, offset, nbytes, flags: -1],
+                         ids=["missing", "failing"])
+def test_write_without_a_working_hint_keeps_its_bytes(tmp_path, monkeypatch, hint):
+    blocks = _code_blocks()
+    hinted = _write_blocks(str(tmp_path / "hinted"), blocks)
+    monkeypatch.setattr(dataio, "_sync_file_range", hint)
+    plain = _write_blocks(str(tmp_path / "plain"), blocks)
+    for a, b in zip(hinted, plain):
+        assert Path(a).read_bytes() == Path(b).read_bytes()
+
+
+def test_bad_block_after_hinted_blocks_leaves_no_file(tmp_path, monkeypatch):
+    calls = _record_writeback(monkeypatch)
+    blocks = _code_blocks()
+    blocks[2] = blocks[2].copy()
+    blocks[2][5, 3] = np.nan
+    with pytest.raises(ValueError, match=f"codes row {2 * _BLOCK_ROWS + 5}: non-finite"):
+        _write_blocks(str(tmp_path / "bad"), blocks)
+    assert len(calls) == 2
     assert list(tmp_path.iterdir()) == []

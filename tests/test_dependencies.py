@@ -75,6 +75,28 @@ def test_only_dataio_writes_files_or_imports_in_a_function():
     assert found == []
 
 
+def test_only_dataio_makes_a_write_durable():
+    # dataio._atomic_write is the one durable write: it starts each large
+    # chunk's writeback early (through ctypes), fsyncs, renames and fsyncs
+    # the directory; a second path would miss part of that
+    watched = {"ctypes", "os.fsync", "os.fdatasync", "os.replace", "os.rename"}
+    found = []
+    for path in sorted(Path(latbal.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] + [f"os.{alias.name}" for alias in node.names
+                                         if node.module == "os"]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os":
+                names = [f"os.{node.attr}"]
+            else:
+                continue
+            found += [(path.name, node.lineno, name) for name in names if name in watched]
+    assert any(where == "dataio.py" for where, *_ in found)  # the check sees the one path
+    assert [use for use in found if use[0] != "dataio.py"] == []
+
+
 def test_every_text_mode_open_names_its_encoding():
     # without encoding= a text file is decoded in the locale's encoding, which
     # differs between machines; every text file latbal reads or writes is UTF-8

@@ -367,10 +367,20 @@ class TestSweeps:
         with pytest.raises(ValueError, match=match):
             lb.sweep_regularization(dataset, lambda z: z[:, :1], c_values=[1.0], n0=10)
 
-    def test_non_finite_svm_c_gives_error_rows(self, world42, dataset20k):
-        report = lb.sweep_sample_size(dataset20k, world42.score, sizes=[100],
-                                      methods=("svm",), c=float("inf"), runs=1, n_eval=50)
-        assert all("C must be a finite positive number" in r.error for r in report.rows)
+    def test_non_finite_svm_c_rejected_up_front(self, world42, dataset20k):
+        # it used to become every point's NaN error rows
+        with pytest.raises(ValueError, match="^C must be a finite positive number, got inf$"):
+            lb.sweep_sample_size(dataset20k, world42.score, sizes=[100],
+                                 methods=("svm",), c=float("inf"), runs=1, n_eval=50)
+
+    @pytest.mark.parametrize("methods", [("centroid",), ("svm",)], ids=["centroid", "svm"])
+    @pytest.mark.parametrize("c", ["x", 0, True])
+    def test_c_checked_whatever_the_methods(self, world42, dataset20k, methods, c):
+        # a centroid-only sweep accepted any c and ignored it
+        with pytest.raises(ValueError, match=f"^C must be a finite positive number, "
+                                             f"got {re.escape(repr(c))}$"):
+            lb.sweep_sample_size(dataset20k, world42.score, sizes=[100],
+                                 methods=methods, c=c, runs=1, n_eval=50)
 
     def test_fit_errors_recorded_not_fatal(self, world42):
         # attribute 1 constant: its negative class is empty, so fits fail;

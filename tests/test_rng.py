@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -246,3 +247,29 @@ def test_below_block_equals_scalar_below_random_bounds(seed, start, bounds):
 def test_below_block_rejects_nonpositive_bounds():
     with pytest.raises(ValueError):
         rng.below_block(0, np.array([3, 0, 2]))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: rng.normals(1, 2.5), "n must be an integer, got 2.5"),
+    (lambda: rng.normals(1, True), "n must be an integer, got True"),
+    (lambda: rng.normals(1, -1), "n must be >= 0, got -1"),
+    (lambda: rng.normals(1, 3, 1.5), "start must be an integer, got 1.5"),
+    (lambda: rng.normals(1, 3, -1), "start must be >= 0, got -1"),
+    (lambda: rng.u64_block(1, 2.0), "n must be an integer, got 2.0"),
+    (lambda: rng.u64_block(1, 3, -1), "start must be >= 0, got -1"),
+    (lambda: rng.u64_block(1, 3, "0"), "start must be an integer, got '0'"),
+    (lambda: rng.below_block(1, [3, 2], -1), "start must be >= 0, got -1"),
+    (lambda: rng.below_block(1, [3, 2], False), "start must be an integer, got False"),
+], ids=["normals-n-float", "normals-n-bool", "normals-n-negative", "normals-start-float",
+        "normals-start-negative", "u64-n-float", "u64-start-negative", "u64-start-str",
+        "below-start-negative", "below-start-bool"])
+def test_block_counts_and_counters_refused_by_name(call, message):
+    # a float or bool count escaped as numpy's TypeError, a float start as a
+    # TypeError from &, and a negative start was taken mod 2^64
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_integer_counts_and_counters_draw_the_same_bits():
+    assert np.array_equal(rng.normals(1, np.int64(5), np.uint64(7)), rng.normals(1, 5, 7))
+    assert np.array_equal(rng.u64_block(1, np.int32(5), np.int64(7)), rng.u64_block(1, 5, 7))
