@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from .contingency import build_contingency, imbalance_stats, write_contingency_csv
 # write_dataset and sample_world stay bound here for perfbench/tracing.py to wrap
-from .dataio import (LatdFormatError, atomic_write_text, csv_text, read_csv, read_dataset,
-                     write_dataset, write_dataset_blocks, write_json)
+from .dataio import (LatdFormatError, atomic_write_text, block_rows, csv_text, read_csv,
+                     read_dataset, write_dataset, write_dataset_blocks, write_json)
 from .directions import (conditional_project, edit_latent, load_direction,
                          save_direction)
 from .evaluation import (METHODS, SWEEP_POLICIES, _eval_latents, fit_directions, rescore,
@@ -29,8 +29,6 @@ from .evaluation import (METHODS, SWEEP_POLICIES, _eval_latents, fit_directions,
 from .oracle import default_world, load_world, make_world, sample_blocks, sample_world, save_world
 from .sampler import (POLICIES, SamplePlan, balanced_subsample, read_subsample_indices,
                       uniform_subsample, write_subsample)
-
-_EDIT_BLOCK_BYTES = 1 << 20
 
 
 class _UsageError(Exception):
@@ -111,7 +109,8 @@ def build_parser() -> _Parser:
                        help="build an oracle world and sample a labeled dataset")
     p.add_argument("--out", required=True, help="output dataset path base")
     p.add_argument("--world-out", default=None, help="world JSON path (default <out>.world.json)")
-    p.add_argument("--n", type=int, default=10000, help="number of latent codes")
+    p.add_argument("--n", type=_checked(int, lambda n: n >= 0, "an integer >= 0"),
+                   default=10000, help="number of latent codes")
     p.add_argument("--dim", type=_COUNT, default=None)
     p.add_argument("--names", type=_checked(str, lambda v: v.strip() != "",
                                             "comma-separated non-blank names", many=True),
@@ -307,9 +306,9 @@ def _cmd_project(args) -> int:
 def _cmd_edit(args) -> int:
     dataset = read_dataset(args.data)
     direction = load_direction(args.direction)
-    # edit and write about 1 MB of rows at a time; an empty dataset still
+    # edit and write one block of rows at a time; an empty dataset still
     # makes one (empty) block, so edit_latent checks the direction's dim
-    step = max(1, _EDIT_BLOCK_BYTES // (8 * dataset.dim))
+    step = block_rows(dataset.dim)
     blocks = (edit_latent(dataset.codes[i:i + step], direction, args.alpha)
               for i in range(0, max(dataset.n, 1), step))
     with np.errstate(over="ignore"):  # the writer names an overflowed row and writes nothing

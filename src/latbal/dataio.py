@@ -25,13 +25,15 @@ less the umask (the mode open() gives), fsynced, then atomically renamed
 over the target, so an interrupted run never leaves a half-written file;
 the directory is then fsynced, so the rename survives a crash too.  A
 ``.latd`` write streams the header and then the codes, block by block, to
-the temp file, with no assembled copy of the dataset.  On Linux each chunk
-of 1 MiB or more starts its writeback (``sync_file_range``) once it is
-written, so the disk takes it while the next block is made and the fsync
-waits only for the tail; that is a hint, and durability still rests on the
-fsync and the rename.  The writer checks each
-code block's width, row count and finiteness before it is written, and the
-labels (n x m, 0s and 1s) once the blocks are consumed, so a generator of
+the temp file, with no assembled copy of the dataset.  Every module that
+streams codes sizes its blocks here, by block_rows(dim): the fewest rows
+that hold BLOCK_BYTES (1 MiB).  On Linux each chunk of BLOCK_BYTES or more,
+so every full code block at any width, starts its writeback
+(``sync_file_range``) once it is written, so the disk takes it while the
+next block is made and the fsync waits only for the tail; that is a hint,
+and durability still rests on the fsync and the rename.  The writer checks
+each code block's width, row count and finiteness before it is written, and
+the labels (n x m, 0s and 1s) once the blocks are consumed, so a generator of
 blocks may fill them in; it leaves no file the reader would reject.
 
 A read maps the codes read-only instead of copying them: the dataset's
@@ -70,7 +72,15 @@ try:
 except (AttributeError, OSError, TypeError):  # no such function here
     _sync_file_range = None
 _SYNC_FILE_RANGE_WRITE = 2  # the flag's value in <fcntl.h>
-_WRITEBACK_MIN_BYTES = 1 << 20  # a smaller chunk waits for the closing fsync
+
+# bytes of codes in a full block: small enough to stay in cache while it is
+# made and checked, large enough that a writeback hint is worth its call
+BLOCK_BYTES = 1 << 20
+
+
+def block_rows(dim: int) -> int:
+    """Rows of dim float64 codes in a block: the fewest that hold BLOCK_BYTES."""
+    return -(-BLOCK_BYTES // (8 * dim))
 
 
 class LatdFormatError(ValueError):
@@ -90,7 +100,7 @@ def _atomic_write(path: str, chunks) -> None:
             offset = 0
             for chunk in chunks:
                 nbytes = f.write(chunk)
-                if _sync_file_range is not None and nbytes >= _WRITEBACK_MIN_BYTES:
+                if _sync_file_range is not None and nbytes >= BLOCK_BYTES:
                     # the disk takes this chunk while the next one is made, so
                     # the fsync below waits only for the tail; a hint, so its
                     # result is not checked
@@ -148,22 +158,6 @@ def read_json(path: str, parse):
         raise LatdFormatError(f"{path}: missing field {exc}") from None
     except (ValueError, TypeError, IndexError) as exc:  # JSONDecodeError is a ValueError
         raise LatdFormatError(f"{path}: {exc}") from None
-
-
-def json_int(obj: dict, key: str) -> int:
-    """obj[key], which must be a JSON integer: not a bool, a float or a string."""
-    value = obj[key]
-    if type(value) is not int:
-        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def json_number(obj: dict, key: str) -> float:
-    """obj[key] as a float; it must be a JSON integer or float, not a bool or a string."""
-    value = obj[key]
-    if type(value) not in (int, float):
-        raise ValueError(f"field {key!r} must be a number, got {value!r}")
-    return float(value)
 
 
 def json_array(obj: dict, key: str, shape: tuple) -> np.ndarray:

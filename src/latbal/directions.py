@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SemanticDirection, check_number
-from .dataio import json_array, json_int, read_json, write_json
+from .core import SemanticDirection, check_integer, check_number
+from .dataio import json_array, read_json, write_json
 from .svm import train_svm
 
 DIRECTION_SCHEMA_VERSION = 1
@@ -154,11 +154,12 @@ def direction_to_dict(direction: SemanticDirection) -> dict:
 
 
 def direction_from_dict(obj: dict) -> SemanticDirection:
-    if json_int(obj, "schema_version") != DIRECTION_SCHEMA_VERSION:
-        raise ValueError(f"unsupported direction schema_version {obj['schema_version']!r}")
+    version = check_integer("field 'schema_version'", obj["schema_version"])
+    if version != DIRECTION_SCHEMA_VERSION:
+        raise ValueError(f"unsupported direction schema_version {version!r}")
     return SemanticDirection(
-        attribute=json_int(obj, "attribute"),
-        vector=json_array(obj, "vector", (json_int(obj, "dim"),)),
+        attribute=check_integer("field 'attribute'", obj["attribute"]),
+        vector=json_array(obj, "vector", (check_integer("field 'dim'", obj["dim"]),)),
         method=obj["method"],
         meta=dict(obj.get("meta", {})),
     )

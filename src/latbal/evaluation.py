@@ -39,7 +39,7 @@ import numpy as np
 from .contingency import build_contingency
 from .core import (LatentDataset, SemanticDirection, check_integer, check_number,
                    nonfinite_rows, row_indices)
-from .dataio import atomic_write_text, csv_text, write_json
+from .dataio import atomic_write_text, block_rows, csv_text, write_json
 from .directions import _centroid_from_sums, svm_direction
 # Nothing here calls these two; they stay bound in this module because
 # perfbench/tracing.py wraps them here by name.
@@ -51,8 +51,6 @@ from .sampler import POLICIES, SamplePlan, balanced_subsample, uniform_subsample
 _STREAM_EVAL = 31
 _STREAM_FIT = 32
 _SWEEP_SVM_TOL, _SWEEP_SVM_MAX_ITER = 1e-4, 300
-# rows per gathered chunk of a centroid fit: 1 MB of codes at dim 64 stays in cache
-_CHUNK = 2048
 
 RESCORE_CONVENTION = "edited_minus_original"
 METHODS = ("centroid", "svm")             # fit_directions methods
@@ -161,16 +159,17 @@ def fit_directions(dataset: LatentDataset, method: str, c: float = 1.0,
     and raw_norm may differ in the last bits; a BLAS product, masks.T @
     codes, sums in another order at every dim.)
 
-    The rows stream through in chunks of _CHUNK, each gathered into one
-    buffer below the 2m running sums, with the identity on top of the
-    chunk's masks.  So each class sum first adds its own running value
-    (exactly; the other sums' rows add 0 * sum, also exact while the sums
-    are finite), then the chunk's rows in order: it carries on row by row
-    from the previous chunk, in the order the einsum over every row at once
-    adds, and ends with the same bits.  The masks are filled from each
+    The rows stream through in chunks of dataio.block_rows(dim) rows (1 MiB
+    of codes, which stays in cache), each gathered into one buffer below the
+    2m running sums, with the identity on top of the chunk's masks.  So each
+    class sum first adds its own running value (exactly; the other sums'
+    rows add 0 * sum, also exact while the sums are finite), then the
+    chunk's rows in order: it carries on row by row from the previous chunk,
+    in the order the einsum over every row at once adds, and ends with the
+    same bits, whatever the chunk size.  The masks are filled from each
     chunk's labels, and the positives counted with count_nonzero, so beside
-    ``rows`` a centroid fit holds that one (_CHUNK + 2m) x dim buffer and
-    its masks, whatever the number of rows.
+    ``rows`` a centroid fit holds that one (block_rows(dim) + 2m) x dim
+    buffer and its masks, whatever the number of rows.
 
     An SVM fit gathers the rows once and sorts them once by content, so it
     ignores row order (equal codes repeat one row, with equal labels); fit j
@@ -207,15 +206,15 @@ def _class_sums(codes: np.ndarray, labels: np.ndarray, rows) -> tuple[np.ndarray
     Each class's rows are added in row order, chunk by chunk (see
     fit_directions).  A row outside [-n, n) raises IndexError, as select does.
     """
-    m = labels.shape[1]
+    m, step = labels.shape[1], block_rows(codes.shape[1])
     k = 2 * m
-    size = k + min(_CHUNK, len(rows))
+    size = k + min(step, len(rows))
     buf = np.zeros((size, codes.shape[1]))
     masks = np.zeros((size, k))
     masks[:k] = np.eye(k)
     n_pos = np.zeros(m, dtype=np.int64)
-    for start in range(0, len(rows), _CHUNK):
-        chunk = rows[start:start + _CHUNK]
+    for start in range(0, len(rows), step):
+        chunk = rows[start:start + step]
         if isinstance(chunk, range):  # every row: one chunk's indices at a time
             chunk = np.arange(chunk.start, chunk.stop)
         stop = k + chunk.size

@@ -18,9 +18,10 @@ Construction: a seeded Gaussian m x d matrix is orthonormalized (modified
 Gram-Schmidt) into a frame E, and V = sqrt(Gram) @ E, so V V^T equals the
 requested Gram.  Codes come from the portable SplitMix64 + inverse-CDF
 pipeline in rng, so a given (world, n, seed) reproduces bit-identically.
-One block function draws _LABEL_ROWS rows from the codes stream at counter
-row * d and labels them from their own margins, into slices of sample_world's
-arrays or into the one buffer sample_blocks reuses; the bits are one pass's.
+One block function draws dataio.block_rows(d) rows (1 MiB of codes) from the
+codes stream at counter row * d and labels them from their own margins, into
+slices of sample_world's arrays or into the one buffer sample_blocks reuses;
+the bits are one pass's, whatever the block size.
 
 A world is valid once built: it is frozen, holds only what it cannot derive
 (vectors, gram, rates, sharpness, seed, names) and derives the biases from
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import AttributeSchema, LatentDataset, check_integer, check_number
-from .dataio import json_array, json_int, json_number, read_json, write_json
+from .dataio import block_rows, json_array, read_json, write_json
 from .directions import orthonormal_basis
 from .rng import derive_seed, norm_ppf, normals
 
@@ -45,7 +46,6 @@ WORLD_SCHEMA_VERSION = 1
 
 _STREAM_FRAME = 21
 _STREAM_CODES = 22
-_LABEL_ROWS = 8192  # codes drawn and labelled per block
 
 
 @dataclass(frozen=True)
@@ -167,20 +167,21 @@ def sample_world(world: LinearAttributeWorld, n: int, seed: int) -> LatentDatase
     """n codes from the standard Gaussian prior, labeled by the world."""
     n = check_integer("n", n, 0)
     codes, labels = np.empty((n, world.dim)), np.empty((n, world.m), dtype=np.uint8)
-    for i in range(0, n, _LABEL_ROWS):
-        _sample_block(world, seed, i, codes[i:i + _LABEL_ROWS], labels[i:i + _LABEL_ROWS])
+    step = block_rows(world.dim)
+    for i in range(0, n, step):
+        _sample_block(world, seed, i, codes[i:i + step], labels[i:i + step])
     return LatentDataset(codes=codes, labels=labels, schema=world.schema)
 
 
 def sample_blocks(world: LinearAttributeWorld, n: int, seed: int):
     """(labels, blocks): the labels of sample_world(world, n, seed) and a generator
-    of its codes, _LABEL_ROWS rows at a time in one reused buffer, that fills them
-    in; a caller that writes each block out holds one block of codes, not n rows."""
+    of its codes, block_rows(dim) rows at a time in one reused buffer, that fills
+    them in; a caller that writes each block out holds one block of codes, not n rows."""
     n = check_integer("n", n, 0)
-    labels = np.empty((n, world.m), dtype=np.uint8)
-    rows = np.empty((min(n, _LABEL_ROWS), world.dim))
-    return labels, (_sample_block(world, seed, i, rows[:n - i], labels[i:i + _LABEL_ROWS])
-                    for i in range(0, n, _LABEL_ROWS))
+    labels, step = np.empty((n, world.m), dtype=np.uint8), block_rows(world.dim)
+    rows = np.empty((min(n, step), world.dim))
+    return labels, (_sample_block(world, seed, i, rows[:n - i], labels[i:i + step])
+                    for i in range(0, n, step))
 
 
 def default_world(seed: int = 0) -> LinearAttributeWorld:
@@ -212,14 +213,16 @@ def world_to_dict(world: LinearAttributeWorld) -> dict:
 
 
 def world_from_dict(obj: dict) -> LinearAttributeWorld:
-    if json_int(obj, "schema_version") != WORLD_SCHEMA_VERSION:
-        raise ValueError(f"unsupported world schema_version {obj['schema_version']!r}")
-    dim, names = json_int(obj, "dim"), AttributeSchema(obj["names"]).names
+    version = check_integer("field 'schema_version'", obj["schema_version"])
+    if version != WORLD_SCHEMA_VERSION:
+        raise ValueError(f"unsupported world schema_version {version!r}")
+    dim, names = check_integer("field 'dim'", obj["dim"]), AttributeSchema(obj["names"]).names
     m = len(names)
     arrays = {key: json_array(obj, key, shape) for key, shape in (
         ("vectors", (m, dim)), ("gram", (m, m)), ("rates", (m,)))}
-    world = LinearAttributeWorld(sharpness=json_number(obj, "sharpness"),
-                                 seed=json_int(obj, "seed"), names=names, **arrays)
+    world = LinearAttributeWorld(sharpness=check_number("field 'sharpness'", obj["sharpness"]),
+                                 seed=check_integer("field 'seed'", obj["seed"]), names=names,
+                                 **arrays)
     if not np.all(np.abs(json_array(obj, "biases", (m,)) - world.biases) <= 1e-12):
         raise ValueError("field 'biases' does not match the biases its rates give within 1e-12")
     return world

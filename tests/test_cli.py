@@ -12,7 +12,8 @@ import pytest
 
 import latbal as lb
 from latbal.cli import build_parser, main
-from latbal.dataio import dataset_paths
+from latbal import dataio
+from latbal.dataio import block_rows, dataset_paths
 
 from conftest import traced_peak
 
@@ -65,8 +66,8 @@ def test_synth_writes_the_bytes_of_the_sampled_dataset(tmp_path, n, flags):
 
 
 def test_synth_holds_one_block_of_codes(tmp_path):
-    # one 8192-row block is drawn, labelled and written at a time: the peak is
-    # that block (4 MiB at dim 64), the labels and the normals' fixed scratch,
+    # one block_rows(64)-row block is drawn, labelled and written at a time:
+    # the peak is that block (1 MiB), the labels and the normals' fixed scratch,
     # where the whole code array would be 102 MB at 200k codes
     code, peak = traced_peak(run, "synth", "--out", str(tmp_path / "s"), "--n", "200000",
                              "--seed", "3")
@@ -243,7 +244,7 @@ def test_edit_onto_its_own_path_matches_a_fresh_edit(tmp_path, synth_base):
 
 
 def test_edit_streams_in_bounded_memory(tmp_path, dataset100k):
-    # edit reads through a map and writes about 1 MB of rows at a time; an
+    # edit reads through a map and writes one 1 MiB block of rows at a time; an
     # edited copy of the codes would peak at about their size
     base = str(tmp_path / "big")
     lb.write_dataset(dataset100k, base)
@@ -289,6 +290,25 @@ def test_edit_of_an_empty_dataset_still_checks_the_direction(tmp_path, capsys):
                "--out", str(tmp_path / "bad")) == 2
     assert "dimension mismatch" in capsys.readouterr().err
     assert not (tmp_path / "bad.latd").exists()
+
+
+@pytest.mark.parametrize("dim", [8, 15, 64, 100])
+def test_synth_and_edit_start_writeback_on_every_full_block(tmp_path, monkeypatch, dim):
+    # each full block holds at least BLOCK_BYTES, whatever the width, so its
+    # writeback starts; only the last, partial block waits for the fsync
+    calls = []
+    monkeypatch.setattr(dataio, "_sync_file_range",
+                        lambda fd, offset, nbytes, flags: calls.append((offset, nbytes)))
+    block = block_rows(dim) * dim * 8
+    base, direction = str(tmp_path / "s"), _unit_direction(tmp_path / "u.json", dim)
+    for out, argv in ((base, ["synth", "--n", str(2 * block_rows(dim) + 5), "--dim", str(dim),
+                              "--seed", "1"]),
+                      (base + "-e", ["edit", "--data", base, "--direction", direction])):
+        calls.clear()
+        assert run(*argv, "--out", out) == 0
+        # from the end of the header, contiguous, and every code byte but the 5-row tail
+        assert calls == [(24, block), (24 + block, block)], argv[0]
+        assert os.path.getsize(out + ".latd") == 24 + 2 * block + 5 * dim * 8
 
 
 def test_sweep_and_report(tmp_path, synth_base):
@@ -559,7 +579,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("bad", ["not-json", "list", "missing-field", "schema-version",
                                      "vectors-shape", "non-finite", "vectors-text",
                                      "vectors-ragged", "version-bool", "dim-float",
-                                     "int-float", "int-bool", "number-string", "number-bool"])
+                                     "int-float", "int-bool", "number-string", "number-bool",
+                                     "number-nan"])
     @pytest.mark.parametrize("slot", ["project-target", "eval-directions", "eval-world",
                                       "sweep-world"])
     def test_malformed_json_artifact_is_data_error(self, tmp_path, synth_base, capsys,
@@ -571,12 +592,13 @@ class TestExitCodes:
         good = json.loads(Path(world if is_world else direction).read_text())
         missing = "dim" if is_world else "vector"
         vectors = "vectors" if is_world else "vector"
-        # integer fields must be JSON integers, and sharpness a JSON number
+        # integer fields must be JSON integers, and sharpness a finite JSON number
         typed = {"version-bool": ("schema_version", True), "dim-float": ("dim", 64.0),
                  "int-float": ("seed", 1.5) if is_world else ("attribute", 1.9),
                  "int-bool": ("seed", True) if is_world else ("attribute", True),
                  "number-string": ("sharpness", "2") if is_world else ("dim", "64"),
-                 "number-bool": ("sharpness", True) if is_world else ("dim", True)}
+                 "number-bool": ("sharpness", True) if is_world else ("dim", True),
+                 "number-nan": ("sharpness", np.nan) if is_world else ("dim", np.nan)}
         path = tmp_path / "bad.json"
         path.write_text({"not-json": '{"schema_version": 1,',
                          "list": json.dumps([good]),
@@ -611,7 +633,7 @@ class TestExitCodes:
                  "vectors-ragged": f"field '{vectors}' is not an array of numbers"}.get(bad, "")
         if bad in typed:
             key, value = typed[bad]
-            kind = "a number" if key == "sharpness" else "an integer"
+            kind = "a finite number" if key == "sharpness" else "an integer"
             named = f"{path}: field '{key}' must be {kind}, got {value!r}\n"
             assert err.endswith(named)
         assert named in err
@@ -640,7 +662,8 @@ class TestExitCodes:
         ("names", ["a", "a", "b", "c"], "attribute names must be unique"),
         ("names", [1, 2, 3, 4], "attribute names must be strings, got 1"),
         ("sharpness", -1, "sharpness must be a finite positive number, got -1.0"),
-        ("sharpness", float("nan"), "sharpness must be a finite positive number, got nan"),
+        # a NaN is no finite number, so the file's field is named before any world is built
+        ("sharpness", float("nan"), "field 'sharpness' must be a finite number, got nan"),
         ("rates", [1.5, -2, 0.5, 0.5],
          "positive rates must be 4 values strictly inside (0, 1), got [1.5, -2.0, 0.5, 0.5]"),
         ("gram", [[1, 0.6, 0, 0], [0.5, 1, 0, 0], [0, 0, 1, 0.6], [0, 0, 0.6, 1]],
@@ -734,7 +757,7 @@ class TestExitCodes:
         (["--names", ",".join(f"a{k}" for k in range(21))], "got 21"),
         (["--corr", "0,1,2.0"], "positive semi-definite"),
         (["--corr", "0,1,nan"], "--corr: expects I,J,RHO with a finite RHO, got (0, 1, nan)"),
-        (["--n", "-1"], "got -1"),
+        (["--n", "-1"], "--n: expects an integer >= 0, got -1"),
     ], ids=["names-blank-entry", "names-empty", "rates-empty", "rates-blank-entry",
             "dim-zero", "dim-below-m", "sharpness-negative", "sharpness-zero", "sharpness-nan",
             "names-repeated", "names-21", "corr-not-psd", "corr-rho-nan", "n-negative"])

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import latbal as lb
 from latbal import dataio
-from latbal.dataio import (MAGIC, VERSION, LatdFormatError, atomic_write_bytes, read_csv,
-                           write_dataset_blocks, write_json)
+from latbal.dataio import (BLOCK_BYTES, MAGIC, VERSION, LatdFormatError, atomic_write_bytes,
+                           block_rows, read_csv, write_dataset_blocks, write_json)
 
 from conftest import traced_peak
 
@@ -399,6 +401,15 @@ def test_write_dataset_refuses_a_label_of_two(tmp_path):
                               schema=lb.AttributeSchema(("a", "b")))
         lb.write_dataset(ds, str(tmp_path / "bad"))
     assert list(tmp_path.iterdir()) == []
+
+
+@given(dim=st.integers(1, 2**18))
+@example(dim=1)
+@example(dim=64)
+@example(dim=2**18)
+def test_a_full_block_is_the_fewest_rows_that_hold_block_bytes(dim):
+    rows = block_rows(dim)
+    assert rows * 8 * dim >= BLOCK_BYTES > (rows - 1) * 8 * dim
 
 
 _BLOCK_ROWS, _PARTIAL_ROWS, _DIM = 8192, 5000, 64

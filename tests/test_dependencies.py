@@ -28,8 +28,8 @@ def test_package_imports_only_stdlib_and_numpy():
 
 def test_only_core_checks_the_type_of_a_scalar():
     # core.check_integer and core.check_number are the one check per kind of
-    # scalar argument; a module that tests for bool or imports numbers would
-    # hold a second one, which drifts from them
+    # scalar argument; a module that tests for bool, imports numbers or
+    # compares a type(...) would hold a second one, which drifts from them
     found = []
     for path in sorted(Path(latbal.__file__).parent.glob("*.py")):
         if path.name == "core.py":
@@ -42,6 +42,11 @@ def test_only_core_checks_the_type_of_a_scalar():
                     and any(getattr(n, "id", None) == "bool" for a in node.args[1:]
                             for n in ast.walk(a))):
                 found.append((path.name, node.lineno, "isinstance(..., bool)"))
+            # type(x) is int, type(x) in (int, float), type(x) != bool, ...
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(n, ast.Call) and getattr(n.func, "id", None) == "type"
+                    for n in (node.left, *node.comparators)):
+                found.append((path.name, node.lineno, "type(...) compared"))
     assert found == []
 
 

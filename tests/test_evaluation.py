@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import latbal as lb
 import latbal.evaluation
-from latbal.evaluation import (_CHUNK, RescoreMatrix, rescore_to_csv, rescore_to_dict,
-                               save_rescore,
+from latbal.dataio import block_rows
+from latbal.evaluation import (RescoreMatrix, rescore_to_csv, rescore_to_dict, save_rescore,
                                sweep_to_csv)
 from latbal.rng import derive_seed, normals
 
@@ -228,7 +228,7 @@ class TestSweeps:
         # masks of every row, [pos, ~pos], took 2m bytes a row on top of the
         # chunk buffer: 2.7 times that buffer at 1e5 rows; and a fit on every
         # row (rows=None) built all their indices, 2 times that buffer
-        chunk_bytes = (_CHUNK + 2 * dataset100k.m) * dataset100k.dim * 8
+        chunk_bytes = (block_rows(dataset100k.dim) + 2 * dataset100k.m) * dataset100k.dim * 8
         for rows in (np.arange(100_000), None):
             dirs, peak = traced_peak(lb.fit_directions, dataset100k, "centroid", rows=rows)
             assert len(dirs) == dataset100k.m
@@ -494,8 +494,8 @@ class TestFitDirections:
             assert abs(u.meta["raw_norm"] - v.meta["raw_norm"]) <= bound
             assert (u.meta["n_pos"], u.meta["n_neg"]) == (v.meta["n_pos"], v.meta["n_neg"])
 
-    @pytest.mark.parametrize("size", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
-    @pytest.mark.parametrize("dim", [3, 64])
+    @pytest.mark.parametrize("dim,size", [(dim, size) for dim in (3, 64) for size in (
+        1, block_rows(dim) - 1, block_rows(dim), block_rows(dim) + 1, 3 * block_rows(dim) + 5)])
     def test_rows_fit_is_bit_identical_across_chunks(self, size, dim):
         # rows repeat (3000 source rows) and half of them are negative
         ds = _random_fit_set(3000, dim, 4, 0.3, 1, seed=size * dim)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import latbal as lb
-from latbal.oracle import _LABEL_ROWS, _sigmoid, world_from_dict, world_to_dict
+from latbal.dataio import block_rows
+from latbal.oracle import _sigmoid, world_from_dict, world_to_dict
 from latbal.rng import normals
 
 from conftest import traced_peak
@@ -158,7 +159,9 @@ class TestSampleWorld:
         with pytest.raises(ValueError, match=match):
             lb.default_world(seed)
 
-    @pytest.mark.parametrize("n", [0, 1, _LABEL_ROWS - 1, _LABEL_ROWS, _LABEL_ROWS + 1, 20_000])
+    # n ends just before, on and just after the first and the fourth block boundary
+    @pytest.mark.parametrize("n", [0, 1, 20_000, *(k * block_rows(64) + e for k in (1, 4)
+                                                   for e in (-1, 0, 1))])
     def test_block_labels_equal_the_whole_array_labels(self, world42, n):
         ds = lb.sample_world(world42, n, seed=5)
         expected = (world42.margins(ds.codes) > 0).astype(np.uint8)
