@@ -129,12 +129,17 @@ def check_integer(name: str, value, minimum: int | None = None) -> int:
 
 def check_number(name: str, value, positive: bool = False) -> float:
     """value as a float; a bool, a non-real value (a str, None) or a NaN or an
-    infinity is refused by name, and with ``positive`` so is a value <= 0."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or (positive and value <= 0)):
-        kind = "finite positive number" if positive else "finite number"
-        raise ValueError(f"{name} must be a {kind}, got {value!r}")
-    return float(value)
+    infinity (an integer beyond the float range included) is refused by name,
+    and with ``positive`` so is a value <= 0."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            number = float(value)
+        except OverflowError:  # 10**400 has no float
+            number = math.inf
+        if math.isfinite(number) and not (positive and number <= 0):
+            return number
+    kind = "finite positive number" if positive else "finite number"
+    raise ValueError(f"{name} must be a {kind}, got {value!r}")
 
 
 def checked_labels(labels, n: int, m: int) -> np.ndarray:

@@ -11,14 +11,17 @@ effect is the row's entry for its target, and overall_entanglement averages
 fit_directions fits one direction per attribute on rows of a dataset: every
 row, or the row indices a subsample drew.  A centroid fit streams those
 rows through one small gathered buffer, summing every attribute's two
-classes in one pass, and copies neither a fit set nor class rows; an SVM
-fit gathers the rows once, orders them once by content, and hands them to
-svm_direction with each attribute's +1/-1 labels.
+classes in one pass (two einsums over 0/1 masks, label 1 then the rest,
+and exact counts from a 0/1 matrix-vector product), and copies neither a
+fit set nor class rows; an SVM fit gathers the rows once, orders them once
+by content, and hands them to svm_direction with each attribute's +1/-1
+labels.
 
 Both sweeps run on one engine, _sweep, over grid points (parameter,
 method, policy, n0, C, seed key).  Each run draws its evaluation codes once
-from the standard Gaussian prior (never reused from fitting data) and shares
-them across grid points, so comparisons between methods are paired.  A point
+from the standard Gaussian prior (never reused from fitting data), scores
+them once, and shares both across grid points, so comparisons between
+methods are paired; a point's rescore scores only its edited codes.  A point
 fits on the rows of the subsample seeded derive_seed(seed, _STREAM_FIT,
 *key, run), passed to fit_directions as indices, with no fit set built.
 The size sweep keys each point by its grid position (si, mi, pi); the C
@@ -151,25 +154,28 @@ def fit_directions(dataset: LatentDataset, method: str, c: float = 1.0,
 
     Both methods split attribute j's rows as split_by_attribute does
     (label 1 against the rest) but build no dataset per class.  The centroid
-    fit reads the rows once, taking all 2m class sums as one einsum over
-    0/1 class masks, label 1 then the rest: every product is exact and each
-    class's rows are added in row order, the order mean(axis=0) adds a
+    fit reads the rows once, taking the m label-1 class sums as one einsum
+    over 0/1 masks and the m others as a second: every product is exact and
+    each class's rows are added in row order, the order mean(axis=0) adds a
     gathered class in when dim >= 2, so the directions are bit-identical to
     centroid_direction on the split classes.  (At dim 1 mean sums pairwise
     and raw_norm may differ in the last bits; a BLAS product, masks.T @
-    codes, sums in another order at every dim.)
+    codes, sums in another order at every dim.)  The label-1 counts are a
+    0/1 matrix-vector product, exact in any order.
 
     The rows stream through in chunks of dataio.block_rows(dim) rows (1 MiB
     of codes, which stays in cache), each gathered into one buffer below the
-    2m running sums, with the identity on top of the chunk's masks.  So each
+    2m running sums; above the chunk's rows, each mask holds the identity on
+    its own m sums and 0 on the other m.  So each
     class sum first adds its own running value (exactly; the other sums'
     rows add 0 * sum, also exact while the sums are finite), then the
     chunk's rows in order: it carries on row by row from the previous chunk,
     in the order the einsum over every row at once adds, and ends with the
-    same bits, whatever the chunk size.  The masks are filled from each
-    chunk's labels, and the positives counted with count_nonzero, so beside
-    ``rows`` a centroid fit holds that one (block_rows(dim) + 2m) x dim
-    buffer and its masks, whatever the number of rows.
+    same bits, whatever the chunk size.  The two masks are contiguous
+    (block_rows(dim) + 2m) x m arrays, filled from each chunk's labels by
+    one cast and one subtraction, so beside ``rows`` a centroid fit holds
+    that one (block_rows(dim) + 2m) x dim buffer, its two masks and a
+    vector of ones, whatever the number of rows.
 
     An SVM fit gathers the rows once and sorts them once by content, so it
     ignores row order (equal codes repeat one row, with equal labels); fit j
@@ -201,18 +207,22 @@ def fit_directions(dataset: LatentDataset, method: str, c: float = 1.0,
 
 def _class_sums(codes: np.ndarray, labels: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
     """(2m, dim) sums of codes[rows], label j = 1 rows then the rest for each
-    attribute j, and the (m,) counts of label-1 rows.
+    attribute j, and the (m,) int64 counts of label-1 rows.
 
-    Each class's rows are added in row order, chunk by chunk (see
-    fit_directions).  A row outside [-n, n) raises IndexError, as select does.
+    Each class's rows are added in row order, chunk by chunk, by two einsums
+    that write into the running sums' own rows (see fit_directions).  A row
+    outside [-n, n) raises IndexError, as select does.
     """
     m, step = labels.shape[1], block_rows(codes.shape[1])
     k = 2 * m
     size = k + min(step, len(rows))
     buf = np.zeros((size, codes.shape[1]))
-    masks = np.zeros((size, k))
-    masks[:k] = np.eye(k)
-    n_pos = np.zeros(m, dtype=np.int64)
+    # pos[i, j] is 1 where row i has label j = 1, neg[i, j] where it has not;
+    # on top, each mask is the identity on its own running sums, 0 on the others
+    pos, neg = np.zeros((size, m)), np.zeros((size, m))
+    pos[:m], neg[m:k] = np.eye(m), np.eye(m)
+    ones = np.ones(size - k)
+    n_pos = np.zeros(m)
     for start in range(0, len(rows), step):
         chunk = rows[start:start + step]
         if isinstance(chunk, range):  # every row: one chunk's indices at a time
@@ -222,15 +232,32 @@ def _class_sums(codes: np.ndarray, labels: np.ndarray, rows) -> tuple[np.ndarray
         # "wrap" maps -n..-1 as indexing does; the default "raise" would
         # buffer the gather instead of writing to out directly
         np.take(codes, chunk, axis=0, out=buf[k:stop], mode="wrap")
-        masks[k:stop, :m] = chunk_labels
-        np.subtract(1.0, chunk_labels, out=masks[k:stop, m:])
-        n_pos += np.count_nonzero(chunk_labels, axis=0)
-        buf[:k] = np.einsum("ik,ij->kj", masks[:stop], buf[:stop])
-    return buf[:k], n_pos
+        pos[k:stop] = chunk_labels
+        np.subtract(1.0, pos[k:stop], out=neg[k:stop])
+        n_pos += ones[:chunk.size] @ pos[k:stop]  # sums of 0s and 1s: exact
+        # out overlaps the operands: einsum then reads them as they were
+        np.einsum("ik,ij->kj", pos[:stop], buf[:stop], out=buf[:m])
+        np.einsum("ik,ij->kj", neg[:stop], buf[:stop], out=buf[m:k])
+    return buf[:k], n_pos.astype(np.int64)
 
 
 def _eval_latents(dim: int, n_eval: int, seed: int, run: int) -> np.ndarray:
     return normals(derive_seed(seed, _STREAM_EVAL, run), n_eval * dim).reshape(n_eval, dim)
+
+
+def _base_once(scorer: Scorer, latents: np.ndarray) -> Scorer:
+    """scorer, except that called on latents itself (the object, not an equal
+    copy) it scores them once and then returns those same scores."""
+    base = None
+
+    def scored(codes: np.ndarray) -> np.ndarray:
+        nonlocal base
+        if codes is not latents:
+            return scorer(codes)
+        if base is None:
+            base = scorer(codes)
+        return base
+    return scored
 
 
 def _subsample(dataset, table, policy: str, n0: int, seed: int):
@@ -258,6 +285,7 @@ def _sweep(dataset: LatentDataset, scorer: Scorer, points: list[tuple], runs: in
     errors: list[Optional[str]] = [None] * len(points)
     for run in range(runs):
         latents = _eval_latents(dataset.dim, n_eval, seed, run)
+        scored = _base_once(scorer, latents)
         for p, (_, method, policy, n0, c, key) in enumerate(points):
             if errors[p] is not None:
                 continue
@@ -266,7 +294,7 @@ def _sweep(dataset: LatentDataset, scorer: Scorer, points: list[tuple], runs: in
                 rows = _subsample(dataset, table, policy, n0, fit_seed).indices
                 dirs = fit_directions(dataset, method, c=c, tol=_SWEEP_SVM_TOL,
                                       max_iter=_SWEEP_SVM_MAX_ITER, rows=rows)
-                matrix = rescore(scorer, dirs, latents, alpha)
+                matrix = rescore(scored, dirs, latents, alpha)
                 results[p].append([[effect(matrix, j) for j in js],
                                    [overall_entanglement(matrix, j) for j in js]])
             except (ValueError, IndexError) as exc:

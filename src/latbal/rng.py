@@ -116,24 +116,27 @@ def below_block(seed: int, bounds, start: int = 0) -> tuple[np.ndarray, int]:
     2^64 rejections are vanishingly rare (probability < b / 2^64 per draw).
 
     Scratch: the outputs are reduced in place, so beside the returned array
-    the call holds one array of accepted maxima and a boolean mask of the
-    same length, plus a uint64 copy of bounds unless they are uint64 already.
+    the call holds the finalizer's scratch (one uint64 array of the same
+    length, freed before the scan) and then a boolean mask of that length,
+    plus a uint64 copy of bounds unless they are uint64 already.
     """
     start = check_integer("start", start, 0)
     b = np.asarray(bounds)
     if b.size and (b.dtype.kind not in "iu" or b.min() < 1):
         raise ValueError("below_block() needs integer bounds >= 1")
     b = b.astype(np.uint64, copy=False)
-    x = _steps(b.size)
-    lim = np.empty_like(x)
-    _outputs(seed, start, x, x, lim)            # lim is the finalizer's scratch here
-    # the largest accepted output, 2^64 - (2^64 mod b) - 1 = ~(2^64 mod b)
-    np.subtract(np.uint64(0), b, out=lim)
-    lim %= b
-    np.invert(lim, out=lim)
+    x = u64_block(seed, b.size, start)
+    # an output for bound b is rejected above ~(2^64 mod b), the largest one
+    # accepted, which is at least 2^64 - b; so every rejected output is at or
+    # above one scalar floor, and only the rare outputs there need their
+    # bound's exact limit
+    floor = np.uint64(2**64 - int(b.max(initial=1)))
     pos = 0                                     # x[pos:] are counters start, start + 1, ...
     while True:
-        bad = np.flatnonzero(x[pos:] > lim[pos:])
+        bad = np.flatnonzero(x[pos:] >= floor)
+        if bad.size:
+            near = b[pos + bad]
+            bad = bad[x[pos + bad] > ~((np.uint64(0) - near) % near)]
         if not bad.size:
             break
         # x[pos + i] is rejected: it and the rest redraw from the next counter

@@ -95,15 +95,25 @@ def _distinct_below(seed: int, n: int, k: int) -> tuple[np.ndarray, int]:
 
     The steps are grouped by target with one in-place sort of the keys
     r_t * k + t, whose entries read back as step key % k and target
-    key // k.  Scratch: the call holds at most four int64 arrays of length
-    k and a boolean mask at once, the returned array among them.
+    key // k.  Where step s's own key s * k + s would sort among them is
+    counted from the targets before the sort; nothing searches the sorted
+    keys.  Scratch: the call holds at most four int64 arrays of length k and
+    a boolean mask at once, the returned array among them.
     """
     key, counter = below_block(seed, np.arange(n, n - k, -1, dtype=np.uint64))
     key = key.view(np.int64)                    # exact: d_t < n - t
     t = np.arange(k, dtype=np.int64)
+    key += t                                    # r_t
+    # below[s]: the position, once sorted, of the largest key below s * k + s.
+    # The keys below it are r_u * k + u with r_u < s, or with r_u = s and
+    # u < s; as r_u >= u, that is every u with r_u <= s, less s itself when
+    # r_s = s.
+    below = np.bincount(key[key < k], minlength=k)
+    np.cumsum(below, out=below)
+    below -= key == t
+    below -= 1
     # the keys r_t * k + t: distinct, since t < k, and below n^2 as r_t < n,
     # so they fit int64
-    key += t
     key *= k
     key += t
     key.sort()
@@ -112,8 +122,6 @@ def _distinct_below(seed: int, n: int, k: int) -> tuple[np.ndarray, int]:
     # such a u's, d = key - s * k is u, in [0, s); otherwise d is negative,
     # or at least s when no key lies below (index -1 wraps to the largest).
     # So, compared as unsigned integers, root = min(d, s).
-    below = np.searchsorted(key, np.multiply(t, k + 1))
-    below -= 1
     root = np.take(key, below, mode="wrap")
     root -= np.multiply(t, k, out=below)
     np.minimum(root.view(np.uint64), t.view(np.uint64), out=root.view(np.uint64))

@@ -664,6 +664,8 @@ class TestExitCodes:
         ("sharpness", -1, "sharpness must be a finite positive number, got -1.0"),
         # a NaN is no finite number, so the file's field is named before any world is built
         ("sharpness", float("nan"), "field 'sharpness' must be a finite number, got nan"),
+        # a 401-digit JSON integer has no float; it used to end in a traceback
+        ("sharpness", 10**400, f"field 'sharpness' must be a finite number, got {10**400}"),
         ("rates", [1.5, -2, 0.5, 0.5],
          "positive rates must be 4 values strictly inside (0, 1), got [1.5, -2.0, 0.5, 0.5]"),
         ("gram", [[1, 0.6, 0, 0], [0.5, 1, 0, 0], [0, 0, 1, 0.6], [0, 0, 0.6, 1]],
@@ -678,8 +680,9 @@ class TestExitCodes:
         ("biases", [5, 5, 5, 5],
          "field 'biases' does not match the biases its rates give within 1e-12"),
     ], ids=["names-string", "names-repeated", "names-numbers", "sharpness-negative",
-            "sharpness-nan", "rates-outside", "gram-asymmetric", "gram-diagonal",
-            "gram-not-the-vectors", "vectors-doubled", "biases-text", "biases-mismatch"])
+            "sharpness-nan", "sharpness-overflow", "rates-outside", "gram-asymmetric",
+            "gram-diagonal", "gram-not-the-vectors", "vectors-doubled", "biases-text",
+            "biases-mismatch"])
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     def test_world_file_gets_the_checks_of_a_built_world(self, tmp_path, synth_base, capsys,
                                                          command, field, value, named):

@@ -232,7 +232,10 @@ def test_dataset_arrays_are_readonly(dataset20k):
     (None, False, "finite number"), (float("nan"), False, "finite number"),
     (-float("inf"), False, "finite number"), (np.float32("inf"), True, "finite positive number"),
     (0.0, True, "finite positive number"), (-2, True, "finite positive number"),
-], ids=["bool", "str", "none", "nan", "-inf", "numpy-inf", "zero", "negative"])
+    # an integer beyond the float range used to escape as OverflowError
+    (10**400, False, "finite number"), (-10**400, True, "finite positive number"),
+], ids=["bool", "str", "none", "nan", "-inf", "numpy-inf", "zero", "negative", "huge-int",
+        "huge-negative-int"])
 def test_check_number_refuses_by_name(value, positive, kind):
     with pytest.raises(ValueError, match=f"^x must be a {kind}, got {re.escape(repr(value))}$"):
         check_number("x", value, positive=positive)

@@ -234,22 +234,34 @@ class TestSweeps:
             assert len(dirs) == dataset100k.m
             assert peak <= 1.5 * chunk_bytes, rows
 
-    def test_sweep_looks_fit_directions_up_by_name(self, world42, dataset20k, monkeypatch):
-        # the benchmark's Capture rebinds latbal.evaluation.fit_directions to
-        # keep the sweep's directions; a sweep must call it through that name
-        # once per grid point and run
-        calls = []
-        fit = latbal.evaluation.fit_directions
+    def test_sweep_calls_the_captured_names_once_per_point_and_run(self, world42, dataset20k,
+                                                                   monkeypatch):
+        # the benchmark's Capture rebinds latbal.evaluation.rescore and
+        # fit_directions; a run scores its evaluation codes once, and each
+        # point then scores only its edited codes, one batch per direction
+        calls = {"rescore": [], "fit_directions": []}
+        for name, sink in calls.items():
+            def counting(*args, _fn=getattr(latbal.evaluation, name), _sink=sink, **kwargs):
+                _sink.append(kwargs)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(latbal.evaluation, name, counting)
+        scored = []
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("rows"))
-            return fit(*args, **kwargs)
+        def scorer(z):
+            scored.append(z)
+            return world42.score(z)
 
-        monkeypatch.setattr(latbal.evaluation, "fit_directions", counting)
-        lb.sweep_sample_size(dataset20k, world42.score, sizes=[200, 400],
-                             policies=("skip", "uniform"), runs=3, n_eval=50, seed=8)
-        assert len(calls) == 2 * 2 * 3
-        assert all(rows is not None and rows.size > 0 for rows in calls)
+        points, runs = 3 * 2, 2
+        report = lb.sweep_sample_size(dataset20k, scorer, sizes=[100, 200, 400],
+                                      policies=("skip", "uniform"), runs=runs, n_eval=50,
+                                      seed=8)
+        assert not any(r.error for r in report.rows)
+        assert [len(v) for v in calls.values()] == [points * runs] * 2
+        assert all(kw["rows"] is not None and kw["rows"].size > 0
+                   for kw in calls["fit_directions"])
+        assert len(scored) == runs * (1 + points * dataset20k.m)
+        # no batch is scored twice (the list keeps each alive, so ids are unique)
+        assert len({id(z) for z in scored}) == len(scored)
 
     def test_regularization_shape_and_small_c_limit(self, world42, dataset20k):
         report = lb.sweep_regularization(dataset20k, world42.score, c_values=[1e-6],
@@ -510,6 +522,40 @@ class TestFitDirections:
             return
         assert [(u.attribute, u.meta, u.vector.tobytes()) for u in got] == \
             [(u.attribute, u.meta, u.vector.tobytes()) for u in want]
+
+    @pytest.mark.parametrize("constant", [0, 1])
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize("dim", [3, 64])
+    def test_class_sums_add_each_class_in_row_order(self, dim, m, constant):
+        # attribute 0 is `constant` on every row, so one of its classes is
+        # empty; row 5 repeats, as 5 and as -(n - 5), across the first chunk
+        # boundary, among rows that repeat and run negative throughout
+        ds = _random_fit_set(3000, dim, m, 0.3, 1, seed=dim * m + constant)
+        labels = ds.labels.copy()
+        labels[:, 0] = constant
+        ds = lb.LatentDataset(ds.codes, labels, ds.schema)
+        step = block_rows(dim)
+        rows = np.random.default_rng(m).integers(-ds.n, ds.n, size=2 * step + 7)
+        rows[step - 2:step + 2] = [5, -(ds.n - 5), 5, -(ds.n - 5)]
+        sums, n_pos = latbal.evaluation._class_sums(ds.codes, ds.labels, rows)
+        x, y = ds.codes[rows], ds.labels[rows]
+        assert n_pos.dtype == np.int64
+        assert n_pos.tolist() == np.count_nonzero(y, axis=0).tolist()
+        for j in range(m):
+            # at dim >= 2, sum(axis=0) adds the rows in order, as mean does
+            assert sums[j].tobytes() == x[y[:, j] == 1].sum(axis=0).tobytes()
+            assert sums[m + j].tobytes() == x[y[:, j] == 0].sum(axis=0).tobytes()
+        got = _fit_or_error(lambda d: lb.fit_directions(d, "centroid", rows=rows), ds)
+        p = len(rows) if constant else 0
+        assert got == _fit_or_error(_split_centroids, ds.select(rows)) == (
+            f"attribute 0: both classes must be non-empty, got {p} positive "
+            f"and {len(rows) - p} negative rows")
+        if m > 1:  # the other attributes fit as on the gathered rows
+            sub = lb.LatentDataset(ds.codes, ds.labels[:, 1:],
+                                   lb.AttributeSchema(ds.schema.names[1:]))
+            got = lb.fit_directions(sub, "centroid", rows=rows)
+            assert [(u.meta, u.vector.tobytes()) for u in got] == \
+                [(u.meta, u.vector.tobytes()) for u in _split_centroids(sub.select(rows))]
 
     def test_rows_none_fits_every_row(self, dataset20k):
         # 20k rows span ten chunks
