@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .contingency import build_contingency, imbalance_stats, write_contingency_csv
+from .core import check_seed
 # write_dataset and sample_world stay bound here for perfbench/tracing.py to wrap
 from .dataio import (LatdFormatError, atomic_write_text, block_rows, csv_text, read_csv,
                      read_dataset, write_dataset, write_dataset_blocks, write_json)
@@ -43,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_seed(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_SEED, default=None,
                    help="RNG seed (default 0; required with --strict)")
 
 
@@ -94,6 +95,8 @@ def _subset(choices):
 _COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _POSITIVE = _checked(float, _positive, "a finite number > 0")
 _FINITE = _checked(float, np.isfinite, "a finite number")
+_SEED = _checked(lambda t: check_seed("--seed", int(t)), lambda s: True,
+                 "an integer in [0, 2**64 - 1]")
 
 
 def build_parser() -> _Parser:
@@ -150,7 +153,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-iter", type=_COUNT, default=1000,
                    help="cap on SVM Newton steps, summed over all smoothing stages")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_SEED, default=None,
                    help="accepted and ignored: fitting draws no random numbers")
 
     p = sub.add_parser("project",
@@ -234,12 +237,16 @@ def _synth_world(args, seed: int):
     dim = _default(args.dim, 64)
     if dim < m:
         raise _UsageError(f"--dim must be >= the number of attributes ({m}), got {dim}")
-    gram = np.eye(m)
+    gram, given = np.eye(m), {}
     for i, j, rho in args.corr or []:
         if not (0 <= i < m and 0 <= j < m and i != j):
             raise _UsageError(f"--corr needs two distinct indices in 0..{m - 1}, "
                               f"got {i},{j},{rho!r}")
-        gram[i, j] = gram[j, i] = rho
+        pair = (min(i, j), max(i, j))
+        if pair in given:
+            raise _UsageError(f"--corr gives pair {pair[0]},{pair[1]} twice: "
+                              f"{given[pair]!r} and {rho!r}")
+        gram[i, j] = gram[j, i] = given[pair] = rho
     return make_world(dim=dim, gram=gram, positive_rates=_default(rates, [0.5] * m),
                       sharpness=_default(args.sharpness, 1.0), seed=seed,
                       names=None if names is None else tuple(names))

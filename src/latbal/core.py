@@ -127,6 +127,15 @@ def check_integer(name: str, value, minimum: int | None = None) -> int:
     return int(value)
 
 
+def check_seed(name: str, value) -> int:
+    """value as a seed, an integer in [0, 2**64 - 1]: the streams key on 64
+    bits, so a seed outside would draw another's rows; it is refused by name."""
+    seed = check_integer(name, value)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"{name} must be in [0, 2**64 - 1], got {seed}")
+    return seed
+
+
 def check_number(name: str, value, positive: bool = False) -> float:
     """value as a float; a bool, a non-real value (a str, None) or a NaN or an
     infinity (an integer beyond the float range included) is refused by name,

@@ -41,7 +41,7 @@ import numpy as np
 
 from .contingency import build_contingency
 from .core import (LatentDataset, SemanticDirection, check_integer, check_number,
-                   nonfinite_rows, row_indices)
+                   check_seed, nonfinite_rows, row_indices)
 from .dataio import atomic_write_text, block_rows, csv_text, write_json
 from .directions import _centroid_from_sums, svm_direction
 # Nothing here calls these two; they stay bound in this module because
@@ -274,7 +274,7 @@ def _sweep(dataset: LatentDataset, scorer: Scorer, points: list[tuple], runs: in
     """
     for name, count in (("runs", runs), ("n_eval", n_eval)):
         check_integer(name, count, 1)
-    check_integer("seed", seed)
+    check_seed("seed", seed)
     alpha = check_number("alpha", alpha)
     if dataset.m < 2:  # every point would fail in overall_entanglement
         raise ValueError(f"a sweep needs at least two attributes, got {dataset.m}")

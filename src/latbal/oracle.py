@@ -5,7 +5,8 @@ cosines match a requested Gram matrix, so inter-attribute correlation is
 controlled exactly.  Latent codes are standard Gaussian; attribute k is
 positive when <v_k, z> exceeds a bias b_k chosen so the marginal positive
 rate is hit exactly (b_k = Phi^-1(1 - rate), as <v_k, z> is standard
-normal).  Scores are logistic in the margin:
+normal; Phi^-1 is the standard library's NormalDist().inv_cdf, Wichura's
+AS241, within a few ulps).  Scores are logistic in the margin:
 
     score_k(z) = sigmoid(kappa * (<v_k, z> - b_k))
 
@@ -34,13 +35,14 @@ the rates (biases within 1e-12), or the file is refused.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
-from .core import AttributeSchema, LatentDataset, check_integer, check_number
+from .core import AttributeSchema, LatentDataset, check_integer, check_number, check_seed
 from .dataio import block_rows, json_array, read_json, write_json
 from .directions import orthonormal_basis
-from .rng import derive_seed, norm_ppf, normals
+from .rng import derive_seed, normals
 
 WORLD_SCHEMA_VERSION = 1
 
@@ -69,7 +71,7 @@ class LinearAttributeWorld:
         object.__setattr__(self, "dim", self.vectors.shape[1])
         object.__setattr__(self, "sharpness",
                            check_number("sharpness", self.sharpness, positive=True))
-        object.__setattr__(self, "seed", check_integer("seed", self.seed))
+        object.__setattr__(self, "seed", check_seed("seed", self.seed))
         m = len(self.names)
         _check_spec(self.dim, m, self.gram, self.rates)
         if self.vectors.shape[0] != m or not np.all(
@@ -77,7 +79,8 @@ class LinearAttributeWorld:
             raise ValueError(f"vectors must be {m} unit-norm rows of dim {self.dim}")
         if not np.all(np.abs(self.vectors @ self.vectors.T - self.gram) <= 1e-9):
             raise ValueError("vectors @ vectors.T does not match gram within 1e-9")
-        object.__setattr__(self, "biases", np.array([norm_ppf(1.0 - r) for r in self.rates]))
+        object.__setattr__(self, "biases",
+                           np.array([NormalDist().inv_cdf(1.0 - r) for r in self.rates]))
         for name in ("vectors", "gram", "rates", "biases"):
             getattr(self, name).setflags(write=False)
 
@@ -126,7 +129,8 @@ def _check_spec(dim: int, m: int, gram: np.ndarray, rates: np.ndarray) -> None:
         raise ValueError("gram matrix must have unit diagonal")
     if dim < m:
         raise ValueError(f"dim ({dim}) must be >= m ({m})")
-    if rates.shape != (m,) or not np.all((rates > 0.0) & (rates < 1.0)):
+    # 1 - rate is what the biases invert: a rate below float resolution leaves 1.0
+    if rates.shape != (m,) or not np.all((1.0 - rates > 0.0) & (1.0 - rates < 1.0)):
         raise ValueError(f"positive rates must be {m} values strictly inside (0, 1), "
                          f"got {rates.tolist()}")
 
@@ -221,7 +225,7 @@ def world_from_dict(obj: dict) -> LinearAttributeWorld:
     arrays = {key: json_array(obj, key, shape) for key, shape in (
         ("vectors", (m, dim)), ("gram", (m, m)), ("rates", (m,)))}
     world = LinearAttributeWorld(sharpness=check_number("field 'sharpness'", obj["sharpness"]),
-                                 seed=check_integer("field 'seed'", obj["seed"]), names=names,
+                                 seed=check_seed("field 'seed'", obj["seed"]), names=names,
                                  **arrays)
     if not np.all(np.abs(json_array(obj, "biases", (m,)) - world.biases) <= 1e-12):
         raise ValueError("field 'biases' does not match the biases its rates give within 1e-12")

@@ -33,19 +33,18 @@ arrays for every block, evaluates Acklam's central branch over the whole
 block and then recomputes only the tail elements (about 4.85% of them).
 Every floating-point operation runs in the order of the straightforward form
 (one temporary per operation, masks per branch), so the bits are the same as
-that form's.  Only the forms the library draws with live here; the reference
-forms, the scalar ``SplitMix64`` stream and that straightforward
+that form's.  Only the forms the library draws with live here (the world's
+biases take their scalar quantile from the standard library, in oracle); the
+reference forms, the scalar ``SplitMix64`` stream and that straightforward
 ``acklam_ppf(uniforms(seed, n))``, live in ``tests/rng_reference.py``, and
 ``tests/test_rng.py`` holds the equalities and pins the bits.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import check_integer
+from .core import check_integer, check_seed
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -69,9 +68,10 @@ def derive_seed(seed: int, *path: int) -> int:
     """Derive a child seed from ``seed`` and a path of integer tags.
 
     Deterministic and order-sensitive: derive_seed(s, 1, 2) != derive_seed(s, 2, 1).
-    A seed that is not an integer (a bool or a float included) is refused.
+    A seed that is not an integer in [0, 2**64 - 1] (a bool or a float
+    included) is refused; the path tags are taken mod 2^64.
     """
-    s = check_integer("seed", seed) & MASK64
+    s = check_seed("seed", seed)
     for k in path:
         s = _finalize(s ^ _finalize(((k & MASK64) + 1) * GOLDEN))
     return s
@@ -195,7 +195,7 @@ _P_LOW = 0.02425
 
 
 def _acklam_inplace(x: np.ndarray, r: np.ndarray, num: np.ndarray,
-                    den: np.ndarray) -> np.ndarray:
+                    den: np.ndarray) -> None:
     """Acklam's approximation applied to x in place; r, num and den are scratch
     of x's size.
 
@@ -229,24 +229,3 @@ def _acklam_inplace(x: np.ndarray, r: np.ndarray, num: np.ndarray,
             num_t = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
             den_t = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
             x[idx] = sign * num_t / den_t
-    return x
-
-
-def norm_ppf(p: float) -> float:
-    """High-accuracy inverse standard normal CDF (scalar).
-
-    Acklam's approximation polished with two Halley steps against erfc;
-    absolute error is at the few-ulp level across (0, 1).  The upper tail
-    reflects to the lower one (1 - p is exact there), where erfc keeps full
-    relative precision.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"norm_ppf requires p in (0, 1), got {p}")
-    if p > 0.5:
-        return -norm_ppf(1.0 - p)
-    x = float(_acklam_inplace(np.array([p]), *np.empty((3, 1)))[0])
-    for _ in range(2):
-        e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-        u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-        x = x - u / (1.0 + x * u / 2.0)
-    return x

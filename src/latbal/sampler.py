@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contingency import ContingencyTable, cell_dtype, cell_indices
-from .core import LatentDataset, check_integer
+from .core import LatentDataset, check_integer, check_seed
 from .dataio import atomic_write_text, csv_text, read_csv, write_json
 from .rng import ALGORITHM, below_block, derive_seed, u64_block
 
@@ -63,7 +63,7 @@ class SamplePlan:
     def __post_init__(self):
         # a float or a bool n0 would reach the draw as a bound, or count as 1
         check_integer("n0", self.n0, 1)
-        check_integer("seed", self.seed)
+        check_seed("seed", self.seed)
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
 

@@ -668,6 +668,9 @@ class TestExitCodes:
         ("sharpness", 10**400, f"field 'sharpness' must be a finite number, got {10**400}"),
         ("rates", [1.5, -2, 0.5, 0.5],
          "positive rates must be 4 values strictly inside (0, 1), got [1.5, -2.0, 0.5, 0.5]"),
+        ("rates", [1e-17, 0.3, 0.5, 0.2],
+         "positive rates must be 4 values strictly inside (0, 1), got [1e-17, 0.3, 0.5, 0.2]"),
+        ("seed", 2**64, f"field 'seed' must be in [0, 2**64 - 1], got {2**64}"),
         ("gram", [[1, 0.6, 0, 0], [0.5, 1, 0, 0], [0, 0, 1, 0.6], [0, 0, 0.6, 1]],
          "gram matrix must be symmetric"),
         ("gram", [[2, 0.6, 0, 0], [0.6, 1, 0, 0], [0, 0, 1, 0.6], [0, 0, 0.6, 1]],
@@ -680,7 +683,8 @@ class TestExitCodes:
         ("biases", [5, 5, 5, 5],
          "field 'biases' does not match the biases its rates give within 1e-12"),
     ], ids=["names-string", "names-repeated", "names-numbers", "sharpness-negative",
-            "sharpness-nan", "sharpness-overflow", "rates-outside", "gram-asymmetric",
+            "sharpness-nan", "sharpness-overflow", "rates-outside", "rates-below-resolution",
+            "seed-past-64-bits", "gram-asymmetric",
             "gram-diagonal", "gram-not-the-vectors", "vectors-doubled", "biases-text",
             "biases-mismatch"])
     @pytest.mark.parametrize("command", ["eval", "sweep"])
@@ -761,9 +765,15 @@ class TestExitCodes:
         (["--corr", "0,1,2.0"], "positive semi-definite"),
         (["--corr", "0,1,nan"], "--corr: expects I,J,RHO with a finite RHO, got (0, 1, nan)"),
         (["--n", "-1"], "--n: expects an integer >= 0, got -1"),
+        # these two used to pass: the second --corr overwrote the first, and
+        # 1e-17 failed inside the quantile, naming neither --rates nor 1e-17
+        (["--corr", "0,1,0.6", "--corr", "1,0,-0.3"],
+         "--corr gives pair 0,1 twice: 0.6 and -0.3"),
+        (["--rates", "1e-17,0.5"], "got [1e-17, 0.5]"),
     ], ids=["names-blank-entry", "names-empty", "rates-empty", "rates-blank-entry",
             "dim-zero", "dim-below-m", "sharpness-negative", "sharpness-zero", "sharpness-nan",
-            "names-repeated", "names-21", "corr-not-psd", "corr-rho-nan", "n-negative"])
+            "names-repeated", "names-21", "corr-not-psd", "corr-rho-nan", "n-negative",
+            "corr-repeated-pair", "rates-below-resolution"])
     def test_bad_synth_flag_is_usage_error(self, tmp_path, capsys, flags, named):
         code = run("synth", "--out", str(tmp_path / "w"), "--n", "100", *flags, "--seed", "1")
         assert code == 1
@@ -798,6 +808,23 @@ class TestExitCodes:
         assert code == 1
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    # a seed outside 64 bits used to draw the rows of another: --seed 2**64 and
+    # --seed -2**64 wrote seed 0's rows; checked before any file is read (the
+    # data path does not exist), fit's ignored --seed included
+    @pytest.mark.parametrize("seed", [str(2**64), str(-2**64), "-1", "2.5"])
+    @pytest.mark.parametrize("command", ["synth", "sample", "fit", "eval", "sweep"])
+    def test_bad_seed_is_usage_error_before_any_file_is_read(self, tmp_path, capsys, command,
+                                                              seed):
+        nope = str(tmp_path / "nope")
+        argv = {"synth": ["--out", nope], "sample": ["--data", nope, "--out", nope],
+                "fit": ["--data", nope, "--out-dir", nope],
+                "eval": ["--world", nope, "--directions", nope, "--out", nope],
+                "sweep": ["--data", nope, "--world", nope, "--sizes", "10", "--out", nope]}
+        assert run(command, *argv[command], f"--seed={seed}") == 1
+        assert (f"--seed: expects an integer in [0, 2**64 - 1], got {seed!r}"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     # each sweep kind rejects the other kind's flags instead of ignoring them
     @pytest.mark.parametrize("flags,named", [

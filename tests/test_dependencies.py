@@ -50,6 +50,28 @@ def test_only_core_checks_the_type_of_a_scalar():
     assert found == []
 
 
+def test_every_draw_comes_from_rng():
+    # rng's SplitMix64 streams are the one source of random draws, so a seed
+    # pins every result; random, secrets or numpy.random would draw outside
+    # them (dataio's temp-file names come from os.urandom, and are no draws)
+    banned = ("random", "secrets", "numpy.random")
+    found = []
+    for path in sorted(Path(latbal.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and node.attr == "random"
+                    and getattr(node.value, "id", None) in ("np", "numpy")):
+                names = ["numpy.random"]
+            else:
+                continue
+            found += [(path.name, node.lineno, name) for name in names
+                      if any(name == b or name.startswith(b + ".") for b in banned)]
+    assert found == []
+
+
 def test_only_dataio_writes_files_or_imports_in_a_function():
     # dataio owns the on-disk formats (the JSON artifact layout and the CSV
     # dialect included), so it alone opens a file, for reading or writing, or

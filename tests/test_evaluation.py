@@ -311,11 +311,14 @@ class TestSweeps:
         ({"n_eval": np.False_}, f"n_eval must be an integer, got {np.False_!r}"),
         ({"seed": 2.5}, "seed must be an integer, got 2.5"),
         ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": 2**64}, f"seed must be in [0, 2**64 - 1], got {2**64}"),
+        ({"seed": -1}, "seed must be in [0, 2**64 - 1], got -1"),
         ({"methods": ("bogus",)}, "method must be one of ('centroid', 'svm'), got 'bogus'"),
         ({"policies": ("skip", "bogus")},
          "policy must be one of ('skip', 'oversample', 'uniform'), got 'bogus'"),
     ], ids=["runs-bool", "runs-float", "n_eval-zero", "n_eval-fraction", "n_eval-numpy-bool",
-            "seed-fraction", "seed-bool", "method", "policy"])
+            "seed-fraction", "seed-bool", "seed-past-64-bits", "seed-negative", "method",
+            "policy"])
     def test_bad_sweep_arguments_rejected_up_front(self, world42, dataset20k, kwargs, message):
         # these used to give all-NaN rows, write True as the runs count, or
         # escape as a TypeError

@@ -22,6 +22,14 @@ class TestMakeWorld:
         world = lb.make_world(dim=8, gram=np.eye(2), positive_rates=(0.5, 0.5), seed=1)
         assert world.biases.tolist() == [0.0, 0.0]
 
+    def test_bias_near_the_median_keeps_its_relative_precision(self):
+        # Phi^-1(1/2 + d) = sqrt(2 pi) d (1 + pi d^2 / 3 + ...), whose cubic term
+        # is 1e-18 relative here; the bias used to be 1.13e-9 relative off
+        rate = 0.5 - 1e-9
+        world = lb.make_world(dim=4, gram=np.eye(1), positive_rates=(rate,), seed=0)
+        linear = math.sqrt(2 * math.pi) * ((1.0 - rate) - 0.5)
+        assert abs(world.biases[0] - linear) <= 4 * math.ulp(linear)
+
     def test_identity_gram_gives_orthogonal_vectors(self):
         world = lb.make_world(dim=16, gram=np.eye(4),
                               positive_rates=(0.5,) * 4, seed=2)
@@ -54,7 +62,9 @@ class TestMakeWorld:
         with pytest.raises(ValueError, match="dim"):
             lb.make_world(dim=2, gram=np.eye(3), positive_rates=(0.5,) * 3, seed=0)
 
-    @pytest.mark.parametrize("rate", [0.0, 1.0, -0.2, 1.3, float("nan")])
+    # 1 - 1e-17 rounds to 1.0, whose quantile is infinite; it used to fail
+    # inside the quantile with a message that named neither rates nor the value
+    @pytest.mark.parametrize("rate", [0.0, 1.0, -0.2, 1.3, float("nan"), 1e-17])
     def test_rates_must_be_interior(self, rate):
         with pytest.raises(ValueError, match="rates"):
             lb.make_world(dim=4, gram=np.eye(1), positive_rates=(rate,), seed=0)
@@ -158,6 +168,19 @@ class TestSampleWorld:
             lb.sample_world(world42, 3, seed=seed)
         with pytest.raises(ValueError, match=match):
             lb.default_world(seed)
+
+    @pytest.mark.parametrize("seed", [2**64, -1, -2**64])
+    def test_seed_outside_64_bits_rejected_naming_seed(self, world42, seed):
+        # 2**64 and -2**64 used to draw the rows and the world of seed 0
+        match = rf"^seed must be in \[0, 2\*\*64 - 1\], got {seed}$"
+        with pytest.raises(ValueError, match=match):
+            lb.sample_world(world42, 3, seed=seed)
+        with pytest.raises(ValueError, match=match):
+            lb.default_world(seed)
+        fields = {f: getattr(world42, f)
+                  for f in ("vectors", "gram", "rates", "sharpness", "names")}
+        with pytest.raises(ValueError, match=match):
+            lb.LinearAttributeWorld(seed=seed, **fields)
 
     # n ends just before, on and just after the first and the fourth block boundary
     @pytest.mark.parametrize("n", [0, 1, 20_000, *(k * block_rows(64) + e for k in (1, 4)
@@ -338,6 +361,15 @@ def test_world_dict_biases_must_follow_the_rates(world42):
         world_from_dict(obj)
     obj["biases"][1] -= 1e-11  # within 1e-12 of the derived bias loads
     assert np.array_equal(world_from_dict(obj).biases, world42.biases)
+
+
+def test_world_dict_with_older_biases_loads_with_the_derived_ones(world42):
+    # the biases that older versions wrote for rates 0.37 and 0.02 sit one ulp
+    # above the ones derived now, well within the 1e-12 a file may differ by
+    world = lb.make_world(dim=8, gram=np.eye(2), positive_rates=(0.37, 0.02), seed=3)
+    obj = world_to_dict(world)
+    obj["biases"] = [0.3318533464368166, 2.053748910631823]
+    assert world_from_dict(obj).biases.tolist() == [0.3318533464368165, 2.053748910631822]
 
 
 def test_default_world_shape(world42):

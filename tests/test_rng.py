@@ -73,6 +73,16 @@ def test_derive_seed_refuses_a_non_integer_seed_by_name(seed):
     assert rng.derive_seed(np.int64(3), 1) == rng.derive_seed(3, 1)
 
 
+@pytest.mark.parametrize("seed", [2**64, -1, -2**64])
+def test_derive_seed_refuses_a_seed_outside_64_bits_by_name(seed):
+    # 2**64 and -2**64 used to be masked to 0 and draw seed 0's stream
+    with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64 - 1\], got {seed}$"):
+        rng.derive_seed(seed, 1)
+    assert rng.derive_seed(2**64 - 1, 1) != rng.derive_seed(0, 1)
+    # path tags are internal, and stay taken mod 2^64
+    assert rng.derive_seed(5, 2**64 + 1) == rng.derive_seed(5, 1)
+
+
 def test_stream_tags_are_distinct_across_modules():
     # one seed reaches synth, sample and eval in the README walkthrough, so two
     # modules deriving a stream with the same tag would correlate their draws
@@ -103,18 +113,11 @@ def _ppf_bisect(p: float) -> float:
 
 @pytest.mark.parametrize("p", [1e-9, 1e-4, 0.02, 0.1587, 0.25, 0.5, 0.7, 0.8413,
                                0.97, 0.999, 1 - 1e-6])
-def test_norm_ppf_matches_bisection_oracle(p):
-    assert rng.norm_ppf(p) == pytest.approx(_ppf_bisect(p), abs=1e-12)
-
-
-def test_norm_ppf_half_is_exactly_zero():
-    assert rng.norm_ppf(0.5) == 0.0
-
-
-def test_norm_ppf_rejects_boundaries():
-    for p in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            rng.norm_ppf(p)
+def test_world_bias_matches_bisection_oracle(p):
+    # a world's bias inverts 1 - rate, which need not round back to p
+    rate = 1.0 - p
+    world = latbal.oracle.make_world(dim=1, gram=np.eye(1), positive_rates=(rate,))
+    assert world.biases[0] == pytest.approx(_ppf_bisect(1.0 - rate), abs=1e-12)
 
 
 def test_acklam_accuracy_against_refined():

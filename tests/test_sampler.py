@@ -203,6 +203,17 @@ class TestBalancedSubsample:
             lb.uniform_subsample(ds, 3, seed)
 
 
+    @pytest.mark.parametrize("seed", [2**64, -1, -2**64])
+    def test_seed_outside_64_bits_rejected_naming_seed(self, seed):
+        # 2**64 and -2**64 used to draw the rows of seed 0
+        ds = tiny_dataset([[0, 0]] * 20)
+        match = rf"^seed must be in \[0, 2\*\*64 - 1\], got {seed}$"
+        with pytest.raises(ValueError, match=match):
+            lb.SamplePlan(10, "skip", seed)
+        with pytest.raises(ValueError, match=match):
+            lb.uniform_subsample(ds, 3, seed)
+
+
 class TestUniformSubsample:
     def test_full_draw_selects_every_row(self):
         ds = tiny_dataset([[0, 0]] * 50)
