@@ -95,6 +95,10 @@ def _subset(choices):
 _COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _POSITIVE = _checked(float, _positive, "a finite number > 0")
 _FINITE = _checked(float, np.isfinite, "a finite number")
+# the world inverts 1 - r: a rate below float resolution, such as 1e-17, leaves 1.0
+_RATES = _checked(lambda t: [float(r) for r in t.split(",")],
+                  lambda rates: all(0 < 1.0 - r < 1.0 for r in rates),
+                  "comma-separated numbers r in (0, 1) with 1 - r < 1 in float64")
 _SEED = _checked(lambda t: check_seed("--seed", int(t)), lambda s: True,
                  "an integer in [0, 2**64 - 1]")
 
@@ -118,9 +122,7 @@ def build_parser() -> _Parser:
     p.add_argument("--names", type=_checked(str, lambda v: v.strip() != "",
                                             "comma-separated non-blank names", many=True),
                    default=None, help="comma-separated attribute names")
-    p.add_argument("--rates", type=_checked(float, lambda r: 0 < r < 1,
-                                            "comma-separated numbers in (0, 1)", many=True),
-                   default=None, help="comma-separated positive rates")
+    p.add_argument("--rates", type=_RATES, default=None, help="comma-separated positive rates")
     p.add_argument("--corr", type=_checked(_corr, lambda t: np.isfinite(t[2]),
                                            "I,J,RHO with a finite RHO"),
                    action="append", default=None, metavar="I,J,RHO",
@@ -361,6 +363,12 @@ def _cmd_sweep(args) -> int:
             runs=args.runs, alpha=args.alpha, n_eval=args.n_eval, seed=seed)
     atomic_write_text(args.out, sweep_to_csv(report))
     print(f"wrote {args.out} ({len(report.rows)} rows)")
+    for r in report.rows[::dataset.m]:  # a point's first row; its m rows share one error
+        if r.error is not None:
+            point = ("centroid reference" if r.parameter is None else
+                     f"n0={int(r.parameter)}" if args.sizes is not None else f"C={r.parameter!r}")
+            print(f"latbal sweep: warning: {point}, method {r.method}, policy {r.policy} "
+                  f"failed: {r.error}; its rows are NaN", file=sys.stderr)
     return 0
 
 

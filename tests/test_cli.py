@@ -340,6 +340,23 @@ def test_one_attribute_sweep_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_failed_sweep_points_are_named_on_stderr(tmp_path, capsys):
+    # the CSV holds a failed point's rows as NaN with no reason; stderr gives
+    # one line per failed point, and the exit code stays 0
+    base, out = str(tmp_path / "small"), tmp_path / "s.csv"
+    assert run("synth", "--out", base, "--n", "300", "--seed", "1") == 0
+    capsys.readouterr()
+    assert run("sweep", "--data", base, "--world", base + ".world.json",
+               "--sizes", "100,400", "--policies", "uniform", "--runs", "2",
+               "--n-eval", "50", "--out", str(out), "--seed", "1") == 0
+    assert capsys.readouterr().err == (
+        "latbal sweep: warning: n0=400, method centroid, policy uniform failed: "
+        "run 0: n0 must be in [0, 300], got 400; its rows are NaN\n")
+    rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
+    assert [r["effect"] for r in rows if r["parameter"] == "400.0"] == ["nan"] * 4
+    assert all(r["effect"] != "nan" for r in rows if r["parameter"] == "100.0")
+
+
 def test_c_grid_sweep(tmp_path, synth_base):
     out = str(tmp_path / "cgrid.csv")
     assert run("sweep", "--data", synth_base, "--world", synth_base + ".world.json",
@@ -778,6 +795,17 @@ class TestExitCodes:
         code = run("synth", "--out", str(tmp_path / "w"), "--n", "100", *flags, "--seed", "1")
         assert code == 1
         assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rate_below_float_resolution_names_the_flag(self, tmp_path, capsys):
+        # 1e-17 is inside (0, 1), but 1 - 1e-17 is 1.0, which the world refuses;
+        # that refusal named neither the flag nor the limit
+        code = run("synth", "--out", str(tmp_path / "w"), "--n", "100",
+                   "--rates", "1e-17,0.5", "--seed", "1")
+        assert code == 1
+        assert capsys.readouterr().err.endswith(
+            "error: argument --rates: expects comma-separated numbers r in (0, 1) with "
+            "1 - r < 1 in float64, got [1e-17, 0.5]\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_sweep_grid_flags_are_exclusive(self, tmp_path, synth_base, capsys):
