@@ -418,6 +418,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, IndexError, OSError) as exc:  # LatdFormatError is a ValueError
         print(f"latbal {args.command}: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # the writes are atomic, so no file is left behind
+        print(f"latbal {args.command}: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,6 +18,14 @@ where GOLDEN = 0x9E3779B97F4A7C15 and ``finalize`` is the standard SplitMix64
 mixing function.  The state is affine in the counter: at start + i it is
 (seed + start * GOLDEN) + (i + 1) * GOLDEN, which one function computes for
 both :func:`u64_block` and :func:`normals`, so they equal a scalar loop.
+
+Outputs at distinct counters of one seed never repeat (counters are taken
+mod 2^64, a period no block reaches).  GOLDEN is odd, so distinct counters
+give distinct states, and ``finalize`` is a bijection on 64-bit words: each
+xorshift ``z ^ (z >> k)`` and each multiply by an odd constant can be undone
+mod 2^64 (``unfinalize`` in ``tests/rng_reference.py`` does so).  So a
+block's outputs are distinct, and sorting them orders them one way only.
+
 A block's count ``n`` and first counter ``start`` must be integers >= 0;
 a float, a bool or a negative counter (which would wrap mod 2^64) is refused
 by name.

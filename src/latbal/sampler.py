@@ -22,22 +22,23 @@ So a cell with quota q and s members draws, in closed form, min(q, s) rows
 under skip, and under oversample q rows if s > 0 and none if s = 0.
 
 Randomness: one SplitMix64 stream (_STREAM_CELLS) drives the schedule: it
-picks the extra-slot cells, then its next n0 outputs are random sort keys
-that shuffle the slots.  One stream per cell drives member draws: a cell
-with quota q and s members draws min(q, s) members without replacement (a
-partial Fisher-Yates shuffle over its member list), then, under oversample,
-q - s more with replacement from the shuffled list, filling its slots in
-schedule order.  All derive from the plan seed (see rng.derive_seed).  Each
-stream's draws come from one vectorized block (rng.below_block), with
-rejection sampling handled exactly, so the values equal successive calls
-of the scalar reference SplitMix64.below in tests/rng_reference.py.  The partial
-Fisher-Yates shuffle is resolved as whole arrays too (see _distinct_below):
-there is no per-draw loop, and its output equals the scalar shuffle in
-tests/test_sampler.py draw for draw.
+picks the extra-slot cells, then its next n0 outputs, which never repeat
+(see rng), are the sort keys that shuffle the slots.  One stream per cell
+drives member draws: a cell with quota q and s members draws min(q, s)
+members without replacement (a partial Fisher-Yates shuffle over its member
+list), then, under oversample, q - s more with replacement from the shuffled
+list, filling its slots in schedule order.  All derive from the plan seed
+(see rng.derive_seed).  Each stream's bounded draws come from one vectorized
+block (rng.below_block), with rejection sampling handled exactly, so the
+values equal successive calls of the scalar reference SplitMix64.below in
+tests/rng_reference.py.  The partial Fisher-Yates shuffle is resolved as
+whole arrays too (see _distinct_below): there is no per-draw loop, and its
+output equals the scalar shuffle in tests/test_sampler.py draw for draw.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,15 +158,9 @@ def balanced_subsample(dataset: LatentDataset, table: ContingencyTable,
     cell_type = cell_dtype(n_cells)
     slots = np.concatenate([np.tile(np.arange(n_cells, dtype=cell_type), base),
                             extra_cells.astype(cell_type)])
-    # shuffle the slots by sorting them on the stream's next n0 outputs; any
-    # sort gives the stable order unless two keys are equal (odds ~n0^2/2^65)
-    keys = u64_block(cell_seed, plan.n0, start=counter)
-    order = np.argsort(keys)
-    keys.sort()                                 # finds equal keys without a gathered copy
-    if np.any(keys[1:] == keys[:-1]):
-        order = np.argsort(u64_block(cell_seed, plan.n0, start=counter), kind="stable")
-    schedule = slots[order]
-    del keys, order, slots                      # only the schedule outlives the shuffle
+    # shuffle the slots: sort them on the stream's next n0 outputs, all distinct
+    schedule = slots[np.argsort(u64_block(cell_seed, plan.n0, start=counter))]
+    del slots                                   # only the schedule outlives the shuffle
 
     # each cell's slots in schedule order; its k-th draw fills its k-th slot,
     # and it draws the closed-form count of the module docstring
@@ -232,12 +227,18 @@ def write_subsample(result: SubsampleResult, path_base: str) -> tuple[str, str]:
 
 def read_subsample_indices(csv_path: str, n: int) -> np.ndarray:
     """Row indices of a subsample CSV for a dataset of n rows; every row after
-    the header is POSITION,ROW_INDEX with 0 <= ROW_INDEX < n."""
+    the header is POSITION,ROW_INDEX, POSITION its 0-based record number (as
+    write_subsample writes it) and 0 <= ROW_INDEX < n."""
+    positions = itertools.count()
+
     def row_index(row):
         try:
-            _, index = (int(t) for t in row)
+            position, index = (int(t) for t in row)
         except ValueError:
             raise ValueError(f"expected POSITION,ROW_INDEX, got {','.join(row)!r}") from None
+        expected = next(positions)
+        if position != expected:
+            raise ValueError(f"position {position} where {expected} was expected")
         if not 0 <= index < n:
             raise ValueError(f"row index {index} is outside 0..{n - 1}")
         return index

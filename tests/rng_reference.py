@@ -21,6 +21,24 @@ def _finalize(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _unxorshift(y: int, k: int) -> int:
+    """The z with z ^ (z >> k) == y: each pass fixes k more of its top bits."""
+    z = y
+    for _ in range(64 // k):
+        z = y ^ (z >> k)
+    return z
+
+
+def unfinalize(z: int) -> int:
+    """The inverse of _finalize, each step undone in turn, on one 64-bit
+    integer or elementwise on a uint64 array."""
+    z = _unxorshift(z & _MASK64, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK64
+    z = _unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK64
+    return _unxorshift(z, 30)
+
+
 class SplitMix64:
     """Scalar reference stream for one seed: output n is finalize(state_n),
     state_n = (seed + (n + 1) * GOLDEN) mod 2^64, one counter step at a time.

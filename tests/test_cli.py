@@ -887,8 +887,12 @@ class TestExitCodes:
         # a quoted record spans lines 2 and 3, so the bad row is line 4
         (['"0\n",5', "1,x"], ":4: expected POSITION,ROW_INDEX, got '1,x'"),
         (['"0\n",5', "1,4000"], ":4: row index 4000 is outside 0..3999"),
+        (["0,5", "0,4"], ":3: position 0 where 1 was expected"),
+        (["1,5", "0,4"], ":2: position 1 where 0 was expected"),
+        (["0,5", "2,4000"], ":3: position 2 where 1 was expected"),
     ], ids=["negative", "past-the-end", "no-comma", "not-an-integer", "after-multiline-bad",
-            "after-multiline-out-of-range"])
+            "after-multiline-out-of-range", "repeated-position", "out-of-order-position",
+            "position-before-row-index"])
     def test_bad_subsample_row_is_data_error(self, tmp_path, synth_base, capsys, rows, named):
         sub = tmp_path / "sub.csv"
         sub.write_text("\n".join(["position,row_index"] + rows) + "\n")
@@ -897,6 +901,19 @@ class TestExitCodes:
         assert code == 2
         assert f"{sub}{named}" in capsys.readouterr().err
         assert not (tmp_path / "dirs").exists()
+
+    # both sizes exceed the 128 TiB user address space, so the allocation fails
+    # at once whatever the kernel's overcommit policy
+    @pytest.mark.parametrize("command", ["synth", "sample"])
+    def test_failed_allocation_is_data_error(self, tmp_path, synth_base, capsys, command):
+        flags = {"synth": ["--n", str(10**14)],
+                 "sample": ["--data", synth_base, "--mode", "balanced", "--n0", str(10**15)]}
+        code = run(command, *flags[command], "--out", str(tmp_path / "out"), "--seed", "1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"latbal {command}: out of memory: Unable to allocate ")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.glob("out*"))
 
     def test_subsample_with_another_header_is_data_error(self, tmp_path, synth_base, capsys):
         sub = tmp_path / "sub.csv"

@@ -11,7 +11,7 @@ import latbal.evaluation
 import latbal.oracle
 import latbal.sampler
 from latbal import rng
-from rng_reference import SplitMix64, acklam_ppf, uniforms
+from rng_reference import SplitMix64, _finalize, acklam_ppf, unfinalize, uniforms
 
 
 def test_splitmix64_reference_stream():
@@ -29,6 +29,24 @@ def test_scalar_and_vectorized_streams_agree(seed, n, start):
     scalar = [g.next_u64() for _ in range(start + n)][start:]
     block = rng.u64_block(seed, n, start=start)
     assert scalar == [int(x) for x in block]
+
+
+@given(z=st.integers(0, 2**64 - 1))
+@settings(max_examples=200, deadline=None)
+def test_unfinalize_undoes_the_finalizer(z):
+    assert unfinalize(_finalize(z)) == z
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+@pytest.mark.parametrize("start", [0, 2**40 + 3, 2**64 - 500])  # the last wraps
+@pytest.mark.parametrize("n", [1, 2, 499, 501, 70_001])
+def test_block_outputs_invert_to_their_own_states(seed, start, n):
+    # each output is the finalizer of its own counter's state, and the states
+    # of distinct counters differ, so no block repeats a value
+    block = rng.u64_block(seed, n, start=start)
+    states = [(seed + (start + i + 1) * rng.GOLDEN) % 2**64 for i in range(n)]
+    assert unfinalize(block).tolist() == states
+    assert np.unique(block).size == n
 
 
 def test_empty_block_is_an_empty_uint64_array():

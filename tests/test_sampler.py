@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latbal as lb
-import latbal.sampler
 from latbal.contingency import cell_indices
 from latbal.rng import derive_seed, u64_block
 from latbal.sampler import (_STREAM_CELLS, _STREAM_MEMBERS, _STREAM_UNIFORM,
@@ -294,7 +293,7 @@ def _reference_distinct_below(rng, n, k):
     return out
 
 
-def _reference_balanced(ds, plan, key_block=u64_block):
+def _reference_balanced(ds, plan):
     n_cells = 1 << ds.m
     pools = [[] for _ in range(n_cells)]  # each cell's rows, in row order
     for row, c in enumerate(cell_indices(ds).tolist()):
@@ -309,7 +308,7 @@ def _reference_balanced(ds, plan, key_block=u64_block):
     slots = np.concatenate([np.tile(np.arange(n_cells), base),
                             np.asarray(_reference_distinct_below(cell_rng, n_cells, extra),
                                        np.int64)])
-    keys = key_block(cell_rng.seed, plan.n0, start=cell_rng.counter)
+    keys = u64_block(cell_rng.seed, plan.n0, start=cell_rng.counter)
     for c in slots[np.argsort(keys, kind="stable")].tolist():
         pool = pools[c]
         size = len(pool)
@@ -371,27 +370,6 @@ class TestMatchesScalarReference:
         assert res.indices.tolist() == indices
         assert res.per_cell_counts.tolist() == per_cell
         assert res.skipped_iterations == skipped
-
-    def test_equal_sort_keys_keep_the_stable_order(self, prepared, monkeypatch):
-        # no real seed draws two equal keys in one schedule; keys cut to
-        # their top 3 bits repeat, and the slots must still be shuffled
-        # into the stable order of the keys
-        def coarse_keys(seed, n, start=0):
-            return u64_block(seed, n, start) >> np.uint64(61)
-
-        # 1000 slots over 4 cells pick no extra cells: the keys start at
-        # counter 0, and they repeat, so the stable fallback is taken
-        keys = coarse_keys(derive_seed(42, _STREAM_CELLS), 1000)
-        assert np.unique(keys).size < keys.size
-        monkeypatch.setattr(latbal.sampler, "u64_block", coarse_keys)
-        ds, table = prepared
-        for policy in ("skip", "oversample"):
-            plan = lb.SamplePlan(1000, policy, 42)
-            res = lb.balanced_subsample(ds, table, plan)
-            indices, per_cell, skipped = _reference_balanced(ds, plan, coarse_keys)
-            assert res.indices.tolist() == indices
-            assert res.per_cell_counts.tolist() == per_cell
-            assert res.skipped_iterations == skipped
 
     # m=3: cells 5 and 7 are empty, cell 6 holds 2 rows
     NARROW = [[0, 0, 0]] * 900 + [[1, 0, 0]] * 700 + [[0, 1, 0]] * 60 + \
