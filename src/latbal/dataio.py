@@ -173,16 +173,19 @@ def json_array(obj: dict, key: str, shape: tuple) -> np.ndarray:
     return arr
 
 
-def read_csv(path: str, parse=list):
+def read_csv(path: str, parse=list, expect=None):
     """(header, [parse(row) for each later row]) of the UTF-8 CSV file at path, read
     strictly.  A file that is not UTF-8, that the csv module rejects or that is empty,
     and a row that parse rejects (ValueError) or whose field count is not the
-    header's raise LatdFormatError naming path and the record's first line."""
+    header's raise LatdFormatError naming path and the record's first line; a
+    header other than expect (when given) raises it before any row is parsed."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f, strict=True)
         line = 1  # where the record being read starts
         try:
             header = next(reader)
+            if expect is not None and header != expect:
+                raise LatdFormatError(f"{path}: unexpected header {','.join(header)!r}")
             line, records = reader.line_num + 1, []
             for row in reader:
                 records.append(parse(row))
@@ -193,6 +196,8 @@ def read_csv(path: str, parse=list):
             raise LatdFormatError(f"{path}: empty CSV") from None
         except UnicodeDecodeError:
             raise LatdFormatError(f"{path}: not UTF-8 text") from None
+        except LatdFormatError:
+            raise
         except (csv.Error, ValueError) as exc:
             raise LatdFormatError(f"{path}:{line}: {exc}") from None
     return header, records

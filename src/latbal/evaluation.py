@@ -11,11 +11,10 @@ effect is the row's entry for its target, and overall_entanglement averages
 fit_directions fits one direction per attribute on rows of a dataset: every
 row, or the row indices a subsample drew.  A centroid fit streams those
 rows through small gathered buffers, summing every attribute's two classes
-in one pass (two einsums over 0/1 masks, label 1 then the rest, exact counts
-from a 0/1 matrix-vector product, and beyond one block a helper thread
-gathering each next chunk), and copies neither a fit set nor class rows; an
-SVM fit gathers the rows once, orders them once by content, and hands them
-to svm_direction with each attribute's +1/-1 labels.
+in one pass (two einsums over 0/1 masks, label 1 then the rest, and exact
+counts from a 0/1 matrix-vector product), and copies neither a fit set nor
+class rows; an SVM fit gathers the rows once, orders them once by content,
+and hands them to svm_direction with each attribute's +1/-1 labels.
 
 Both sweeps run on one engine, _sweep, over grid points (parameter,
 method, policy, n0, C, seed key).  Each run draws its evaluation codes once
@@ -34,7 +33,6 @@ NaN and the point's first error.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -166,18 +164,18 @@ def fit_directions(dataset: LatentDataset, method: str, c: float = 1.0,
 
     Up to dataio.block_rows(dim) rows (1 MiB of codes, which stays in cache)
     are one chunk, gathered into one buffer below the 2m running sums; more
-    stream in half-block chunks through two such buffers, a helper thread
-    gathering chunk c + 1 into one while this thread sums chunk c into the
-    sums atop it.  Above a chunk's rows, each mask holds the identity on its
+    stream in half-block chunks through two such buffers, in turn, chunk c's
+    sums written atop the other buffer, so no einsum's out overlaps its
+    operands.  Above a chunk's rows, each mask holds the identity on its
     own m sums and 0 on the other m.  So each class sum first adds its own
     running value (exactly; the other sums' rows add 0 * sum, also exact
     while the sums are finite), then the chunk's rows in order: it carries
     on row by row from the previous chunk, in the order the einsum over
     every row at once adds, and ends with the same bits, whatever the chunk
-    size or thread.  Each buffer's two masks are filled from its chunk's
-    labels by one cast and one subtraction, so beside ``rows`` a centroid
-    fit holds about one block of codes, its masks and a vector of ones,
-    whatever the number of rows.
+    size.  Each buffer's two masks are filled from its chunk's labels by one
+    cast and one subtraction, so beside ``rows`` a centroid fit holds about
+    one block of codes, its masks and a vector of ones, whatever the number
+    of rows.
 
     An SVM fit gathers the rows once and sorts them once by content, so it
     ignores row order (equal codes repeat one row, with equal labels); fit j
@@ -213,9 +211,7 @@ def _class_sums(codes: np.ndarray, labels: np.ndarray, rows) -> tuple[np.ndarray
 
     Each class's rows are added in row order, chunk by chunk, by two einsums
     into the running sums atop the next chunk's buffer (see fit_directions).
-    The helper thread calls numpy only, so a tracer of latbal's calls sees
-    each of them on the calling thread.  A row outside [-n, n) raises
-    IndexError, as select does, after the helper is joined.
+    A row outside [-n, n) raises IndexError, as select does.
     """
     n, m, step = len(rows), labels.shape[1], block_rows(codes.shape[1])
     k, chunk = 2 * m, step if n <= step else -(-step // 2)
@@ -225,10 +221,9 @@ def _class_sums(codes: np.ndarray, labels: np.ndarray, rows) -> tuple[np.ndarray
     slots = [(np.zeros((size, codes.shape[1])), np.eye(size, m), np.eye(size, m, -m))
              for _ in range(1 if n <= step else 2)]
     ones, n_pos = np.ones(size - k), np.zeros(m)
-
-    def gather(c: int) -> int:  # numpy only: it runs on the helper thread too
+    for c, start in enumerate(starts):
         buf, pos, neg = slots[c % len(slots)]
-        part = rows[starts[c]:starts[c] + chunk]
+        part = rows[start:start + chunk]
         if isinstance(part, range):  # every row: one chunk's indices at a time
             part = np.arange(part.start, part.stop)
         stop = k + part.size
@@ -237,52 +232,13 @@ def _class_sums(codes: np.ndarray, labels: np.ndarray, rows) -> tuple[np.ndarray
         # "wrap" maps -n..-1 as indexing does; the default "raise" would
         # buffer the gather instead of writing to out directly
         np.take(codes, part, axis=0, out=buf[k:stop], mode="wrap")
-        return stop
-
-    def add(c: int, stop: int) -> None:  # chunk c onto the sums, written atop the next buffer
-        buf, pos, neg = slots[c % len(slots)]
+        np.add(n_pos, ones[:part.size] @ pos[k:stop], out=n_pos)  # sums of 0s and 1s: exact
+        # the sums go atop the next buffer; with one buffer out overlaps the
+        # operands, so einsum sums into a temporary and then copies it there
         top = slots[(c + 1) % len(slots)][0]
-        np.add(n_pos, ones[:stop - k] @ pos[k:stop], out=n_pos)  # sums of 0s and 1s: exact
-        # with one buffer out overlaps the operands: einsum then reads them as they were
         np.einsum("ik,ij->kj", pos[:stop], buf[:stop], out=top[:m])
         np.einsum("ik,ij->kj", neg[:stop], buf[:stop], out=top[m:k])
-    if n > step:
-        _pipelined(gather, add, len(starts))
-    elif n:  # one chunk: no thread
-        add(0, gather(0))
     return slots[len(starts) % len(slots)][0][:k], n_pos.astype(np.int64)
-
-
-def _pipelined(gather: Callable, add: Callable, chunks: int) -> None:
-    """add(c, gather(c)) for each chunk c in order, gathers on a helper thread one
-    chunk ahead; an exception on either thread stops it, and is raised once it is joined."""
-    stopped, gathered = False, []
-    free, ready = threading.Semaphore(2), threading.Semaphore(0)
-
-    def helper() -> None:
-        try:
-            for c in range(chunks):
-                free.acquire()
-                if stopped:
-                    return
-                gathered.append(gather(c))
-                ready.release()
-        except BaseException as exc:  # raised again on the calling thread
-            gathered.append(exc)
-            ready.release()
-    thread = threading.Thread(target=helper)
-    thread.start()
-    try:
-        for c in range(chunks):
-            ready.acquire()
-            if isinstance(gathered[c], BaseException):
-                raise gathered[c]
-            add(c, gathered[c])
-            free.release()  # chunk c's buffer may take chunk c + 2
-    finally:
-        stopped = True
-        free.release()  # wakes a helper that waits for a buffer
-        thread.join()
 
 
 def _eval_latents(dim: int, n_eval: int, seed: int, run: int) -> np.ndarray:

@@ -226,8 +226,9 @@ def write_subsample(result: SubsampleResult, path_base: str) -> tuple[str, str]:
 
 
 def read_subsample_indices(csv_path: str, n: int) -> np.ndarray:
-    """Row indices of a subsample CSV for a dataset of n rows; every row after
-    the header is POSITION,ROW_INDEX, POSITION its 0-based record number (as
+    """Row indices of a subsample CSV for a dataset of n rows; its header,
+    checked first, is position,row_index, and every later row is
+    POSITION,ROW_INDEX, POSITION its 0-based record number (as
     write_subsample writes it) and 0 <= ROW_INDEX < n."""
     positions = itertools.count()
 
@@ -242,7 +243,5 @@ def read_subsample_indices(csv_path: str, n: int) -> np.ndarray:
         if not 0 <= index < n:
             raise ValueError(f"row index {index} is outside 0..{n - 1}")
         return index
-    header, indices = read_csv(csv_path, row_index)
-    if header != ["position", "row_index"]:
-        raise ValueError(f"{csv_path}: unexpected header {','.join(header)!r}")
+    _, indices = read_csv(csv_path, row_index, expect=["position", "row_index"])
     return np.array(indices, dtype=np.int64)

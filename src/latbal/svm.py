@@ -23,9 +23,11 @@ max_iter; no per-stage record is kept.  Examples are used in the order given;
 F is solved through its Gram matrix, so negating the labels (train_svm(x, -y))
 negates weights and bias bit for bit.
 
-The arithmetic runs with numpy overflow and invalid operations raised.  At
-a C so large that the Newton system goes numerically singular or a value
-overflows, train_svm raises ValueError naming C; no warning is issued.
+A row of x with a NaN or an infinity is refused before the solve, naming
+the row.  The arithmetic runs with numpy overflow and invalid operations
+raised.  At a C so large that the Newton system goes numerically singular
+or a value overflows, train_svm raises ValueError naming C; no warning is
+issued.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_integer, check_number
+from .core import check_integer, check_number, nonfinite_rows
 
 _H_START, _H_MIN, _STAGE_STEPS, _POLISH_ROWS = 0.5, 1e-12, 25, 2  # polish |F| <= 2 (d+1)
 
@@ -126,6 +128,9 @@ def train_svm(x: np.ndarray, y: np.ndarray, c: float = 1.0, tol: float = 1e-6,
         raise ValueError(f"labels must be a ({x.shape[0]},) array of +1 and -1")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise ValueError("both classes must be non-empty")
+    bad = nonfinite_rows(x)
+    if bad.size:  # NaN would return NaN weights as a fit; inf would blame C
+        raise ValueError(f"x row {bad[0]}: non-finite component")
     c = check_number("C", c, positive=True)
     if check_number("tol", tol) < 0:
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")

@@ -17,6 +17,8 @@ from latbal.dataio import block_rows, dataset_paths
 
 from conftest import traced_peak
 
+_SUB = "position,row_index"  # a subsample CSV's header
+
 
 def run(*argv):
     """The exit code, whether main returns it or argparse exits on a bad flag."""
@@ -879,23 +881,27 @@ class TestExitCodes:
         assert "--n0" in capsys.readouterr().err
         assert not (tmp_path / "sub.csv").exists()
 
-    @pytest.mark.parametrize("rows,named", [
-        (["0,-400"], ":2: row index -400"),
-        (["0,5", "1,4000"], ":3: row index 4000"),
-        (["0,5", "1 7"], ":3: expected POSITION,ROW_INDEX, got '1 7'"),
-        (["0,5", "1,x"], ":3: expected POSITION,ROW_INDEX, got '1,x'"),
+    @pytest.mark.parametrize("lines,named", [
+        ([_SUB, "0,-400"], ":2: row index -400"),
+        ([_SUB, "0,5", "1,4000"], ":3: row index 4000"),
+        ([_SUB, "0,5", "1 7"], ":3: expected POSITION,ROW_INDEX, got '1 7'"),
+        ([_SUB, "0,5", "1,x"], ":3: expected POSITION,ROW_INDEX, got '1,x'"),
         # a quoted record spans lines 2 and 3, so the bad row is line 4
-        (['"0\n",5', "1,x"], ":4: expected POSITION,ROW_INDEX, got '1,x'"),
-        (['"0\n",5', "1,4000"], ":4: row index 4000 is outside 0..3999"),
-        (["0,5", "0,4"], ":3: position 0 where 1 was expected"),
-        (["1,5", "0,4"], ":2: position 1 where 0 was expected"),
-        (["0,5", "2,4000"], ":3: position 2 where 1 was expected"),
+        ([_SUB, '"0\n",5', "1,x"], ":4: expected POSITION,ROW_INDEX, got '1,x'"),
+        ([_SUB, '"0\n",5', "1,4000"], ":4: row index 4000 is outside 0..3999"),
+        ([_SUB, "0,5", "0,4"], ":3: position 0 where 1 was expected"),
+        ([_SUB, "1,5", "0,4"], ":2: position 1 where 0 was expected"),
+        ([_SUB, "0,5", "2,4000"], ":3: position 2 where 1 was expected"),
+        # the header is checked before any row is parsed
+        (["index,row", "x,5"], ": unexpected header 'index,row'"),
+        (["cell_index,bits,count", "0,000,12", "1,001,9"],
+         ": unexpected header 'cell_index,bits,count'"),
     ], ids=["negative", "past-the-end", "no-comma", "not-an-integer", "after-multiline-bad",
             "after-multiline-out-of-range", "repeated-position", "out-of-order-position",
-            "position-before-row-index"])
-    def test_bad_subsample_row_is_data_error(self, tmp_path, synth_base, capsys, rows, named):
+            "position-before-row-index", "other-header-bad-row", "contingency-csv"])
+    def test_bad_subsample_row_is_data_error(self, tmp_path, synth_base, capsys, lines, named):
         sub = tmp_path / "sub.csv"
-        sub.write_text("\n".join(["position,row_index"] + rows) + "\n")
+        sub.write_text("\n".join(lines) + "\n")
         code = run("fit", "--data", synth_base, "--subsample", str(sub),
                    "--out-dir", str(tmp_path / "dirs"))
         assert code == 2

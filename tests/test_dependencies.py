@@ -124,23 +124,29 @@ def test_only_dataio_makes_a_write_durable():
     assert [use for use in found if use[0] != "dataio.py"] == []
 
 
-def test_only_evaluation_starts_a_thread():
-    # evaluation._class_sums runs the one helper thread, which calls numpy
-    # only, so perfbench's single-threaded tracing still sees every latbal
-    # call in order; a thread or a pool elsewhere would have to keep that too
+def _thread_imports(source: str, filename: str) -> list:
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Import):
+            names = [alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module.partition(".")[0]]
+        else:
+            continue
+        found += [(filename, node.lineno, name) for name in names
+                  if name in ("threading", "_thread", "concurrent", "multiprocessing")]
+    return found
+
+
+def test_no_module_starts_a_thread():
+    # latbal runs in one thread, so perfbench's tracing sees every latbal
+    # call in order; a thread or a pool would have to keep that
+    sample = "import numpy\nfrom concurrent.futures import ThreadPoolExecutor\n"
+    assert _thread_imports(sample, "sample.py") == [("sample.py", 2, "concurrent")]
     found = []
     for path in sorted(Path(latbal.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name.partition(".")[0] for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module.partition(".")[0]]
-            else:
-                continue
-            found += [(path.name, node.lineno, name) for name in names
-                      if name in ("threading", "_thread", "concurrent", "multiprocessing")]
-    assert any(use[::2] == ("evaluation.py", "threading") for use in found)  # the check sees it
-    assert [use for use in found if use[::2] != ("evaluation.py", "threading")] == []
+        found += _thread_imports(path.read_text(), path.name)
+    assert found == []
 
 
 def test_every_text_mode_open_names_its_encoding():

@@ -1,8 +1,6 @@
 import json
 import re
-import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -566,9 +564,8 @@ class TestFitDirections:
     @pytest.mark.parametrize("dim", [3, 64])
     @pytest.mark.parametrize("size", ["0", "1", "block-1", "block", "block+1", "halves+7"])
     def test_pipelined_class_sums_add_each_class_in_row_order(self, dim, size):
-        # beyond one block the rows stream in half-blocks through two buffers,
-        # gathered on a helper thread (5 half-blocks + 7 rows: an odd number
-        # of chunks); a short switch interval interleaves the two threads often
+        # beyond one block the rows stream in half-blocks through two buffers
+        # (5 half-blocks + 7 rows: an odd number of chunks)
         step = block_rows(dim)
         half = -(-step // 2)
         n = {"0": 0, "1": 1, "block-1": step - 1, "block": step, "block+1": step + 1,
@@ -577,12 +574,7 @@ class TestFitDirections:
         rows = np.random.default_rng(n).integers(-ds.n, ds.n, size=n)
         for b in range(half, n, half):  # row 7 twice, negative then not, across each boundary
             rows[b - 1:b + 1] = [7 - ds.n, 7]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            sums, n_pos = latbal.evaluation._class_sums(ds.codes, ds.labels, rows)
-        finally:
-            sys.setswitchinterval(interval)
+        sums, n_pos = latbal.evaluation._class_sums(ds.codes, ds.labels, rows)
         x, y = ds.codes[rows], ds.labels[rows]
         assert n_pos.tolist() == np.count_nonzero(y, axis=0).tolist()
         for j in range(ds.m):
@@ -590,8 +582,8 @@ class TestFitDirections:
             assert sums[ds.m + j].tobytes() == x[y[:, j] == 0].sum(axis=0).tobytes()
 
     def test_pipelined_fit_leaves_no_thread_running(self, dataset20k):
-        # the helper is joined before the fit returns, and before an
-        # IndexError it met on a row of the last chunk reaches the caller
+        # a fit over several chunks starts no thread, and a row out of range
+        # on the last chunk raises select's IndexError
         before = threading.active_count()
         rows = np.arange(-dataset20k.n, dataset20k.n, 3)
         assert rows.size > block_rows(dataset20k.dim)
@@ -604,52 +596,6 @@ class TestFitDirections:
             lb.fit_directions(dataset20k, "centroid", rows=rows)
         assert str(got.value) == str(want.value)
         assert threading.active_count() == before
-
-    @staticmethod
-    def _pipelined_within_a_timeout(gather, add, chunks):
-        """What _pipelined raised, called on a daemon thread (so its helper is
-        one too) that must end in 10 s: a helper left waiting blocks the join."""
-        raised = []
-
-        def call():
-            try:
-                latbal.evaluation._pipelined(gather, add, chunks)
-            except BaseException as exc:
-                raised.append(exc)
-        caller = threading.Thread(target=call, daemon=True)
-        caller.start()
-        caller.join(timeout=10)
-        assert not caller.is_alive()
-        return raised
-
-    @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
-    def test_an_error_while_summing_stops_and_joins_the_helper(self, exc):
-        gathered, before = [], threading.active_count()
-
-        def add(c, stop):
-            if c == 3:  # once the helper has gathered chunk 4 and waits for a buffer
-                deadline = time.monotonic() + 5
-                while len(gathered) < 5 and time.monotonic() < deadline:
-                    time.sleep(0.001)
-                time.sleep(0.05)
-                raise exc("stop")
-        raised = self._pipelined_within_a_timeout(lambda c: gathered.append(c) or c, add, 100)
-        assert [type(e) for e in raised] == [exc]
-        assert threading.active_count() == before
-        # chunks 0-3 were summed; the helper gathered one chunk ahead, no more
-        assert gathered == [0, 1, 2, 3, 4]
-
-    def test_a_helper_error_reaches_the_caller_as_raised(self):
-        boom, added, before = IndexError("row 7"), [], threading.active_count()
-
-        def gather(c):
-            if c == 5:
-                raise boom
-            return c
-        raised = self._pipelined_within_a_timeout(gather, lambda c, stop: added.append(c), 9)
-        assert raised == [boom] and raised[0] is boom
-        assert threading.active_count() == before
-        assert added == [0, 1, 2, 3, 4]
 
     def test_rows_none_fits_every_row(self, dataset20k):
         # 20k rows span ten chunks

@@ -328,6 +328,20 @@ def test_c_is_kept_as_the_checked_float():
     assert type(model.c) is float and model.c == 0.5
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_row_is_refused_before_the_solve(value, solver_log):
+    # NaN used to come back as NaN weights with no error, and an infinity as
+    # a numerically unstable C
+    x = normals(derive_seed(5, 103), 60).reshape(20, 3)
+    x[3, 1] = value
+    y = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)
+    with pytest.raises(ValueError, match=r"^x row 3: non-finite component$"):
+        train_svm(x, y)
+    with pytest.raises(ValueError, match=r"^attribute 1: x row 3: non-finite component$"):
+        lb.svm_direction(x, y, 1)
+    assert solver_log["certs"] == []
+
+
 @pytest.mark.parametrize("c,cause", [(1e12, "Singular matrix"),
                                      (1e300, "overflow encountered in matmul")])
 def test_huge_c_is_a_value_error_naming_c_without_warnings(c, cause):
